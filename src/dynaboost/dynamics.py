@@ -46,7 +46,12 @@ def spectral_radius_estimate(A, tol: float = 1e-9, max_iter: int = 200) -> float
 
 
 class LinearSystem:
-    """x' = A x + B u (+ w)."""
+    """x' = A x + B u (+ w).
+
+    A and B are validated here and fixed afterwards: f and step take
+    length-k and length-d vectors as given, since they run inside the
+    round loop, and the window operators are cached from A and B.
+    """
 
     def __init__(self, A, B):
         self.A = as_matrix(A)
@@ -55,6 +60,7 @@ class LinearSystem:
         self.k = self.A.shape[0]
         self.B = as_matrix(B, rows=self.k)
         self.d = self.B.shape[1]
+        self._window_ops: dict[int, tuple[Array, Array]] = {}
         rho = spectral_radius_estimate(self.A)
         if not rho < 1.0:
             warnings.warn(
@@ -72,13 +78,37 @@ class LinearSystem:
         return self.d
 
     def f(self, x, u) -> Array:
-        return self.A @ as_vector(x, self.k) + self.B @ as_vector(u, self.d)
+        return self.A @ x + self.B @ u
 
     def jacobians(self, x, u) -> tuple[Array, Array]:
         return self.A, self.B
 
     def step(self, x, u, w) -> Array:
-        return self.f(x, u) + as_vector(w, self.k)
+        return self.A @ x + self.B @ u + w
+
+    def window_operators(self, H: int) -> tuple[Array, Array]:
+        """Block rows (Phi, Psi) of the memory-H window replay, cached per H.
+
+        Phi = [Phi_0 ... Phi_{H-2}] with Phi_j = A^{H-2-j} B, shape
+        (k, (H-1) d), and Psi = [Psi_0 ... Psi_{H-2}] with Psi_j = A^{H-2-j},
+        shape (k, (H-1) k). The state reached from zero by the pairs
+        (u_j, w_j), j = 0..H-2, is Phi u + Psi w, with u and w the pairs'
+        actions and disturbances stacked oldest first.
+        """
+        ops = self._window_ops.get(H)
+        if ops is None:
+            powers = []
+            P = np.eye(self.k)
+            for _ in range(H - 1):
+                powers.append(P)
+                P = self.A @ P
+            powers.reverse()
+            Psi = np.hstack(powers) if powers else np.zeros((self.k, 0))
+            Phi = np.hstack([P @ self.B for P in powers]) if powers else np.zeros((self.k, 0))
+            Phi.flags.writeable = False
+            Psi.flags.writeable = False
+            ops = self._window_ops[H] = (Phi, Psi)
+        return ops
 
 
 def wrap_angle(theta: float) -> float:
@@ -93,7 +123,8 @@ class PendulumSystem:
     State is (theta, theta_dot) with theta measured from upright and wrapped
     to (-pi, pi]; the action is a scalar torque clipped to +-max_torque, and
     the angular velocity is clipped to +-max_speed. The additive disturbance
-    w lands on both state coordinates after the deterministic step.
+    w lands on both state coordinates after the deterministic step. Like
+    LinearSystem's, the per-round methods read x and u as given.
     """
 
     g: float = 10.0
@@ -118,8 +149,6 @@ class PendulumSystem:
         return 1
 
     def f(self, x, u) -> Array:
-        x = as_vector(x, 2)
-        u = as_vector(u, 1)
         theta, theta_dot = float(x[0]), float(x[1])
         torque = min(max(float(u[0]), -self.max_torque), self.max_torque)
         accel = 3.0 * self.g / (2.0 * self.l) * math.sin(theta) + 3.0 / (self.m * self.l**2) * torque
@@ -131,8 +160,6 @@ class PendulumSystem:
     def jacobians(self, x, u) -> tuple[Array, Array]:
         # Clip saturation zeroes the corresponding sensitivity; the angle
         # wrap has unit derivative almost everywhere.
-        x = as_vector(x, 2)
-        u = as_vector(u, 1)
         theta, theta_dot = float(x[0]), float(x[1])
         torque_active = abs(float(u[0])) <= self.max_torque
         accel = (
@@ -156,7 +183,7 @@ class PendulumSystem:
         return Jx, Ju
 
     def step(self, x, u, w) -> Array:
-        return self.f(x, u) + as_vector(w, 2)
+        return self.f(x, u) + w
 
     def linearization(self) -> tuple[Array, Array]:
         """(A, B) of the discrete map at the upright equilibrium."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynaboost.controllers import GpcController, RecurrentController, _slot_windows
-from dynaboost.core import BallSet, RngStream, project_to_ball, projection_jacobian
+from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_gradient
 from dynaboost.losses import LinearResidualLoss, ProxyLoss, QuadraticCost, QuadraticResidualLoss
@@ -88,14 +88,10 @@ def check_gpc_gradient(points: int = 100) -> CheckResult:
         gpc.M = rng.normal(size=(H, d, k))
         wh = rng.normal(size=(2 * H - 1, k))
         loss = _random_residual(rng, H, d, "linear" if p % 3 else "quadratic")
+        # A controller that has not acted has zero offsets, so its slot
+        # actions are the projected M-w sums that composed() rebuilds.
+        G = gpc.loss_gradients(loss, wh).ravel()
         windows = _slot_windows(wh, H, k)
-        raws = np.stack(
-            [np.einsum("mdk,mk->d", gpc.M, windows[j][::-1]) for j in range(H)]
-        )
-        acts = np.stack([project_to_ball(r, ball) for r in raws])
-        g = loss.slot_gradients(acts)
-        g = np.stack([projection_jacobian(raws[j], ball).T @ g[j] for j in range(H)])
-        G = np.einsum("jd,jmk->mdk", g, windows[:, ::-1, :]).ravel()
 
         def composed(vec):
             M = vec.reshape(H, d, k)

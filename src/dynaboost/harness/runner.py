@@ -197,13 +197,16 @@ class _StaticPolicy:
         pass
 
 
-def _lqr_controller(system, cost, ball: BallSet) -> LqrController:
+def lqr_gain(system, cost) -> tuple[np.ndarray, np.ndarray]:
+    """(P, K) of the Riccati fixed point for the system's (linearized) (A, B)."""
     A, B = linearized_lds(system)
-    P, K = solve_dare(A, B, cost.Q, cost.R)
-    return LqrController(K, ball, P=P)
+    return solve_dare(A, B, cost.Q, cost.R)
 
 
-def build_policies(cfg: ExperimentConfig, system, cost, run_index: int) -> list:
+def build_policies(
+    cfg: ExperimentConfig, system, cost, run_index: int, lqr: tuple | None = None
+) -> list:
+    """Fresh policies for one run; lqr is a precomputed lqr_gain(system, cost)."""
     ball = BallSet(cfg.action_radius, system.action_dim)
     base = RngStream(cfg.seed).child(_CONTROLLER_STREAM).child(run_index)
     curvature = booster_curvature(cfg, system, cost)
@@ -223,7 +226,8 @@ def build_policies(cfg: ExperimentConfig, system, cost, run_index: int) -> list:
         elif name == "zero":
             policies.append(_StaticPolicy("zero", ZeroController(ball)))
         elif name == "lqr":
-            policies.append(_StaticPolicy("lqr", _lqr_controller(system, cost, ball)))
+            P, K = lqr if lqr is not None else lqr_gain(system, cost)
+            policies.append(_StaticPolicy("lqr", LqrController(K, ball, P=P)))
         elif name == "overparam":
             hidden = overparam_hidden(
                 system.state_dim, system.action_dim, cfg.weak.hidden, cfg.weak.cell, cfg.N
@@ -246,7 +250,16 @@ def build_policies(cfg: ExperimentConfig, system, cost, run_index: int) -> list:
     return policies
 
 
-def run_episode(system, cost, cfg: ExperimentConfig, policy, w_seq: np.ndarray, run_index: int) -> Trajectory:
+def run_episode(
+    system,
+    cost,
+    cfg: ExperimentConfig,
+    policy,
+    w_seq: np.ndarray,
+    run_index: int,
+    w_hash: str | None = None,
+) -> Trajectory:
+    """One policy over one disturbance stream; w_hash is disturbance_hash(w_seq) if known."""
     T = w_seq.shape[0]
     k = system.state_dim
     d = system.action_dim
@@ -254,31 +267,33 @@ def run_episode(system, cost, cfg: ExperimentConfig, policy, w_seq: np.ndarray, 
     states = np.zeros((T + 1, k))
     actions = np.zeros((T, d))
     costs = np.zeros(T)
-    hist = Window(2 * H - 1, k)
+    # Row t + i of the zero-padded stream is w_{t-2H+1+i}, so the
+    # disturbance history of round t is the read-only view padded[t : t+2H-1].
+    padded = np.vstack([np.zeros((2 * H - 1, k)), w_seq])
+    padded.flags.writeable = False
     x = np.zeros(k)
     diverged = False
     t_end = T
-    full_hash = disturbance_hash(w_seq)
     for t in range(T):
-        obs = Observation(x, hist.view()[H - 1 :])
+        hist = padded[t : t + 2 * H - 1]
+        obs = Observation(x, hist[H - 1 :])
         u = np.asarray(policy.act(obs), dtype=np.float64).reshape(d)
         c = cost.value(x, u)
         x_next = system.step(x, u, w_seq[t])
         actions[t] = u
         costs[t] = c
-        finite = bool(np.all(np.isfinite(x_next))) and math.isfinite(c)
-        if not finite or float(np.linalg.norm(x_next)) > cfg.divergence_threshold:
+        # A non-finite state has a NaN or infinite norm, so one dot product
+        # covers both the finiteness and the divergence check.
+        if not (math.sqrt(x_next.dot(x_next)) <= cfg.divergence_threshold and math.isfinite(c)):
             diverged = True
-            if finite:
+            if bool(np.all(np.isfinite(x_next))) and math.isfinite(c):
                 states[t + 1] = x_next
                 t_end = t + 1
             else:
                 t_end = t
             break
         states[t + 1] = x_next
-        window_loss = ProxyLoss(system, cost, H, hist.view()[H:])
-        policy.update(window_loss, hist.view())
-        hist.push(w_seq[t])
+        policy.update(ProxyLoss(system, cost, H, hist[H:]), hist)
         x = x_next
     return Trajectory(
         states=states[: t_end + 1],
@@ -287,17 +302,26 @@ def run_episode(system, cost, cfg: ExperimentConfig, policy, w_seq: np.ndarray, 
         costs=costs[:t_end],
         algorithm=policy.name,
         seed=run_index,
-        w_hash=full_hash,
+        w_hash=disturbance_hash(w_seq) if w_hash is None else w_hash,
         diverged=diverged,
     )
 
 
-def _run_one(cfg: ExperimentConfig, run_index: int) -> dict:
+def build_experiment(cfg: ExperimentConfig) -> tuple:
+    """(system, cost, LQR gain or None): what every run of the experiment shares."""
     system, cost = build_system(cfg)
+    lqr = lqr_gain(system, cost) if "lqr" in cfg.baselines else None
+    return system, cost, lqr
+
+
+def _run_one(cfg: ExperimentConfig, run_index: int, built: tuple | None = None) -> dict:
+    """All policies on run run_index; built is build_experiment(cfg), made here if None."""
+    system, cost, lqr = build_experiment(cfg) if built is None else built
     w_seq = draw_disturbances(cfg, system.state_dim, run_index)
+    w_hash = disturbance_hash(w_seq)
     out = {}
-    for policy in build_policies(cfg, system, cost, run_index):
-        out[policy.name] = run_episode(system, cost, cfg, policy, w_seq, run_index)
+    for policy in build_policies(cfg, system, cost, run_index, lqr=lqr):
+        out[policy.name] = run_episode(system, cost, cfg, policy, w_seq, run_index, w_hash)
     return out
 
 
@@ -324,12 +348,13 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentResult:
+    built = build_experiment(cfg)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as ex:
-            futures = [ex.submit(_run_one, cfg, r) for r in range(cfg.runs)]
+            futures = [ex.submit(_run_one, cfg, r, built) for r in range(cfg.runs)]
             per_run = [f.result() for f in futures]
     else:
-        per_run = [_run_one(cfg, r) for r in range(cfg.runs)]
+        per_run = [_run_one(cfg, r, built) for r in range(cfg.runs)]
 
     algorithms = list(per_run[0])
     trajectories = {alg: [run[alg] for run in per_run] for alg in algorithms}

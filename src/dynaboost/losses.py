@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynaboost.core import Array, as_matrix, as_vector
+# as_vector stays importable from this module: perfbench/spans.py counts
+# its calls per importing module.
+from dynaboost.core import Array, as_matrix, as_vector  # noqa: F401
+from dynaboost.dynamics import LinearSystem
 
 
 def _check_psd(M: Array, name: str) -> None:
@@ -29,7 +32,11 @@ def _check_psd(M: Array, name: str) -> None:
 
 
 class QuadraticCost:
-    """c(x, u) = x'Qx + u'Ru with Q, R symmetric PSD."""
+    """c(x, u) = x'Qx + u'Ru with Q, R symmetric PSD.
+
+    Q and R are validated here; value and the gradients run inside the
+    round loop and take length-k and length-d vectors as given.
+    """
 
     def __init__(self, Q, R):
         self.Q = as_matrix(Q)
@@ -46,15 +53,15 @@ class QuadraticCost:
         return cls(np.eye(state_dim), np.eye(action_dim))
 
     def value(self, x, u) -> float:
-        x = as_vector(x, self.state_dim)
-        u = as_vector(u, self.action_dim)
+        x = np.asarray(x, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64)
         return float(x @ self.Q @ x + u @ self.R @ u)
 
     def grad_x(self, x) -> Array:
-        return 2.0 * (self.Q @ as_vector(x, self.state_dim))
+        return 2.0 * (self.Q @ x)
 
     def grad_u(self, u) -> Array:
-        return 2.0 * (self.R @ as_vector(u, self.action_dim))
+        return 2.0 * (self.R @ u)
 
 
 @dataclass
@@ -65,6 +72,11 @@ class ProxyLoss:
     with the first H-1 window actions. value() replays those pairs from
     the zero state and charges the stage cost at the resulting state with
     the final window action as the control.
+
+    On a LinearSystem the replay is affine in the actions: the state is
+    c + Phi u with the system's cached window operators and c = Psi w
+    computed once here, so every gradients() call is two products.
+    Other systems replay f and its Jacobians step by step.
     """
 
     system: object
@@ -87,11 +99,17 @@ class ProxyLoss:
                 f"got shape {w.shape}"
             )
         self.disturbances = w
+        self._markov = None
+        if isinstance(self.system, LinearSystem):
+            self._markov, psi = self.system.window_operators(self.horizon)
+            self._free = psi @ w.ravel()
 
     def _window(self, actions) -> Array:
         if hasattr(actions, "view"):
             actions = actions.view()
-        U = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+        U = np.asarray(actions, dtype=np.float64)
+        if U.ndim != 2:
+            U = np.atleast_2d(U)
         if U.shape != (self.horizon, self.system.action_dim):
             raise ValueError(
                 f"need {self.horizon} actions of dim {self.system.action_dim}, got {U.shape}"
@@ -100,6 +118,8 @@ class ProxyLoss:
 
     def truncated_state(self, actions) -> Array:
         U = self._window(actions)
+        if self._markov is not None:
+            return self._free + self._markov @ U[:-1].ravel()
         x = np.zeros(self.system.state_dim)
         for j in range(self.horizon - 1):
             x = self.system.f(x, U[j]) + self.disturbances[j]
@@ -110,20 +130,26 @@ class ProxyLoss:
         return self.cost.value(self.truncated_state(U), U[-1])
 
     def gradients(self, actions) -> Array:
-        """(H, d) array of per-slot gradients, via forward sensitivity.
+        """(H, d) array of per-slot gradients.
 
         Slot j < H-1 only influences the replayed state; the final slot
-        only enters the control cost.
+        only enters the control cost. On a LinearSystem slot j's gradient
+        is Phi_j' grad_x; otherwise it comes from a forward-sensitivity
+        replay of the Jacobians.
         """
         U = self._window(actions)
         H = self.horizon
+        grads = np.empty((H, self.system.action_dim))
+        grads[H - 1] = self.cost.grad_u(U[-1])
+        if self._markov is not None:
+            v = self.cost.grad_x(self._free + self._markov @ U[:-1].ravel())
+            grads[: H - 1] = (v @ self._markov).reshape(H - 1, self.system.action_dim)
+            return grads
         x = np.zeros(self.system.state_dim)
         jacs = []
         for j in range(H - 1):
             jacs.append(self.system.jacobians(x, U[j]))
             x = self.system.f(x, U[j]) + self.disturbances[j]
-        grads = np.zeros((H, self.system.action_dim))
-        grads[H - 1] = self.cost.grad_u(U[-1])
         v = self.cost.grad_x(x)
         for j in range(H - 2, -1, -1):
             Jx, Ju = jacs[j]

@@ -11,6 +11,8 @@ from dynaboost.core import (
     as_vector,
     clip_componentwise,
     gaussian,
+    project_slots,
+    project_slots_vjp,
     project_to_ball,
     projection_jacobian,
 )
@@ -91,6 +93,35 @@ def test_projection_jacobian_matches_fd():
             e[i] = h
             fd[:, i] = (project_to_ball(v + e, ball) - project_to_ball(v - e, ball)) / (2 * h)
         assert np.allclose(J, fd, atol=1e-6)
+
+
+def _slot_stack(rng, d, radius, scales):
+    """Rows of random direction whose norms are radius * scales."""
+    raws = rng.normal(size=(len(scales), d))
+    return raws * (radius * np.asarray(scales) / np.linalg.norm(raws, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize(
+    "scales",
+    [
+        [0.2, 3.0, 0.9, 1.5, 1.0],  # interior, saturated and on-the-rim slots mixed
+        [0.1, 0.5, 0.7],  # all interior
+        [2.0, 4.0, 1.01],  # all saturated
+    ],
+)
+def test_batched_slot_projection_matches_per_slot(d, scales):
+    rng = np.random.default_rng(7 * d + len(scales))
+    ball = BallSet(1.5, d)
+    raws = _slot_stack(rng, d, ball.radius, scales)
+    g = rng.normal(size=raws.shape)
+    actions, norms = project_slots(raws, ball)
+    want = np.stack([project_to_ball(r, ball) for r in raws])
+    assert np.allclose(actions, want, rtol=1e-12, atol=1e-15)
+    assert np.allclose(norms, np.linalg.norm(raws, axis=1), rtol=1e-12, atol=0)
+    vjp = project_slots_vjp(raws, norms, g, ball)
+    want_vjp = np.stack([projection_jacobian(r, ball).T @ gj for r, gj in zip(raws, g)])
+    assert np.allclose(vjp, want_vjp, rtol=1e-12, atol=1e-15)
 
 
 def test_clip_componentwise_bounds_and_errors():

@@ -21,6 +21,7 @@ from dynaboost.harness.config import (
 from dynaboost.harness.experiments import GPC_LR, correlated_suite, overparam_suite, pendulum_config, sanity_suite
 from dynaboost.harness.outputs import write_outputs
 from dynaboost.harness.runner import (
+    _run_one,
     _StaticPolicy,
     build_policies,
     build_system,
@@ -374,6 +375,36 @@ class TestRunner:
         over = next(p for p in policies if p.name == "overparam")
         small_total = cfg.N * recurrent_parameter_count(1, 1, cfg.weak.hidden, "elman")
         assert over.ctrl.parameter_count() >= small_total
+
+
+class TestRunIndependence:
+    """Run r of an experiment must not depend on the runs beside it: the
+    system, cost and LQR gain built once per experiment, and the window
+    operators cached on the system, carry no state from run to run."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(env=EnvConfig(kind="lds", k=3, d=2, rho=0.8)),
+            dict(env=EnvConfig(kind="pendulum")),
+            dict(
+                weak=parse_config("weak:\n  kind: rnn\n", source="c.yaml").weak,
+                baselines=("single", "lqr", "zero", "overparam"),
+            ),
+        ],
+        ids=["lds_gpc", "pendulum_gpc", "lds_rnn"],
+    )
+    def test_fresh_run_matches_run_inside_experiment(self, overrides):
+        cfg = _tiny_cfg(runs=3, T=25, **overrides)
+        result = run_experiment(cfg)
+        for r in reversed(range(cfg.runs)):
+            alone = _run_one(cfg, r)
+            assert sorted(alone) == result.algorithms
+            for alg in result.algorithms:
+                a, b = alone[alg], result.trajectories[alg][r]
+                for name in ("states", "actions", "disturbances", "costs"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), (alg, r, name)
+                assert (a.w_hash, a.diverged, a.seed) == (b.w_hash, b.diverged, b.seed)
 
 
 class TestSuiteDefinitions:

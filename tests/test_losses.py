@@ -117,6 +117,61 @@ class TestProxyLoss:
             assert g[j, 0] == pytest.approx(fd, abs=1e-5)
 
 
+def _replay_window_loss(A, B, Q, R, w, U):
+    """Window-loss value and slot gradients by stepping x' = Ax + Bu + w from
+    zero and carrying the sensitivities dx/du_j forward alongside the state."""
+    k, d = B.shape
+    H = U.shape[0]
+    x = np.zeros(k)
+    sens = np.zeros((H, k, d))  # sens[j] = dx/du_j
+    for j in range(H - 1):
+        sens = np.einsum("ab,jbd->jad", A, sens)
+        sens[j] += B
+        x = A @ x + B @ U[j] + w[j]
+    value = x @ Q @ x + U[-1] @ R @ U[-1]
+    grads = np.einsum("jkd,k->jd", sens, 2.0 * Q @ x)
+    grads[-1] = 2.0 * R @ U[-1]
+    return value, grads
+
+
+class TestLinearWindowOperators:
+    """ProxyLoss on a LinearSystem uses the cached Markov operators; it must
+    agree with a step-by-step sensitivity replay."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("H", [1, 2, 5])
+    def test_matches_sensitivity_replay(self, k, d, H):
+        rng = np.random.default_rng(100 * k + 10 * d + H)
+        for trial in range(5):
+            system = random_lds(RngStream(trial).child(k).child(d), k, d, 0.9)
+            L = rng.normal(size=(k, k))
+            M = rng.normal(size=(d, d))
+            cost = QuadraticCost(L @ L.T, M @ M.T + 0.1 * np.eye(d))
+            w = rng.normal(size=(H - 1, k))
+            loss = ProxyLoss(system, cost, H, w)
+            for _ in range(3):
+                U = rng.normal(size=(H, d))
+                want_value, want_grads = _replay_window_loss(
+                    system.A, system.B, cost.Q, cost.R, w, U
+                )
+                scale = max(1.0, float(np.abs(want_grads).max()))
+                assert np.abs(loss.gradients(U) - want_grads).max() <= 1e-12 * scale
+                assert loss.value(U) == pytest.approx(want_value, rel=1e-12, abs=1e-300)
+
+    def test_operators_are_markov_blocks_cached_per_memory(self):
+        system = LinearSystem([[0.5, 0.1], [0.0, 0.3]], [[1.0], [0.5]])
+        Phi, Psi = system.window_operators(4)
+        A, B = system.A, system.B
+        assert Phi.shape == (2, 3) and Psi.shape == (2, 6)
+        for j, power in enumerate((A @ A, A, np.eye(2))):
+            assert np.allclose(Phi[:, j : j + 1], power @ B, rtol=0, atol=1e-15)
+            assert np.allclose(Psi[:, 2 * j : 2 * j + 2], power, rtol=0, atol=1e-15)
+        assert system.window_operators(4)[0] is Phi
+        assert not Phi.flags.writeable and not Psi.flags.writeable
+        assert system.window_operators(1)[0].shape == (2, 0)
+
+
 class TestLinearResidualLoss:
     def test_value_is_inner_product(self):
         g = np.array([[1.0], [2.0]])
