@@ -19,7 +19,6 @@ from dynaboost.dynamics import (
     SinusoidalDisturbance,
     Trajectory,
     counterfactual_state,
-    infer_disturbance,
     random_lds,
 )
 from dynaboost.losses import (
@@ -58,7 +57,6 @@ __all__ = [
     "combination_weights",
     "counterfactual_state",
     "derive_curvature_bounds",
-    "infer_disturbance",
     "project_to_ball",
     "random_lds",
     "solve_dare",

@@ -301,7 +301,6 @@ class RecurrentController(WeakController):
         lr: float = 0.05,
         cell: str = "elman",
         clip_norm: float = 5.0,
-        last_slot_only: bool = False,
         lr_schedule: str = "constant",
         weight_radius: float = 10.0,
     ):
@@ -335,7 +334,6 @@ class RecurrentController(WeakController):
         self.lr = lr
         self.lr_schedule = lr_schedule
         self.clip_norm = clip_norm
-        self.last_slot_only = last_slot_only
         self.weight_radius = weight_radius
         self._t = 0
 
@@ -370,8 +368,6 @@ class RecurrentController(WeakController):
         raws, h, cache = self._raw_batch(windows)
         actions, _ = project_slots(raws, self.action_ball)
         g = loss.slot_gradients(actions)
-        if self.last_slot_only:
-            g = np.vstack([np.zeros((self.H - 1, self.d)), g[-1:]])
         out_grads = {"W_o": g.T @ h, "b_o": g.sum(axis=0)}
         cell_grads = self.cell.backward(cache, g @ self.out["W_o"])
         return cell_grads, out_grads
@@ -459,15 +455,9 @@ def solve_dare(
 class LqrController(WeakController):
     """Fixed linear state feedback u = -K x from the Riccati solution."""
 
-    def __init__(self, K: Array, action_ball: BallSet, P: Array | None = None):
+    def __init__(self, K: Array, action_ball: BallSet):
         self.action_ball = action_ball
         self.K = as_matrix(K, rows=action_ball.dim)
-        self.P = P
-
-    @classmethod
-    def from_lds(cls, system, cost, action_ball: BallSet, tol: float = 1e-12) -> "LqrController":
-        P, K = solve_dare(system.A, system.B, cost.Q, cost.R, tol=tol)
-        return cls(K, action_ball, P=P)
 
     def act(self, obs: Observation) -> Array:
         return project_to_ball(-self.K @ obs.state, self.action_ball)

@@ -119,12 +119,6 @@ def project_slots_vjp(raws: Array, norms: Array, g: Array, ball: BallSet) -> Arr
     return np.where(outside[:, None], (ball.radius / n) * tangent, g)
 
 
-def clip_componentwise(v, lo: float, hi: float) -> Array:
-    if not lo < hi:
-        raise ValueError(f"clip bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    return np.clip(as_vector(v), lo, hi)
-
-
 class Window:
     """Fixed-capacity sliding window of vectors, oldest first.
 
@@ -140,26 +134,15 @@ class Window:
             raise ValueError(f"window dim must be >= 1, got {dim}")
         self.capacity = capacity
         self.dim = dim
-        self.fill = 0
         self._buf = np.zeros((capacity, dim))
 
     def push(self, v) -> None:
         self._buf[:-1] = self._buf[1:]
         self._buf[-1] = v
-        self.fill = min(self.fill + 1, self.capacity)
 
     def view(self) -> Array:
         """(capacity, dim) copy, oldest first, zero-padded at the front."""
         return self._buf.copy()
-
-    def newest_first(self) -> Array:
-        return self._buf[::-1].copy()
-
-    def __getitem__(self, j: int) -> Array:
-        return self._buf[j].copy()
-
-    def __len__(self) -> int:
-        return self.capacity
 
 
 class RngStream:

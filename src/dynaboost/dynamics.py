@@ -212,11 +212,6 @@ class DisturbanceGenerator:
         self.dim = dim
         self._last_t: int | None = None
 
-    @property
-    def bound(self) -> float:
-        """A computable bound W with ||w_t||_2 <= W for every emitted w_t."""
-        raise NotImplementedError
-
     def generate(self, t: int) -> Array:
         if t < 0:
             raise ValueError(f"round index must be >= 0, got {t}")
@@ -230,7 +225,7 @@ class DisturbanceGenerator:
 
 
 class IidGaussianDisturbance(DisturbanceGenerator):
-    """Zero-mean i.i.d. Gaussian noise, L2-capped so a finite bound W exists.
+    """Zero-mean i.i.d. Gaussian noise; a draw longer than cap is scaled back to norm cap.
 
     The default cap of 10 std sqrt(dim) is far in the tail and does not
     measurably distort the sample statistics.
@@ -243,10 +238,6 @@ class IidGaussianDisturbance(DisturbanceGenerator):
         self.std = std
         self.rng = rng
         self.cap = 10.0 * std * math.sqrt(dim) if cap is None else cap
-
-    @property
-    def bound(self) -> float:
-        return self.cap
 
     def _draw(self, t: int) -> Array:
         w = gaussian(self.rng, np.zeros(self.dim), self.std)
@@ -271,10 +262,6 @@ class RandomWalkDisturbance(DisturbanceGenerator):
         self.rng = rng
         self.prev = np.zeros(dim)
 
-    @property
-    def bound(self) -> float:
-        return max(abs(self.clip_lo), abs(self.clip_hi)) * math.sqrt(self.dim)
-
     def _draw(self, t: int) -> Array:
         w = np.clip(gaussian(self.rng, self.prev, self.std), self.clip_lo, self.clip_hi)
         self.prev = w
@@ -284,17 +271,8 @@ class RandomWalkDisturbance(DisturbanceGenerator):
 class SinusoidalDisturbance(DisturbanceGenerator):
     """Every coordinate equals sin(t) / (2 pi) at integer round index t."""
 
-    @property
-    def bound(self) -> float:
-        return math.sqrt(self.dim) / (2.0 * math.pi)
-
     def _draw(self, t: int) -> Array:
         return np.full(self.dim, math.sin(t) / (2.0 * math.pi))
-
-
-def infer_disturbance(system, x, u, x_next) -> Array:
-    """Recover w from an observed transition: w = x_next - f(x, u)."""
-    return as_vector(x_next, system.state_dim) - system.f(x, u)
 
 
 def counterfactual_state(system, x_start, actions, disturbances) -> Array:

@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _execute(configs, args) -> int:
     code = EXIT_OK
     for cfg in configs:
-        cfg = cfg.override(out=args.out)
         out_dir = _ensure_dir(cfg.out)
         result = run_experiment(cfg, parallel=max(1, args.parallel))
         write_outputs(out_dir, cfg, result.trajectories, result.stats, result.w_hashes, result.diverged)
@@ -110,7 +109,9 @@ def main(argv=None) -> int:
             configs = [experiments.pendulum_config(**_suite_kwargs(args))]
         else:
             configs = experiments.overparam_suite(**_suite_kwargs(args))
-        return _execute(configs, args)
+        # override range-checks every config, so a bad CLI value stops the
+        # command before any experiment runs.
+        return _execute([cfg.override(out=args.out) for cfg in configs], args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

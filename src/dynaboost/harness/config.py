@@ -1,13 +1,17 @@
 """Experiment configuration: schema, defaults, YAML loading.
 
-Config files are YAML. Validation failures name the file and line of the
-offending key so a bad config is fixable without reading source.
+Config files are YAML. The dataclasses below are the schema: the reader
+takes every key, type and default from their fields. `validate` holds every
+range check, for config files (errors name the file and line of the
+offending key) and for `ExperimentConfig.override` (errors name the field).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -21,7 +25,7 @@ LR_SCHEDULES = ("sqrt", "constant")
 
 
 class ConfigError(Exception):
-    """Invalid configuration; message carries file:line context."""
+    """Invalid configuration; the message names the file and line, or the overridden field."""
 
 
 @dataclass(frozen=True)
@@ -79,64 +83,123 @@ class ExperimentConfig:
     source: str = "<builtin>"
 
     def override(self, **kw) -> "ExperimentConfig":
-        return replace(self, **{k: v for k, v in kw.items() if v is not None})
+        """A copy with every non-None keyword replaced, range-checked like a file."""
+        cfg = replace(self, **{k: v for k, v in kw.items() if v is not None})
+
+        def fail(path: tuple, msg: str):
+            name = ".".join(str(p) for p in path)
+            raise ConfigError(f"{cfg.source}: override {name}: {msg}")
+
+        validate(cfg, fail)
+        return cfg
 
 
-class _Validator:
-    """Walks the parsed tree, pulling typed fields and reporting key lines."""
+# Bookkeeping fields of ExperimentConfig that a config file may not set.
+_NOT_KEYS = ("raw_text", "source")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+# Resolving the string annotations took a tenth of a parse; once per class is enough.
+_field_types = functools.cache(get_type_hints)
 
-    def __init__(self, data: dict, lines: dict, source: str):
-        self.data = data
-        self.lines = lines
-        self.source = source
 
-    def fail(self, path: tuple, msg: str):
-        line = self.lines.get(path, 1)
-        raise ConfigError(f"{self.source}:{line}: {msg}")
+def _read(cls, table: dict, path: tuple, fail):
+    """The config dataclass cls from one YAML mapping, keyed and typed by cls's fields.
 
-    def section(self, key: str) -> dict:
-        v = self.data.get(key)
+    An absent key keeps the field's default; fail(path, message) raises.
+    """
+    if not isinstance(table, dict):
+        fail(path, f"'{path[-1]}' must be a mapping")
+    hints = _field_types(cls)
+    names = [f.name for f in fields(cls) if f.name not in _NOT_KEYS]
+    for key in table:
+        if key not in names:
+            fail(path + (key,), f"unknown key '{key}'")
+    given = [name for name in names if name in table]
+    return cls(**{name: _value(hints[name], table[name], path + (name,), fail) for name in given})
+
+
+def _value(kind, v, path: tuple, fail):
+    if is_dataclass(kind):
+        return _read(kind, {} if v is None else v, path, fail)
+    if kind == tuple[str, ...]:
+        if not isinstance(v, list):
+            fail(path, f"'{path[-1]}' must be a list")
+        return tuple(v)
+    if kind == float | None:
         if v is None:
-            return {}
-        if not isinstance(v, dict):
-            self.fail((key,), f"'{key}' must be a mapping")
-        return v
-
-    def take(self, table: dict, path: tuple, kinds, default, allow_none=False):
-        if path[-1] not in table:
-            return default
-        v = table[path[-1]]
-        if v is None and allow_none:
             return None
-        if kinds is bool:
-            if not isinstance(v, bool):
-                self.fail(path, f"'{path[-1]}' must be a boolean, got {v!r}")
-            return v
-        if kinds is int:
-            if not isinstance(v, int) or isinstance(v, bool):
-                self.fail(path, f"'{path[-1]}' must be an integer, got {v!r}")
-            return v
-        if kinds is float:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                self.fail(path, f"'{path[-1]}' must be a number, got {v!r}")
-            return float(v)
-        if kinds is str:
-            if not isinstance(v, str):
-                self.fail(path, f"'{path[-1]}' must be a string, got {v!r}")
-            return v
-        raise AssertionError(kinds)
+        kind = float
+    accepted = (int, float) if kind is float else kind
+    if isinstance(v, bool) or not isinstance(v, accepted):
+        fail(path, f"'{path[-1]}' must be {_TYPE_NAMES[kind]}, got {v!r}")
+    return float(v) if kind is float else v
 
-    def check_known(self, table: dict, path_prefix: tuple, known: tuple):
-        for key in table:
-            if key not in known:
-                self.fail(path_prefix + (key,), f"unknown key '{key}'")
+
+def validate(cfg: ExperimentConfig, fail) -> None:
+    """Range checks of a whole config; fail(path, message) raises at the first."""
+    env, dist, booster, weak = cfg.env, cfg.disturbance, cfg.booster, cfg.weak
+
+    def one_of(path: tuple, what: str, value, allowed: tuple):
+        if value not in allowed:
+            fail(path, f"{what} must be one of {allowed}, got {value!r}")
+
+    one_of(("env", "kind"), "env kind", env.kind, ENV_KINDS)
+    if env.kind == "lds":
+        if env.k < 1 or env.d < 1:
+            fail(("env",), f"state/action dims must be >= 1, got k={env.k}, d={env.d}")
+        if not 0.0 < env.rho < 1.0:
+            fail(("env", "rho"), f"rho must lie in (0, 1), got {env.rho}")
+
+    one_of(("disturbance", "kind"), "disturbance kind", dist.kind, DISTURBANCE_KINDS)
+    if dist.std < 0:
+        fail(("disturbance", "std"), f"std must be >= 0, got {dist.std}")
+    if dist.kind == "random_walk" and not dist.clip_lo < dist.clip_hi:
+        fail(("disturbance",), f"need clip_lo < clip_hi, got [{dist.clip_lo}, {dist.clip_hi}]")
+
+    one_of(("booster", "variant"), "booster variant", booster.variant, BOOSTER_VARIANTS)
+    if booster.alpha is not None and booster.alpha <= 0:
+        fail(("booster", "alpha"), f"alpha must be positive, got {booster.alpha}")
+    if booster.beta is not None and booster.beta <= 0:
+        fail(("booster", "beta"), f"beta must be positive, got {booster.beta}")
+    if None not in (booster.alpha, booster.beta) and booster.alpha > booster.beta:
+        fail(("booster",), f"need alpha <= beta, got {booster.alpha} > {booster.beta}")
+
+    one_of(("weak", "kind"), "weak kind", weak.kind, WEAK_KINDS)
+    if weak.lr is not None and weak.lr <= 0:
+        fail(("weak", "lr"), f"lr must be positive, got {weak.lr}")
+    one_of(("weak", "lr_schedule"), "lr_schedule", weak.lr_schedule, LR_SCHEDULES)
+    if weak.R_M <= 0:
+        fail(("weak", "R_M"), f"R_M must be positive, got {weak.R_M}")
+    if weak.hidden < 1:
+        fail(("weak", "hidden"), f"hidden must be >= 1, got {weak.hidden}")
+    one_of(("weak", "cell"), "cell", weak.cell, CELLS)
+    if weak.clip_norm <= 0:
+        fail(("weak", "clip_norm"), f"clip_norm must be positive, got {weak.clip_norm}")
+    if weak.weight_radius <= 0:
+        fail(("weak", "weight_radius"), f"weight_radius must be positive, got {weak.weight_radius}")
+
+    for i, b in enumerate(cfg.baselines):
+        one_of(("baselines", i), "baseline", b, BASELINES)
+    if len(set(cfg.baselines)) != len(cfg.baselines):
+        fail(("baselines",), "duplicate baselines")
+
+    if cfg.H < 1:
+        fail(("H",), f"H must be >= 1, got {cfg.H}")
+    if cfg.T < cfg.H:
+        fail(("T",), f"need T >= H, got T={cfg.T} < H={cfg.H}")
+    if cfg.N < 1:
+        fail(("N",), f"N must be >= 1, got {cfg.N}")
+    if cfg.runs < 1:
+        fail(("runs",), f"runs must be >= 1, got {cfg.runs}")
+    if not 0 <= cfg.seed < 2**64:
+        fail(("seed",), f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
+    if cfg.action_radius <= 0:
+        fail(("action_radius",), f"action_radius must be positive, got {cfg.action_radius}")
+    if cfg.divergence_threshold <= 0:
+        fail(("divergence_threshold",), "divergence_threshold must be positive")
 
 
 def _collect_lines(text: str) -> dict:
-    try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
-    except yaml.YAMLError:
-        return {}
+    """Line of every key and list item by its path; text is YAML that safe_load accepted."""
     lines: dict = {}
 
     def walk(n, path):
@@ -151,8 +214,7 @@ def _collect_lines(text: str) -> dict:
                 lines[p] = vn.start_mark.line + 1
                 walk(vn, p)
 
-    if node is not None:
-        walk(node, ())
+    walk(yaml.compose(text, Loader=yaml.SafeLoader), ())
     return lines
 
 
@@ -165,162 +227,20 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}:1: empty config")
     if not isinstance(data, dict):
         raise ConfigError(f"{source}:1: top level must be a mapping")
-    v = _Validator(data, _collect_lines(text), source)
-    v.check_known(
-        data,
-        (),
-        (
-            "name",
-            "env",
-            "disturbance",
-            "T",
-            "H",
-            "N",
-            "booster",
-            "weak",
-            "baselines",
-            "runs",
-            "seed",
-            "action_radius",
-            "divergence_threshold",
-            "out",
-        ),
-    )
+    lines = _collect_lines(text)
 
-    env_t = v.section("env")
-    v.check_known(env_t, ("env",), ("kind", "k", "d", "rho"))
-    env = EnvConfig(
-        kind=v.take(env_t, ("env", "kind"), str, "lds"),
-        k=v.take(env_t, ("env", "k"), int, 1),
-        d=v.take(env_t, ("env", "d"), int, 1),
-        rho=v.take(env_t, ("env", "rho"), float, 0.9),
-    )
-    if env.kind not in ENV_KINDS:
-        v.fail(("env", "kind"), f"env kind must be one of {ENV_KINDS}, got {env.kind!r}")
-    if env.kind == "lds":
-        if env.k < 1 or env.d < 1:
-            v.fail(("env",), f"state/action dims must be >= 1, got k={env.k}, d={env.d}")
-        if not 0.0 < env.rho < 1.0:
-            v.fail(("env", "rho"), f"rho must lie in (0, 1), got {env.rho}")
+    def fail(path: tuple, msg: str):
+        raise ConfigError(f"{source}:{lines.get(path, 1)}: {msg}")
 
-    dist_t = v.section("disturbance")
-    v.check_known(dist_t, ("disturbance",), ("kind", "std", "clip_lo", "clip_hi"))
-    dist = DisturbanceConfig(
-        kind=v.take(dist_t, ("disturbance", "kind"), str, "iid_gaussian"),
-        std=v.take(dist_t, ("disturbance", "std"), float, 0.1),
-        clip_lo=v.take(dist_t, ("disturbance", "clip_lo"), float, -1.0),
-        clip_hi=v.take(dist_t, ("disturbance", "clip_hi"), float, 1.0),
-    )
-    if dist.kind not in DISTURBANCE_KINDS:
-        v.fail(
-            ("disturbance", "kind"),
-            f"disturbance kind must be one of {DISTURBANCE_KINDS}, got {dist.kind!r}",
-        )
-    if dist.std < 0:
-        v.fail(("disturbance", "std"), f"std must be >= 0, got {dist.std}")
-    if dist.kind == "random_walk" and not dist.clip_lo < dist.clip_hi:
-        v.fail(("disturbance",), f"need clip_lo < clip_hi, got [{dist.clip_lo}, {dist.clip_hi}]")
-
-    boost_t = v.section("booster")
-    v.check_known(boost_t, ("booster",), ("variant", "alpha", "beta"))
-    booster = BoosterConfig(
-        variant=v.take(boost_t, ("booster", "variant"), str, "dynaboost1"),
-        alpha=v.take(boost_t, ("booster", "alpha"), float, None, allow_none=True),
-        beta=v.take(boost_t, ("booster", "beta"), float, None, allow_none=True),
-    )
-    if booster.variant not in BOOSTER_VARIANTS:
-        v.fail(
-            ("booster", "variant"),
-            f"booster variant must be one of {BOOSTER_VARIANTS}, got {booster.variant!r}",
-        )
-    if booster.alpha is not None and booster.alpha <= 0:
-        v.fail(("booster", "alpha"), f"alpha must be positive, got {booster.alpha}")
-    if booster.beta is not None and booster.beta <= 0:
-        v.fail(("booster", "beta"), f"beta must be positive, got {booster.beta}")
-    if (
-        booster.alpha is not None
-        and booster.beta is not None
-        and booster.alpha > booster.beta
-    ):
-        v.fail(("booster",), f"need alpha <= beta, got {booster.alpha} > {booster.beta}")
-
-    weak_t = v.section("weak")
-    v.check_known(
-        weak_t,
-        ("weak",),
-        ("kind", "lr", "lr_schedule", "R_M", "hidden", "cell", "clip_norm", "weight_radius"),
-    )
-    weak = WeakConfig(
-        kind=v.take(weak_t, ("weak", "kind"), str, "gpc"),
-        lr=v.take(weak_t, ("weak", "lr"), float, None, allow_none=True),
-        lr_schedule=v.take(weak_t, ("weak", "lr_schedule"), str, "sqrt"),
-        R_M=v.take(weak_t, ("weak", "R_M"), float, 10.0),
-        hidden=v.take(weak_t, ("weak", "hidden"), int, 5),
-        cell=v.take(weak_t, ("weak", "cell"), str, "elman"),
-        clip_norm=v.take(weak_t, ("weak", "clip_norm"), float, 5.0),
-        weight_radius=v.take(weak_t, ("weak", "weight_radius"), float, 10.0),
-    )
-    if weak.kind not in WEAK_KINDS:
-        v.fail(("weak", "kind"), f"weak kind must be one of {WEAK_KINDS}, got {weak.kind!r}")
-    if weak.lr is not None and weak.lr <= 0:
-        v.fail(("weak", "lr"), f"lr must be positive, got {weak.lr}")
-    if weak.lr_schedule not in LR_SCHEDULES:
-        v.fail(("weak", "lr_schedule"), f"lr_schedule must be one of {LR_SCHEDULES}")
-    if weak.R_M <= 0:
-        v.fail(("weak", "R_M"), f"R_M must be positive, got {weak.R_M}")
-    if weak.hidden < 1:
-        v.fail(("weak", "hidden"), f"hidden must be >= 1, got {weak.hidden}")
-    if weak.cell not in CELLS:
-        v.fail(("weak", "cell"), f"cell must be one of {CELLS}, got {weak.cell!r}")
-    if weak.clip_norm <= 0:
-        v.fail(("weak", "clip_norm"), f"clip_norm must be positive, got {weak.clip_norm}")
-    if weak.weight_radius <= 0:
-        v.fail(("weak", "weight_radius"), f"weight_radius must be positive, got {weak.weight_radius}")
-    if weak.kind == "rnn" and weak.lr is None:
-        weak = replace(weak, lr=0.05, lr_schedule="constant")
-
-    baselines = data.get("baselines", ["single", "lqr", "zero"])
-    if not isinstance(baselines, list):
-        v.fail(("baselines",), "'baselines' must be a list")
-    for i, b in enumerate(baselines):
-        if b not in BASELINES:
-            v.fail(("baselines", i), f"baseline must be one of {BASELINES}, got {b!r}")
-    if len(set(baselines)) != len(baselines):
-        v.fail(("baselines",), "duplicate baselines")
-
-    cfg = ExperimentConfig(
-        name=v.take(data, ("name",), str, Path(source).stem if source != "<config>" else "experiment"),
-        env=env,
-        disturbance=dist,
-        T=v.take(data, ("T",), int, 2000),
-        H=v.take(data, ("H",), int, 5),
-        N=v.take(data, ("N",), int, 5),
-        booster=booster,
-        weak=weak,
-        baselines=tuple(baselines),
-        runs=v.take(data, ("runs",), int, 20),
-        seed=v.take(data, ("seed",), int, 0),
-        action_radius=v.take(data, ("action_radius",), float, 5.0),
-        divergence_threshold=v.take(data, ("divergence_threshold",), float, 1e6),
-        out=v.take(data, ("out",), str, "results"),
-        raw_text=text,
-        source=source,
-    )
-    if cfg.H < 1:
-        v.fail(("H",), f"H must be >= 1, got {cfg.H}")
-    if cfg.T < cfg.H:
-        v.fail(("T",), f"need T >= H, got T={cfg.T} < H={cfg.H}")
-    if cfg.N < 1:
-        v.fail(("N",), f"N must be >= 1, got {cfg.N}")
-    if cfg.runs < 1:
-        v.fail(("runs",), f"runs must be >= 1, got {cfg.runs}")
-    if not 0 <= cfg.seed < 2**64:
-        v.fail(("seed",), f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
-    if cfg.action_radius <= 0:
-        v.fail(("action_radius",), f"action_radius must be positive, got {cfg.action_radius}")
-    if cfg.divergence_threshold <= 0:
-        v.fail(("divergence_threshold",), "divergence_threshold must be positive")
-    return cfg
+    cfg = _read(ExperimentConfig, data, (), fail)
+    validate(cfg, fail)
+    # An unnamed config file is named after its file; an RNN learner
+    # without a step gets a constant 0.05.
+    if "name" not in data and source != "<config>":
+        cfg = replace(cfg, name=Path(source).stem)
+    if cfg.weak.kind == "rnn" and cfg.weak.lr is None:
+        cfg = replace(cfg, weak=replace(cfg.weak, lr=0.05, lr_schedule="constant"))
+    return replace(cfg, raw_text=text, source=source)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -78,12 +78,6 @@ def draw_disturbances(cfg: ExperimentConfig, dim: int, run_index: int) -> np.nda
     return np.stack([gen.generate(t) for t in range(cfg.T)])
 
 
-def disturbance_bound(cfg: ExperimentConfig, dim: int) -> float:
-    # Bound W of the stream, needed for curvature constants; the generator
-    # itself is stateless to query so build a throwaway instance.
-    return make_disturbance(cfg, dim, RngStream(0)).bound
-
-
 def linearized_lds(system):
     """(A, B) used for LQR and curvature purposes; exact for linear systems."""
     if hasattr(system, "linearization"):
@@ -91,28 +85,13 @@ def linearized_lds(system):
     return system.A, system.B
 
 
-class _LinearizedView:
-    """Wraps (A, B) so curvature derivation sees a linear system."""
-
-    def __init__(self, A, B):
-        self.A = A
-        self.B = B
-
-
 def booster_curvature(cfg: ExperimentConfig, system, cost) -> CurvatureBounds | None:
     if cfg.booster.variant != "dynaboost2":
         return None
-    A, B = linearized_lds(system)
-    derived = derive_curvature_bounds(
-        _LinearizedView(A, B),
-        cost,
-        cfg.H,
-        W=disturbance_bound(cfg, system.state_dim),
-        R_u=cfg.action_radius,
-    )
+    derived = derive_curvature_bounds(*linearized_lds(system), cost, cfg.H)
     alpha = cfg.booster.alpha if cfg.booster.alpha is not None else derived.alpha
     beta = cfg.booster.beta if cfg.booster.beta is not None else derived.beta
-    return CurvatureBounds(alpha=alpha, beta=beta, bound=derived.bound)
+    return CurvatureBounds(alpha=alpha, beta=beta)
 
 
 def make_weak_controller(
@@ -197,14 +176,14 @@ class _StaticPolicy:
         pass
 
 
-def lqr_gain(system, cost) -> tuple[np.ndarray, np.ndarray]:
-    """(P, K) of the Riccati fixed point for the system's (linearized) (A, B)."""
+def lqr_gain(system, cost) -> np.ndarray:
+    """Gain K of the Riccati fixed point for the system's (linearized) (A, B)."""
     A, B = linearized_lds(system)
-    return solve_dare(A, B, cost.Q, cost.R)
+    return solve_dare(A, B, cost.Q, cost.R)[1]
 
 
 def build_policies(
-    cfg: ExperimentConfig, system, cost, run_index: int, lqr: tuple | None = None
+    cfg: ExperimentConfig, system, cost, run_index: int, lqr: np.ndarray | None = None
 ) -> list:
     """Fresh policies for one run; lqr is a precomputed lqr_gain(system, cost)."""
     ball = BallSet(cfg.action_radius, system.action_dim)
@@ -226,8 +205,8 @@ def build_policies(
         elif name == "zero":
             policies.append(_StaticPolicy("zero", ZeroController(ball)))
         elif name == "lqr":
-            P, K = lqr if lqr is not None else lqr_gain(system, cost)
-            policies.append(_StaticPolicy("lqr", LqrController(K, ball, P=P)))
+            K = lqr if lqr is not None else lqr_gain(system, cost)
+            policies.append(_StaticPolicy("lqr", LqrController(K, ball)))
         elif name == "overparam":
             hidden = overparam_hidden(
                 system.state_dim, system.action_dim, cfg.weak.hidden, cfg.weak.cell, cfg.N

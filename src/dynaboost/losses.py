@@ -246,48 +246,35 @@ class CurvatureBounds:
 
     alpha lower-bounds the curvature of the window loss along the current
     action (through R); beta upper-bounds the largest Hessian eigenvalue
-    over the whole window; bound caps |loss| over the admissible
-    action/disturbance region.
+    over the whole window.
     """
 
     alpha: float
     beta: float
-    bound: float
 
     def __post_init__(self):
         if not 0 < self.alpha <= self.beta:
             raise ValueError(f"need 0 < alpha <= beta, got {self.alpha}, {self.beta}")
-        if not self.bound > 0:
-            raise ValueError("loss bound must be positive")
 
 
-def derive_curvature_bounds(system, cost: QuadraticCost, H: int, W: float, R_u: float) -> CurvatureBounds:
-    """Conservative (alpha, beta, G) for a linear system and quadratic cost.
+def derive_curvature_bounds(A: Array, B: Array, cost: QuadraticCost, H: int) -> CurvatureBounds:
+    """Conservative (alpha, beta) for x' = Ax + Bu + w and a quadratic cost.
 
     With S = sum_{j<H} ||A^j B||_2, the window Hessian splits into 2R on
     the final slot plus 2 J'QJ with ||J||_2 <= S, giving
-    beta = 2 (lmax(R) + lmax(Q) S^2). The state norm inside the window is
-    at most sum_{j<H-1} ||A^j||_2 (||B||_2 R_u + W), which bounds the loss.
+    beta = 2 (lmax(R) + lmax(Q) S^2).
     """
     if H < 1:
         raise ValueError("memory length must be >= 1")
-    if W < 0 or R_u <= 0:
-        raise ValueError("need W >= 0 and R_u > 0")
-    A, B = system.A, system.B
     q_eigs = np.linalg.eigvalsh(cost.Q)
     r_eigs = np.linalg.eigvalsh(cost.R)
     alpha = float(r_eigs[0])
     if alpha <= 0:
         raise ValueError("R must be positive definite to certify strong convexity")
     S = 0.0
-    T_A = 0.0
     P = np.eye(A.shape[0])
-    for j in range(H):
+    for _ in range(H):
         S += float(np.linalg.norm(P @ B, 2))
-        if j < H - 1:
-            T_A += float(np.linalg.norm(P, 2))
         P = A @ P
     beta = 2.0 * (float(r_eigs[-1]) + float(q_eigs[-1]) * S**2)
-    x_bound = T_A * (float(np.linalg.norm(B, 2)) * R_u + W)
-    G = float(q_eigs[-1]) * x_bound**2 + float(r_eigs[-1]) * R_u**2
-    return CurvatureBounds(alpha=alpha, beta=beta, bound=G)
+    return CurvatureBounds(alpha=alpha, beta=beta)

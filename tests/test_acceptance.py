@@ -171,7 +171,7 @@ def test_riccati_solution_golden_ratio_and_residuals():
 
 def test_perfect_oracle_excess_contracts_per_level():
     target = WeightedQuadTarget([0.6, -0.3], [1.0, 1.0])
-    curv = CurvatureBounds(alpha=2.0, beta=8.0, bound=10.0)
+    curv = CurvatureBounds(alpha=2.0, beta=8.0)
     N = 10
     start = time.perf_counter()
     learners = [QuadOracleLearner(dim=2, radius=1.0) for _ in range(N)]

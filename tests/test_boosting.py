@@ -45,7 +45,7 @@ class TestStepLengths:
         assert np.array_equal(step_lengths("dynaboost1", 1), [1.0])
 
     def test_quadratic_variant_constant(self):
-        curv = CurvatureBounds(alpha=1.0, beta=4.0, bound=1.0)
+        curv = CurvatureBounds(alpha=1.0, beta=4.0)
         assert np.allclose(step_lengths("dynaboost2", 4, curv), [0.25] * 4)
 
     def test_quadratic_variant_needs_curvature(self):
@@ -55,7 +55,7 @@ class TestStepLengths:
     def test_alpha_above_beta_rejected_upstream(self):
         # eta = alpha/beta > 1 is impossible because the bounds type refuses it
         with pytest.raises(ValueError):
-            CurvatureBounds(alpha=2.0, beta=1.0, bound=1.0)
+            CurvatureBounds(alpha=2.0, beta=1.0)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestBoostAct:
         # steps with alpha = beta; smaller eta leaves (1-eta)^N on the anchor
         for variant, curv in (
             ("dynaboost1", None),
-            ("dynaboost2", CurvatureBounds(alpha=2.0, beta=2.0, bound=1.0)),
+            ("dynaboost2", CurvatureBounds(alpha=2.0, beta=2.0)),
         ):
             booster = DynaBoost(
                 [FixedLearner([0.7, -0.2]) for _ in range(4)],
@@ -113,7 +113,7 @@ class TestBoostAct:
 
     def test_constant_step_anchor_retention(self):
         eta = 0.5
-        curv = CurvatureBounds(alpha=1.0, beta=2.0, bound=1.0)
+        curv = CurvatureBounds(alpha=1.0, beta=2.0)
         booster = DynaBoost(
             [FixedLearner(0.7) for _ in range(4)], H=2, variant="dynaboost2", curvature=curv
         )
@@ -162,7 +162,7 @@ class TestBoostAct:
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_constant_step_recursion(self):
-        curv = CurvatureBounds(alpha=1.0, beta=4.0, bound=1.0)
+        curv = CurvatureBounds(alpha=1.0, beta=4.0)
         booster = DynaBoost(
             [FixedLearner(a) for a in (4.0, -4.0)], H=2, variant="dynaboost2", curvature=curv
         )
@@ -199,7 +199,7 @@ class TestBoostUpdate:
             assert np.array_equal(seen_hist, hist)
 
     def test_quadratic_dispatch_coefficient_and_anchor(self):
-        curv = CurvatureBounds(alpha=1.0, beta=4.0, bound=1.0)
+        curv = CurvatureBounds(alpha=1.0, beta=4.0)
         learners = [FixedLearner(a) for a in (2.0, -1.0)]
         booster = DynaBoost(learners, H=2, variant="dynaboost2", curvature=curv)
         booster.act(scalar_obs())
@@ -238,7 +238,7 @@ class TestBoostUpdate:
             assert np.array_equal(loss.gradients, np.zeros((2, 1)))
 
     def test_quadratic_loss_zero_at_own_anchor(self):
-        curv = CurvatureBounds(alpha=1.0, beta=2.0, bound=1.0)
+        curv = CurvatureBounds(alpha=1.0, beta=2.0)
         learner = FixedLearner(1.5)
         booster = DynaBoost([learner], H=2, variant="dynaboost2", curvature=curv)
         booster.act(scalar_obs())
@@ -301,7 +301,7 @@ class TestOracleContraction:
         # eta = alpha/beta = 0.25; oracle learners recover the target exactly,
         # so level i's excess is (1 - eta)^(2i) of the initial one
         target = FrozenQuadTarget([0.6, -0.3])
-        curv = CurvatureBounds(alpha=2.0, beta=8.0, bound=10.0)
+        curv = CurvatureBounds(alpha=2.0, beta=8.0)
         N = 10
         learners = [QuadOracleLearner(dim=2, radius=1.0) for _ in range(N)]
         booster = DynaBoost(learners, H=1, variant="dynaboost2", curvature=curv)

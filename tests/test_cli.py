@@ -167,3 +167,26 @@ class TestOverrides:
         for name in ("walk_gpc", "sine_gpc", "walk_rnn"):
             assert name in out
             assert (tmp_path / "c" / f"{name}_raw.csv").exists()
+
+
+class TestOverrideChecks:
+    """CLI values get the range checks and the exit code of config-file values."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run", "--config", "{cfg}", "--runs", "0"], "runs"),
+            (["run", "--config", "{cfg}", "--seed", "-1"], "seed"),
+            (["correlated", "--t", "3", "--runs", "1"], "T"),
+        ],
+        ids=["runs_0", "seed_minus_1", "correlated_t_3"],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, argv, field):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        code = main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"override {field}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before any experiment ran

@@ -314,25 +314,6 @@ class TestRecurrentUpdate:
     def test_lstm_bptt_matches_finite_differences(self):
         self._fd_check("lstm", 1e-4)
 
-    def test_last_slot_only_restricts_gradient(self):
-        rng = RngStream(17)
-        hist = rng.child(0).standard_normal((5, 2))
-        grads = rng.child(1).standard_normal((3, 2))
-        full = self._ctrl(rng=RngStream(9))
-        restricted = self._ctrl(rng=RngStream(9), last_slot_only=True)
-        theta = 0.3 * RngStream(23).standard_normal(full.parameter_count())
-        full.set_parameter_vector(theta)
-        restricted.set_parameter_vector(theta)
-        assert np.array_equal(full.parameter_vector(), restricted.parameter_vector())
-        last_only = grads.copy()
-        last_only[:-1] = 0.0
-        cg_a, og_a = full.loss_gradients(LinearResidualLoss(last_only), hist)
-        cg_b, og_b = restricted.loss_gradients(LinearResidualLoss(grads), hist)
-        for key in cg_a:
-            assert np.allclose(cg_a[key], cg_b[key], atol=1e-14)
-        for key in og_a:
-            assert np.allclose(og_a[key], og_b[key], atol=1e-14)
-
     def test_gradient_clip_bounds_step(self):
         ctrl = self._ctrl(clip_norm=1e-3, lr=1.0)
         before = ctrl.parameter_vector()

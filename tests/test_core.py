@@ -9,7 +9,6 @@ from dynaboost.core import (
     Window,
     as_matrix,
     as_vector,
-    clip_componentwise,
     gaussian,
     project_slots,
     project_slots_vjp,
@@ -124,17 +123,10 @@ def test_batched_slot_projection_matches_per_slot(d, scales):
     assert np.allclose(vjp, want_vjp, rtol=1e-12, atol=1e-15)
 
 
-def test_clip_componentwise_bounds_and_errors():
-    assert np.allclose(clip_componentwise([-2.0, 0.3, 9.0], -1.0, 1.0), [-1.0, 0.3, 1.0])
-    with pytest.raises(ValueError):
-        clip_componentwise([0.0], 1.0, -1.0)
-
-
 class TestWindow:
     def test_starts_zero_padded(self):
         w = Window(3, 2)
         assert np.array_equal(w.view(), np.zeros((3, 2)))
-        assert w.fill == 0
 
     def test_push_evicts_oldest(self):
         w = Window(2, 1)
@@ -142,7 +134,6 @@ class TestWindow:
         w.push(2.0)
         w.push(3.0)
         assert np.array_equal(w.view(), [[2.0], [3.0]])
-        assert w.fill == 2
 
     def test_partial_fill_keeps_leading_zeros(self):
         w = Window(3, 1)
@@ -155,12 +146,6 @@ class TestWindow:
         v = w.view()
         v[:] = 99.0
         assert w.view()[1, 0] == 1.0
-
-    def test_newest_first_reverses(self):
-        w = Window(3, 1)
-        for x in (1.0, 2.0, 3.0):
-            w.push(x)
-        assert np.array_equal(w.newest_first().ravel(), [3.0, 2.0, 1.0])
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from dynaboost.dynamics import (
     Trajectory,
     counterfactual_state,
     disturbance_hash,
-    infer_disturbance,
     random_lds,
     spectral_radius_estimate,
     wrap_angle,
@@ -218,20 +217,18 @@ class TestDisturbances:
         for t in range(200):
             assert np.linalg.norm(gen.generate(t)) <= 1.0 + 1e-12
 
-    def test_bounds_reported(self):
-        assert RandomWalkDisturbance(4, 0.3, -1.0, 1.0, RngStream(0)).bound == pytest.approx(2.0)
-        assert SinusoidalDisturbance(4).bound == pytest.approx(2 / (2 * math.pi))
-
 
 class TestInferDisturbance:
+    """A transition's disturbance is x_next - f(x, u), as the window replay assumes."""
+
     def test_zero_noise(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         x_next = sys.step([2.0], [1.0], [0.0])
-        assert np.allclose(infer_disturbance(sys, [2.0], [1.0], x_next), 0.0)
+        assert np.allclose(x_next - sys.f([2.0], [1.0]), 0.0)
 
     def test_known_example(self):
         sys = LinearSystem([[0.5]], [[1.0]])
-        assert np.allclose(infer_disturbance(sys, [2.0], [1.0], [2.5]), [0.5])
+        assert np.allclose(np.array([2.5]) - sys.f([2.0], [1.0]), [0.5])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -242,7 +239,7 @@ class TestInferDisturbance:
         u = rng.child(2).standard_normal(2)
         w = rng.child(3).standard_normal(3)
         x_next = sys.step(x, u, w)
-        assert np.max(np.abs(infer_disturbance(sys, x, u, x_next) - w)) < 1e-12
+        assert np.max(np.abs(x_next - sys.f(x, u) - w)) < 1e-12
 
 
 class TestCounterfactualState:

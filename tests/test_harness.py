@@ -3,9 +3,11 @@
 import json
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import yaml
 
 from dynaboost.controllers import ZeroController, solve_dare
 from dynaboost.core import BallSet
@@ -110,6 +112,23 @@ class TestConfigParsing:
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError, match="lr must be positive"):
             parse_config("weak:\n  lr: -0.1\n", source="c.yaml")
+
+    def test_bad_lr_schedule_names_value(self):
+        with pytest.raises(ConfigError, match=r":2: lr_schedule must be one of .*, got 'cosine'"):
+            parse_config("weak:\n  lr_schedule: cosine\n", source="c.yaml")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [*sanity_suite(), *correlated_suite(), pendulum_config(), *overparam_suite()],
+        ids=lambda cfg: cfg.name,
+    )
+    def test_shipped_config_round_trips_through_yaml(self, cfg):
+        data = asdict(cfg)
+        for key in ("raw_text", "source"):
+            data.pop(key)
+        data["baselines"] = list(data["baselines"])
+        parsed = parse_config(yaml.safe_dump(data, sort_keys=False))
+        assert replace(parsed, raw_text=None, source=cfg.source) == cfg
 
     def test_override_skips_none(self):
         cfg = parse_config(MINIMAL_YAML, source="demo.yaml")

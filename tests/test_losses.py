@@ -254,24 +254,22 @@ class TestQuadraticResidualLoss:
 class TestCurvatureBounds:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CurvatureBounds(alpha=0.0, beta=1.0, bound=1.0)
+            CurvatureBounds(alpha=0.0, beta=1.0)
         with pytest.raises(ValueError):
-            CurvatureBounds(alpha=2.0, beta=1.0, bound=1.0)
-        with pytest.raises(ValueError):
-            CurvatureBounds(alpha=1.0, beta=2.0, bound=0.0)
+            CurvatureBounds(alpha=2.0, beta=1.0)
 
     def test_memoryless_case(self):
         # H=1 has no state path: alpha = lmin(R) = 2... no, alpha = lmin(R),
         # beta = 2(lmax(R) + lmax(Q) ||B||^2).
         sys = LinearSystem([[0.5]], [[1.0]])
-        cb = derive_curvature_bounds(sys, QuadraticCost.identity(1, 1), 1, W=1.0, R_u=1.0)
+        cb = derive_curvature_bounds(sys.A, sys.B, QuadraticCost.identity(1, 1), 1)
         assert cb.alpha == pytest.approx(1.0)
         assert cb.beta == pytest.approx(2.0 * (1.0 + 1.0))
 
     def test_scalar_geometric_sum(self):
         # A=0.5, B=1, H=3: S = 1 + 0.5 + 0.25 = 1.75.
         sys = LinearSystem([[0.5]], [[1.0]])
-        cb = derive_curvature_bounds(sys, QuadraticCost.identity(1, 1), 3, W=1.0, R_u=1.0)
+        cb = derive_curvature_bounds(sys.A, sys.B, QuadraticCost.identity(1, 1), 3)
         assert cb.beta == pytest.approx(2.0 * (1.0 + 1.75**2))
 
     def test_beta_dominates_window_hessian(self):
@@ -281,7 +279,7 @@ class TestCurvatureBounds:
         sys = random_lds(rng.child(0), 2, 2, 0.7)
         cost = QuadraticCost.identity(2, 2)
         H = 3
-        cb = derive_curvature_bounds(sys, cost, H, W=1.0, R_u=1.0)
+        cb = derive_curvature_bounds(sys.A, sys.B, cost, H)
         loss = ProxyLoss(sys, cost, H, 0.2 * rng.child(1).standard_normal((H - 1, 2)))
         n = H * 2
         U0 = 0.3 * rng.child(2).standard_normal((H, 2))
@@ -299,4 +297,4 @@ class TestCurvatureBounds:
     def test_alpha_requires_positive_definite_R(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         with pytest.raises(ValueError, match="strong convexity"):
-            derive_curvature_bounds(sys, QuadraticCost([[1.0]], [[0.0]]), 2, W=1.0, R_u=1.0)
+            derive_curvature_bounds(sys.A, sys.B, QuadraticCost([[1.0]], [[0.0]]), 2)
