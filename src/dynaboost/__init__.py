@@ -10,7 +10,7 @@ from dynaboost.controllers import (
     ZeroController,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream, Window, project_to_ball
+from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import (
     IidGaussianDisturbance,
     LinearSystem,
@@ -52,7 +52,6 @@ __all__ = [
     "SinusoidalDisturbance",
     "Trajectory",
     "WeakController",
-    "Window",
     "ZeroController",
     "combination_weights",
     "counterfactual_state",

@@ -14,7 +14,7 @@ import numpy as np
 
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
-from dynaboost.core import Array, Window, as_vector  # noqa: F401
+from dynaboost.core import Array, as_vector  # noqa: F401
 from dynaboost.losses import CurvatureBounds, LinearResidualLoss, QuadraticResidualLoss
 
 VARIANTS = ("dynaboost1", "dynaboost2")
@@ -44,10 +44,13 @@ def combination_weights(N: int) -> Array:
 class DynaBoost:
     """Convex-combination booster with per-level action windows.
 
-    Level windows hold the last H partial actions u^0..u^N; level 0 is
+    level_windows is one (N+1, H, d) array: row i holds the last H partial
+    actions u^i, oldest first and zero-padded at the start. Level 0 is
     identically zero and anchors the recursion. act must precede update
     within each round.
     """
+
+    name = "boosted"
 
     def __init__(
         self,
@@ -69,7 +72,7 @@ class DynaBoost:
         self.curvature = curvature
         self.etas = step_lengths(variant, self.N, curvature)
         self.action_dim = self.learners[0].action_ball.dim
-        self.level_windows = [Window(H, self.action_dim) for _ in range(self.N + 1)]
+        self.level_windows = np.zeros((self.N + 1, H, self.action_dim))
         self.last_partials: Array | None = None
         self._acts = 0
         self._updates = 0
@@ -80,8 +83,8 @@ class DynaBoost:
         for i, (eta, learner) in enumerate(zip(self.etas, self.learners), start=1):
             u = (1.0 - eta) * u + eta * learner.act(obs)
             partials[i] = u
-        for window, u_i in zip(self.level_windows, partials):
-            window.push(u_i)
+        self.level_windows[:, :-1] = self.level_windows[:, 1:]
+        self.level_windows[:, -1] = partials
         self.last_partials = partials
         self._acts += 1
         return partials[self.N].copy()
@@ -97,7 +100,7 @@ class DynaBoost:
             raise RuntimeError("update called before act in this round")
         self._updates += 1
         for i in range(1, self.N + 1):
-            anchor = self.level_windows[i - 1].view()
+            anchor = self.level_windows[i - 1].copy()
             grads = window_loss.gradients(anchor)
             if self.variant == "dynaboost1":
                 loss = LinearResidualLoss(grads)

@@ -21,7 +21,6 @@ from dynaboost.core import (
     Array,
     BallSet,
     RngStream,
-    Window,
     as_matrix,
     as_vector,
     project_slots,
@@ -95,10 +94,11 @@ def _slot_rows(H: int) -> Array:
 
 
 class GpcController(WeakController):
-    """Action = -K x_t + sum_i M^i w_{t-i}, with M learned by projected OGD.
+    """Action = sum_i M^i w_{t-i}, with M learned by projected OGD.
 
-    K is fixed (zero by default). The stacked M parameter lives in a
-    Frobenius ball of radius R_M. The step is base/sqrt(t) (or a constant
+    The GPC policy class of Agarwal et al. (ICML 2019) without state
+    feedback, which needs a stable system. The stacked M parameter lives in
+    a Frobenius ball of radius R_M. The step is base/sqrt(t) (or a constant
     base); lr=None selects the default base. Boosted ensembles need one
     shared deterministic schedule across their learners: per-learner
     adaptive scaling feeds the late levels' small residual gradients back
@@ -112,7 +112,6 @@ class GpcController(WeakController):
         state_dim: int,
         H: int,
         action_ball: BallSet,
-        K: Array | None = None,
         R_M: float = 10.0,
         lr: float | None = None,
         lr_schedule: str = "sqrt",
@@ -127,37 +126,33 @@ class GpcController(WeakController):
         self.H = H
         self.action_ball = action_ball
         self.d = action_ball.dim
-        self.K = np.zeros((self.d, self.k)) if K is None else as_matrix(K, self.d, self.k)
         # M[m] multiplies w_{t-1-m}: index 0 is the most recent disturbance.
         self.M = np.zeros((H, self.d, self.k))
         self.R_M = R_M
         self.lr = lr
         self.lr_schedule = lr_schedule
         self._t = 0
-        self._offsets = Window(H, self.d)  # -K x_s for the last H rounds
 
     def act(self, obs: Observation) -> Array:
         W = obs.disturbances
         if W.shape != (self.H, self.k):
             raise ValueError(f"need disturbance window {(self.H, self.k)}, got {W.shape}")
-        offset = -self.K @ obs.state
-        self._offsets.push(offset)
         # M[m] pairs with the (m+1)-th most recent disturbance.
-        raw = offset + np.einsum("mdk,mk->d", self.M, W[::-1])
+        raw = np.einsum("mdk,mk->d", self.M, W[::-1])
         return project_to_ball(raw, self.action_ball)
 
     def loss_gradients(self, loss, w_history) -> Array:
         """(H, d, k) gradient of the residual loss in M at the current parameters.
 
-        All H window slots are replayed at once with the current M and the
-        stored offsets; the loss gradients at the played (projected) actions
-        are chained back through the ball projection, so the parameter
-        gradient is exact for the actions the window loss sees.
+        All H window slots are replayed at once with the current M; the loss
+        gradients at the played (projected) actions are chained back through
+        the ball projection, so the parameter gradient is exact for the
+        actions the window loss sees.
         """
         rev = _slot_windows(w_history, self.H, self.k)[:, ::-1, :]
         # rev[j, m] = disturbance m+1 steps before slot j's action
-        # raws[j] = offset_j + sum_m M[m] rev[j, m], as batched matmuls over m.
-        raws = self._offsets.view() + (self.M @ rev.transpose(1, 2, 0)).sum(axis=0).T
+        # raws[j] = sum_m M[m] rev[j, m], as batched matmuls over m.
+        raws = (self.M @ rev.transpose(1, 2, 0)).sum(axis=0).T
         actions, norms = project_slots(raws, self.action_ball)
         g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), self.action_ball)
         # G[m] = sum_j g_j rev[j, m]': one batched matmul over m.

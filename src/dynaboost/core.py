@@ -1,8 +1,8 @@
 """Shared numeric primitives.
 
 Finite-checked vectors and matrices, the Euclidean action set with its
-projection, fixed-capacity sliding windows with zero padding, and
-deterministic seeded random streams. All numerics are float64.
+projection, and deterministic seeded random streams. All numerics are
+float64.
 """
 
 from __future__ import annotations
@@ -117,32 +117,6 @@ def project_slots_vjp(raws: Array, norms: Array, g: Array, ball: BallSet) -> Arr
     unit = raws / n
     tangent = g - unit * np.einsum("jd,jd->j", unit, g)[:, None]
     return np.where(outside[:, None], (ball.radius / n) * tangent, g)
-
-
-class Window:
-    """Fixed-capacity sliding window of vectors, oldest first.
-
-    Slots that have not been written yet read as zero vectors, which gives
-    well-defined behaviour in the zero-padded early rounds of a control run.
-    Pushing beyond capacity evicts the oldest entry.
-    """
-
-    def __init__(self, capacity: int, dim: int):
-        if capacity < 1:
-            raise ValueError(f"window capacity must be >= 1, got {capacity}")
-        if dim < 1:
-            raise ValueError(f"window dim must be >= 1, got {dim}")
-        self.capacity = capacity
-        self.dim = dim
-        self._buf = np.zeros((capacity, dim))
-
-    def push(self, v) -> None:
-        self._buf[:-1] = self._buf[1:]
-        self._buf[-1] = v
-
-    def view(self) -> Array:
-        """(capacity, dim) copy, oldest first, zero-padded at the front."""
-        return self._buf.copy()
 
 
 class RngStream:

@@ -2,7 +2,8 @@
 
 Systems expose the deterministic part f of x' = f(x, u) + w together with
 its Jacobians, so the loss module can propagate forward sensitivities
-through short rollouts without knowing the system family.
+through short rollouts without knowing the system family. `rollout` is the
+one place that folds f over a window.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class LinearSystem:
         rho = spectral_radius_estimate(self.A)
         if not rho < 1.0:
             warnings.warn(
-                f"open-loop spectral radius {rho:.4f} >= 1; the K=0 configuration "
-                "needs a stable A for bounded memory",
+                f"open-loop spectral radius {rho:.4f} >= 1; disturbance-feedback "
+                "control without state feedback needs a stable A for bounded memory",
                 stacklevel=2,
             )
 
@@ -85,6 +86,10 @@ class LinearSystem:
 
     def step(self, x, u, w) -> Array:
         return self.A @ x + self.B @ u + w
+
+    def linearization(self) -> tuple[Array, Array]:
+        """(A, B): the system is its own linearization."""
+        return self.A, self.B
 
     def window_operators(self, H: int) -> tuple[Array, Array]:
         """Block rows (Phi, Psi) of the memory-H window replay, cached per H.
@@ -275,24 +280,32 @@ class SinusoidalDisturbance(DisturbanceGenerator):
         return np.full(self.dim, math.sin(t) / (2.0 * math.pi))
 
 
+def rollout(system, x_start, actions, disturbances) -> Array:
+    """(n+1, k) states of the fold x_{j+1} = f(x_j, u_j) + w_j from x_0 = x_start.
+
+    The one replay of an action window: actions (n, d) and disturbances
+    (n, k) are aligned and taken as given, since the window loss calls this
+    inside the round loop.
+    """
+    X = np.empty((len(actions) + 1, system.state_dim))
+    X[0] = x_start
+    for j, (u, w) in enumerate(zip(actions, disturbances)):
+        X[j + 1] = system.f(X[j], u) + w
+    return X
+
+
 def counterfactual_state(system, x_start, actions, disturbances) -> Array:
-    """Fold f over aligned action/disturbance pairs starting from x_start."""
-    if hasattr(actions, "view"):
-        actions = actions.view()
-    if hasattr(disturbances, "view"):
-        disturbances = disturbances.view()
+    """Final state of the rollout of aligned action/disturbance windows, inputs checked."""
+    x = as_vector(x_start, system.state_dim)
     acts = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     dists = np.atleast_2d(np.asarray(disturbances, dtype=np.float64))
     if acts.size == 0 and dists.size == 0:
-        return as_vector(x_start, system.state_dim).copy()
+        return x.copy()
     if acts.shape[0] != dists.shape[0]:
         raise ValueError(
             f"misaligned windows: {acts.shape[0]} actions vs {dists.shape[0]} disturbances"
         )
-    x = as_vector(x_start, system.state_dim)
-    for u, w in zip(acts, dists):
-        x = system.f(x, u) + as_vector(w, system.state_dim)
-    return x
+    return rollout(system, x, acts, as_matrix(dists, cols=system.state_dim))[-1]
 
 
 def disturbance_hash(w_sequence: Array) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from dynaboost.core import Array
+from dynaboost.dynamics import rollout
 
 
 def _as_w_seq(w_seq, k: int) -> Array:
@@ -39,13 +40,9 @@ def replay_fixed_gpc(w_seq, M, system, cost, H: int) -> tuple[Array, Array, Arra
     if M.ndim != 3 or M.shape[0] != H:
         raise ValueError(f"M must have shape (H={H}, d, k), got {M.shape}")
     W = _as_w_seq(w_seq, system.state_dim)
-    T = W.shape[0]
     U = _fixed_actions(W, M)
-    X = np.zeros((T + 1, system.state_dim))
-    costs = np.zeros(T)
-    for t in range(T):
-        costs[t] = cost.value(X[t], U[t])
-        X[t + 1] = system.f(X[t], U[t]) + W[t]
+    X = rollout(system, 0.0, U, W)
+    costs = np.array([cost.value(x, u) for x, u in zip(X, U)])
     return X, U, costs
 
 

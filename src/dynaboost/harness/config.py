@@ -62,6 +62,13 @@ class WeakConfig:
     clip_norm: float = 5.0
     weight_radius: float = 10.0
 
+    def __post_init__(self):
+        # A recurrent learner without a step gets a constant 0.05; an
+        # unknown schedule is kept for validate to report.
+        if self.kind == "rnn" and self.lr is None and self.lr_schedule in LR_SCHEDULES:
+            object.__setattr__(self, "lr", 0.05)
+            object.__setattr__(self, "lr_schedule", "constant")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -234,12 +241,9 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     cfg = _read(ExperimentConfig, data, (), fail)
     validate(cfg, fail)
-    # An unnamed config file is named after its file; an RNN learner
-    # without a step gets a constant 0.05.
+    # An unnamed config file is named after its file.
     if "name" not in data and source != "<config>":
         cfg = replace(cfg, name=Path(source).stem)
-    if cfg.weak.kind == "rnn" and cfg.weak.lr is None:
-        cfg = replace(cfg, weak=replace(cfg.weak, lr=0.05, lr_schedule="constant"))
     return replace(cfg, raw_text=text, source=source)
 
 

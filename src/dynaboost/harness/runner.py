@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from dynaboost.controllers import (
     ZeroController,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream, Window
+from dynaboost.core import BallSet, RngStream
 from dynaboost.dynamics import (
     IidGaussianDisturbance,
     PendulumSystem,
@@ -78,17 +78,10 @@ def draw_disturbances(cfg: ExperimentConfig, dim: int, run_index: int) -> np.nda
     return np.stack([gen.generate(t) for t in range(cfg.T)])
 
 
-def linearized_lds(system):
-    """(A, B) used for LQR and curvature purposes; exact for linear systems."""
-    if hasattr(system, "linearization"):
-        return system.linearization()
-    return system.A, system.B
-
-
 def booster_curvature(cfg: ExperimentConfig, system, cost) -> CurvatureBounds | None:
     if cfg.booster.variant != "dynaboost2":
         return None
-    derived = derive_curvature_bounds(*linearized_lds(system), cost, cfg.H)
+    derived = derive_curvature_bounds(*system.linearization(), cost, cfg.H)
     alpha = cfg.booster.alpha if cfg.booster.alpha is not None else derived.alpha
     beta = cfg.booster.beta if cfg.booster.beta is not None else derived.beta
     return CurvatureBounds(alpha=alpha, beta=beta)
@@ -133,34 +126,22 @@ def overparam_hidden(k: int, d: int, hidden: int, cell: str, N: int) -> int:
     return h
 
 
-class _BoostedPolicy:
-    name = "boosted"
-
-    def __init__(self, booster: DynaBoost):
-        self.booster = booster
-
-    def act(self, obs: Observation):
-        return self.booster.act(obs)
-
-    def update(self, window_loss, w_history):
-        self.booster.update(window_loss, w_history)
-
-
 class _SelfTaughtPolicy:
     """One weak controller doing plain gradient steps on its own window."""
 
     def __init__(self, name: str, ctrl: WeakController, H: int):
         self.name = name
         self.ctrl = ctrl
-        self.window = Window(H, ctrl.action_ball.dim)
+        self.window = np.zeros((H, ctrl.action_ball.dim))  # last H actions, oldest first
 
     def act(self, obs: Observation):
         u = self.ctrl.act(obs)
-        self.window.push(u)
+        self.window[:-1] = self.window[1:]
+        self.window[-1] = u
         return u
 
     def update(self, window_loss, w_history):
-        grads = window_loss.gradients(self.window.view())
+        grads = window_loss.gradients(self.window)
         self.ctrl.receive_loss(LinearResidualLoss(grads), w_history)
 
 
@@ -178,7 +159,7 @@ class _StaticPolicy:
 
 def lqr_gain(system, cost) -> np.ndarray:
     """Gain K of the Riccati fixed point for the system's (linearized) (A, B)."""
-    A, B = linearized_lds(system)
+    A, B = system.linearization()
     return solve_dare(A, B, cost.Q, cost.R)[1]
 
 
@@ -193,11 +174,7 @@ def build_policies(
         make_weak_controller(cfg, system.state_dim, ball, base.child(0).child(i))
         for i in range(cfg.N)
     ]
-    policies = [
-        _BoostedPolicy(
-            DynaBoost(learners, cfg.H, variant=cfg.booster.variant, curvature=curvature)
-        )
-    ]
+    policies = [DynaBoost(learners, cfg.H, variant=cfg.booster.variant, curvature=curvature)]
     for name in cfg.baselines:
         if name == "single":
             ctrl = make_weak_controller(cfg, system.state_dim, ball, base.child(1))
@@ -211,18 +188,8 @@ def build_policies(
             hidden = overparam_hidden(
                 system.state_dim, system.action_dim, cfg.weak.hidden, cfg.weak.cell, cfg.N
             )
-            ctrl = RecurrentController(
-                system.state_dim,
-                cfg.H,
-                ball,
-                base.child(2),
-                hidden_dim=hidden,
-                lr=cfg.weak.lr if cfg.weak.lr is not None else 0.05,
-                cell=cfg.weak.cell,
-                clip_norm=cfg.weak.clip_norm,
-                lr_schedule=cfg.weak.lr_schedule,
-                weight_radius=cfg.weak.weight_radius,
-            )
+            net = replace(cfg, weak=replace(cfg.weak, kind="rnn", hidden=hidden))
+            ctrl = make_weak_controller(net, system.state_dim, ball, base.child(2))
             policies.append(_SelfTaughtPolicy("overparam", ctrl, cfg.H))
         else:
             raise ValueError(f"unknown baseline {name!r}")

@@ -16,7 +16,7 @@ import numpy as np
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
 from dynaboost.core import Array, as_matrix, as_vector  # noqa: F401
-from dynaboost.dynamics import LinearSystem
+from dynaboost.dynamics import LinearSystem, rollout
 
 
 def _check_psd(M: Array, name: str) -> None:
@@ -76,7 +76,7 @@ class ProxyLoss:
     On a LinearSystem the replay is affine in the actions: the state is
     c + Phi u with the system's cached window operators and c = Psi w
     computed once here, so every gradients() call is two products.
-    Other systems replay f and its Jacobians step by step.
+    Other systems replay the window with dynamics.rollout.
     """
 
     system: object
@@ -87,8 +87,6 @@ class ProxyLoss:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("memory length must be >= 1")
-        if hasattr(self.disturbances, "view"):
-            self.disturbances = self.disturbances.view()
         w = np.asarray(self.disturbances, dtype=np.float64)
         if self.horizon == 1:
             w = w.reshape(0, self.system.state_dim)
@@ -105,8 +103,6 @@ class ProxyLoss:
             self._free = psi @ w.ravel()
 
     def _window(self, actions) -> Array:
-        if hasattr(actions, "view"):
-            actions = actions.view()
         U = np.asarray(actions, dtype=np.float64)
         if U.ndim != 2:
             U = np.atleast_2d(U)
@@ -120,10 +116,7 @@ class ProxyLoss:
         U = self._window(actions)
         if self._markov is not None:
             return self._free + self._markov @ U[:-1].ravel()
-        x = np.zeros(self.system.state_dim)
-        for j in range(self.horizon - 1):
-            x = self.system.f(x, U[j]) + self.disturbances[j]
-        return x
+        return rollout(self.system, 0.0, U[:-1], self.disturbances)[-1]
 
     def value(self, actions) -> float:
         U = self._window(actions)
@@ -134,8 +127,8 @@ class ProxyLoss:
 
         Slot j < H-1 only influences the replayed state; the final slot
         only enters the control cost. On a LinearSystem slot j's gradient
-        is Phi_j' grad_x; otherwise it comes from a forward-sensitivity
-        replay of the Jacobians.
+        is Phi_j' grad_x; otherwise the states of one rollout are chained
+        back through the Jacobians at each step.
         """
         U = self._window(actions)
         H = self.horizon
@@ -145,14 +138,10 @@ class ProxyLoss:
             v = self.cost.grad_x(self._free + self._markov @ U[:-1].ravel())
             grads[: H - 1] = (v @ self._markov).reshape(H - 1, self.system.action_dim)
             return grads
-        x = np.zeros(self.system.state_dim)
-        jacs = []
-        for j in range(H - 1):
-            jacs.append(self.system.jacobians(x, U[j]))
-            x = self.system.f(x, U[j]) + self.disturbances[j]
-        v = self.cost.grad_x(x)
+        X = rollout(self.system, 0.0, U[:-1], self.disturbances)
+        v = self.cost.grad_x(X[-1])
         for j in range(H - 2, -1, -1):
-            Jx, Ju = jacs[j]
+            Jx, Ju = self.system.jacobians(X[j], U[j])
             grads[j] = Ju.T @ v
             v = Jx.T @ v
         return grads

@@ -171,6 +171,46 @@ class TestBoostAct:
         assert booster.last_partials[:, 0] == pytest.approx([0.0, 1.0, -0.25])
 
 
+class NoisyLearner(FixedLearner):
+    """Plays a fresh standard normal draw every round."""
+
+    def __init__(self, rng, dim=2):
+        super().__init__(np.zeros(dim))
+        self.rng = rng
+
+    def act(self, obs):
+        return self.rng.standard_normal(self.action.size)
+
+
+class TestLevelWindows:
+    @pytest.mark.parametrize("rounds", [0, 2, 7])
+    def test_holds_last_H_partials(self, rounds):
+        # Row i holds u^i of the last H acts, oldest first, zero-padded
+        # before H acts: empty, partly filled, and after evictions.
+        rng = np.random.default_rng(rounds)
+        booster = DynaBoost([NoisyLearner(rng) for _ in range(3)], H=3)
+        history = [np.zeros((4, 2))] * 3
+        for _ in range(rounds):
+            booster.act(scalar_obs(3))
+            history.append(booster.last_partials.copy())
+        for i in range(4):
+            assert np.array_equal(booster.level_windows[i], np.array(history[-3:])[:, i])
+        assert not booster.level_windows[0].any()
+
+    def test_update_anchor_is_a_copy(self):
+        curv = CurvatureBounds(alpha=1.0, beta=4.0)
+        rng = np.random.default_rng(1)
+        learners = [NoisyLearner(rng, dim=1) for _ in range(2)]
+        booster = DynaBoost(learners, H=2, variant="dynaboost2", curvature=curv)
+        booster.act(scalar_obs())
+        before = booster.level_windows.copy()
+        booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
+        booster.act(scalar_obs())
+        for i, learner in enumerate(learners, start=1):
+            loss, _ = learner.received[-1]
+            assert np.array_equal(loss.anchors, before[i - 1])
+
+
 class RecordingWindowLoss:
     """gradients(window) = window + 1, so each level's residual is identifiable."""
 
@@ -219,8 +259,7 @@ class TestBoostUpdate:
         learner = FixedLearner(0.0)
         booster = DynaBoost([learner], H=2)
         booster.act(scalar_obs())
-        booster.level_windows[0].push(np.array([1.0]))
-        booster.level_windows[0].push(np.array([2.0]))
+        booster.level_windows[0] = [[1.0], [2.0]]
         booster.update(proxy, np.zeros((3, 1)))
         loss, _ = learner.received[-1]
         assert np.allclose(loss.gradients, [[2.0], [4.0]])

@@ -18,7 +18,7 @@ from dynaboost.controllers import (
     ZeroController,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream, Window
+from dynaboost.core import BallSet, RngStream
 from dynaboost.dynamics import PendulumSystem
 from dynaboost.losses import LinearResidualLoss
 
@@ -51,13 +51,6 @@ class TestGpcAct:
         window = np.array([[-2.0], [1.0]])  # oldest first: w_{t-2}, w_{t-1}
         out = ctrl.act(obs(0.0, window))
         assert out == pytest.approx(0.5 * 1.0 + 0.25 * (-2.0), abs=1e-15)
-
-    def test_pure_feedback_term(self):
-        ctrl = GpcController(
-            state_dim=2, H=1, action_ball=BallSet(radius=5.0, dim=2), K=np.eye(2)
-        )
-        out = ctrl.act(obs(np.array([1.0, -1.0]), np.zeros((1, 2))))
-        assert np.allclose(out, [-1.0, 1.0])
 
     def test_window_shape_mismatch_rejected(self):
         ctrl = GpcController(state_dim=1, H=2, action_ball=BallSet(radius=1.0, dim=1))
@@ -458,7 +451,7 @@ def test_all_controllers_respect_action_ball(seed):
     ball = BallSet(radius=0.8, dim=2)
     window = 3.0 * rng.child(0).standard_normal((3, 2))
     state = 3.0 * rng.child(1).standard_normal(2)
-    gpc = GpcController(state_dim=2, H=3, action_ball=ball, K=np.eye(2))
+    gpc = GpcController(state_dim=2, H=3, action_ball=ball)
     gpc.M = rng.child(2).standard_normal((3, 2, 2))
     rnn = RecurrentController(
         input_dim=2, H=3, action_ball=ball, rng=rng.child(3), hidden_dim=3

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dynaboost.core import (
     BallSet,
     RngStream,
-    Window,
     as_matrix,
     as_vector,
     gaussian,
@@ -121,47 +120,6 @@ def test_batched_slot_projection_matches_per_slot(d, scales):
     vjp = project_slots_vjp(raws, norms, g, ball)
     want_vjp = np.stack([projection_jacobian(r, ball).T @ gj for r, gj in zip(raws, g)])
     assert np.allclose(vjp, want_vjp, rtol=1e-12, atol=1e-15)
-
-
-class TestWindow:
-    def test_starts_zero_padded(self):
-        w = Window(3, 2)
-        assert np.array_equal(w.view(), np.zeros((3, 2)))
-
-    def test_push_evicts_oldest(self):
-        w = Window(2, 1)
-        w.push(1.0)
-        w.push(2.0)
-        w.push(3.0)
-        assert np.array_equal(w.view(), [[2.0], [3.0]])
-
-    def test_partial_fill_keeps_leading_zeros(self):
-        w = Window(3, 1)
-        w.push(5.0)
-        assert np.array_equal(w.view(), [[0.0], [0.0], [5.0]])
-
-    def test_view_is_a_copy(self):
-        w = Window(2, 1)
-        w.push(1.0)
-        v = w.view()
-        v[:] = 99.0
-        assert w.view()[1, 0] == 1.0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            Window(0, 1)
-        with pytest.raises(ValueError):
-            Window(1, 0)
-
-    @given(st.lists(finite_floats, min_size=0, max_size=12), st.integers(1, 5))
-    @settings(max_examples=50)
-    def test_view_equals_padded_tail(self, xs, cap):
-        w = Window(cap, 1)
-        for x in xs:
-            w.push(x)
-        tail = xs[-cap:]
-        expect = [0.0] * (cap - len(tail)) + tail
-        assert np.allclose(w.view().ravel(), expect)
 
 
 class TestRngStream:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaboost.core import RngStream, Window
+from dynaboost.core import RngStream
 from dynaboost.dynamics import (
     IidGaussianDisturbance,
     LinearSystem,
@@ -16,9 +16,12 @@ from dynaboost.dynamics import (
     counterfactual_state,
     disturbance_hash,
     random_lds,
+    rollout,
     spectral_radius_estimate,
     wrap_angle,
 )
+from dynaboost.harness.config import EnvConfig, ExperimentConfig
+from dynaboost.harness.runner import build_system, run_experiment
 
 
 class TestSpectralRadius:
@@ -242,6 +245,19 @@ class TestInferDisturbance:
         assert np.max(np.abs(x_next - sys.f(x, u) - w)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "env",
+    [EnvConfig(kind="lds", k=3, d=2, rho=0.8), EnvConfig(kind="pendulum")],
+    ids=["lds", "pendulum"],
+)
+def test_rollout_reproduces_recorded_run(env):
+    cfg = ExperimentConfig(env=env, T=60, N=2, runs=1)
+    system, _ = build_system(cfg)
+    for (traj,) in run_experiment(cfg).trajectories.values():
+        X = rollout(system, traj.states[0], traj.actions, traj.disturbances)
+        assert np.array_equal(X, traj.states)
+
+
 class TestCounterfactualState:
     def test_empty_windows_return_start(self):
         sys = LinearSystem([[0.5]], [[1.0]])
@@ -258,14 +274,6 @@ class TestCounterfactualState:
         acts = np.array([[1.0], [0.0]])
         dists = np.array([[0.0], [1.0]])
         assert np.allclose(counterfactual_state(sys, [0.0], acts, dists), [1.5])
-
-    def test_accepts_windows(self):
-        sys = LinearSystem([[0.5]], [[1.0]])
-        a = Window(2, 1)
-        w = Window(2, 1)
-        a.push(1.0), w.push(0.0)
-        a.push(0.0), w.push(1.0)
-        assert np.allclose(counterfactual_state(sys, [0.0], a, w), [1.5])
 
     def test_misaligned_rejected(self):
         sys = LinearSystem([[0.5]], [[1.0]])

@@ -17,6 +17,7 @@ from dynaboost.harness.config import (
     DisturbanceConfig,
     EnvConfig,
     ExperimentConfig,
+    WeakConfig,
     load_config,
     parse_config,
 )
@@ -104,6 +105,17 @@ class TestConfigParsing:
         cfg = parse_config("weak:\n  kind: rnn\n", source="c.yaml")
         assert cfg.weak.lr == pytest.approx(0.05)
         assert cfg.weak.lr_schedule == "constant"
+
+    def test_rnn_learning_rate_default_in_code(self):
+        # A config built in code, not parsed, gets the same default and runs.
+        cfg = ExperimentConfig(weak=WeakConfig(kind="rnn"), T=10, runs=1)
+        assert (cfg.weak.lr, cfg.weak.lr_schedule) == (0.05, "constant")
+        result = run_experiment(cfg)
+        assert result.trajectories["boosted"][0].horizon == 10
+
+    def test_rnn_without_lr_still_rejects_unknown_schedule(self):
+        with pytest.raises(ConfigError, match=r":3: lr_schedule must be one of .*, got 'cosine'"):
+            parse_config("weak:\n  kind: rnn\n  lr_schedule: cosine\n", source="c.yaml")
 
     def test_booster_alpha_beta_ordering(self):
         with pytest.raises(ConfigError, match="alpha <= beta"):

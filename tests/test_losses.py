@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaboost.core import RngStream, Window
+from dynaboost.core import RngStream
 from dynaboost.dynamics import LinearSystem, PendulumSystem, random_lds
 from dynaboost.losses import (
     CurvatureBounds,
@@ -68,13 +68,6 @@ class TestProxyLoss:
         loss = scalar_loss(H=3)
         U = np.array([[0.3], [-0.2], [0.7]])
         assert loss.gradients(U)[-1, 0] == pytest.approx(2 * 0.7)
-
-    def test_accepts_window_objects(self):
-        loss = scalar_loss(H=2, disturbances=[[0.5]])
-        w = Window(2, 1)
-        w.push(1.0)
-        w.push(2.0)
-        assert loss.value(w) == pytest.approx(6.25)
 
     def test_shape_validation(self):
         loss = scalar_loss(H=2)

@@ -1,0 +1,48 @@
+"""The analysis scripts run end to end at a small size and print their tables."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_memory_decay_prints_error_table():
+    header, *rows = run_script(
+        "memory_decay.py", "--rhos", "0.7", "--windows", "2", "5", "--t", "200", "--burn", "20"
+    )
+    assert header.split() == ["rho", "eps(H=2)", "eps(H=5)", "per-step", "ratio"]
+    assert len(rows) == 1
+    rho, eps2, eps5, ratio = (float(v) for v in rows[0].split())
+    assert rho == 0.7
+    # The truncation error shrinks with the window: that is the script's claim.
+    assert 0 < eps5 < eps2
+    assert ratio == pytest.approx((eps5 / eps2) ** (1 / 3), rel=1e-2)
+
+
+def test_regret_horizon_prints_rate_table():
+    header, *rows = run_script("regret_horizon.py", "--horizons", "50", "100")
+    assert header.split() == ["T", "boosted_total", "best_fixed_total", "rate"]
+    assert [row.split()[0] for row in rows] == ["50", "100"]
+    for row in rows:
+        T, boosted, best, rate = (float(v) for v in row.split())
+        # On these streams the hindsight-best fixed policy costs less than the online one.
+        assert 0 < best <= boosted
+        assert rate == pytest.approx((boosted - best) / T, rel=1e-2)
