@@ -14,7 +14,7 @@ import numpy as np
 
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
-from dynaboost.core import Array, as_vector  # noqa: F401
+from dynaboost.core import Array, as_vector, push_window, zero_window  # noqa: F401
 from dynaboost.losses import CurvatureBounds, LinearResidualLoss, QuadraticResidualLoss
 
 VARIANTS = ("dynaboost1", "dynaboost2")
@@ -72,7 +72,7 @@ class DynaBoost:
         self.curvature = curvature
         self.etas = step_lengths(variant, self.N, curvature)
         self.action_dim = self.learners[0].action_ball.dim
-        self.level_windows = np.zeros((self.N + 1, H, self.action_dim))
+        self.level_windows = zero_window(H, self.action_dim, self.N + 1)
         self.last_partials: Array | None = None
         self._acts = 0
         self._updates = 0
@@ -83,8 +83,7 @@ class DynaBoost:
         for i, (eta, learner) in enumerate(zip(self.etas, self.learners), start=1):
             u = (1.0 - eta) * u + eta * learner.act(obs)
             partials[i] = u
-        self.level_windows[:, :-1] = self.level_windows[:, 1:]
-        self.level_windows[:, -1] = partials
+        push_window(self.level_windows, partials)
         self.last_partials = partials
         self._acts += 1
         return partials[self.N].copy()

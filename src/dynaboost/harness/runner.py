@@ -26,7 +26,7 @@ from dynaboost.controllers import (
     ZeroController,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream
+from dynaboost.core import BallSet, RngStream, push_window, zero_window
 from dynaboost.dynamics import (
     IidGaussianDisturbance,
     PendulumSystem,
@@ -132,12 +132,11 @@ class _SelfTaughtPolicy:
     def __init__(self, name: str, ctrl: WeakController, H: int):
         self.name = name
         self.ctrl = ctrl
-        self.window = np.zeros((H, ctrl.action_ball.dim))  # last H actions, oldest first
+        self.window = zero_window(H, ctrl.action_ball.dim)  # last H actions, oldest first
 
     def act(self, obs: Observation):
         u = self.ctrl.act(obs)
-        self.window[:-1] = self.window[1:]
-        self.window[-1] = u
+        push_window(self.window, u)
         return u
 
     def update(self, window_loss, w_history):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynaboost.core import (
@@ -13,6 +13,8 @@ from dynaboost.core import (
     project_slots_vjp,
     project_to_ball,
     projection_jacobian,
+    push_window,
+    zero_window,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -120,6 +122,31 @@ def test_batched_slot_projection_matches_per_slot(d, scales):
     vjp = project_slots_vjp(raws, norms, g, ball)
     want_vjp = np.stack([projection_jacobian(r, ball).T @ gj for r, gj in zip(raws, g)])
     assert np.allclose(vjp, want_vjp, rtol=1e-12, atol=1e-15)
+
+
+class TestWindow:
+    def test_push_evicts_oldest(self):
+        w = zero_window(2, 1)
+        push_window(w, 1.0)
+        push_window(w, 2.0)
+        push_window(w, 3.0)
+        assert np.array_equal(w, [[2.0], [3.0]])
+
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError):
+            zero_window(0, 1)
+        with pytest.raises(ValueError):
+            zero_window(1, 0)
+
+    @given(st.lists(finite_floats, min_size=0, max_size=12), st.integers(1, 5))
+    @settings(max_examples=50)
+    def test_view_equals_padded_tail(self, xs, cap):
+        w = zero_window(cap, 1)
+        for x in xs:
+            push_window(w, x)
+        tail = xs[-cap:]
+        expect = [0.0] * (cap - len(tail)) + tail
+        assert np.allclose(w.ravel(), expect)
 
 
 class TestRngStream:
