@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from dynaboost.dynamics import counterfactual_state
+from dynaboost.dynamics import rollout
 from dynaboost.harness.experiments import sanity_suite
 from dynaboost.harness.runner import build_system, run_experiment
 
@@ -22,12 +22,12 @@ from dynaboost.harness.runner import build_system, run_experiment
 def window_error(traj, system, cost, H: int, burn: int) -> float:
     diffs = []
     for t in range(burn, len(traj.actions)):
-        xhat = counterfactual_state(
+        xhat = rollout(
             system,
             np.zeros(system.state_dim),
             traj.actions[t - H + 1 : t],
             traj.disturbances[t - H + 1 : t],
-        )
+        )[-1]
         diffs.append(
             abs(cost.value(xhat, traj.actions[t]) - cost.value(traj.states[t], traj.actions[t]))
         )

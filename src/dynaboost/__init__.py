@@ -6,21 +6,11 @@ from dynaboost.controllers import (
     LqrController,
     Observation,
     RecurrentController,
-    WeakController,
     ZeroController,
     solve_dare,
 )
 from dynaboost.core import BallSet, RngStream, project_to_ball
-from dynaboost.dynamics import (
-    IidGaussianDisturbance,
-    LinearSystem,
-    PendulumSystem,
-    RandomWalkDisturbance,
-    SinusoidalDisturbance,
-    Trajectory,
-    counterfactual_state,
-    random_lds,
-)
+from dynaboost.dynamics import LinearSystem, PendulumSystem, Trajectory, random_lds
 from dynaboost.losses import (
     CurvatureBounds,
     LinearResidualLoss,
@@ -37,7 +27,6 @@ __all__ = [
     "CurvatureBounds",
     "DynaBoost",
     "GpcController",
-    "IidGaussianDisturbance",
     "LinearResidualLoss",
     "LinearSystem",
     "LqrController",
@@ -46,15 +35,11 @@ __all__ = [
     "ProxyLoss",
     "QuadraticCost",
     "QuadraticResidualLoss",
-    "RandomWalkDisturbance",
     "RecurrentController",
     "RngStream",
-    "SinusoidalDisturbance",
     "Trajectory",
-    "WeakController",
     "ZeroController",
     "combination_weights",
-    "counterfactual_state",
     "derive_curvature_bounds",
     "project_to_ball",
     "random_lds",

@@ -1,11 +1,15 @@
-"""Weak controllers sharing one contract, plus the LQR baseline.
+"""Weak learners, plus the zero and LQR baselines.
 
 Every controller maps an observation (state + recent disturbance window)
-to an action inside a fixed ball, then later consumes a residual loss
-over the window of its last H actions. Learned controllers (GPC and the
-recurrent family) differentiate the residual loss through their own
-action map, treating all H window actions as produced by the current
-parameters.
+to an action inside its action_ball. The learners (GPC and the recurrent
+family) then take receive_loss(loss, w_history): a residual loss over the
+window of their last H actions, plus the (2H-1, k) disturbance history
+w_{t-2H+1}..w_{t-1}, which contains the window that generated each of
+those actions. They differentiate the loss through their own action map,
+treating all H window actions as produced by the current parameters.
+
+ZeroController and LqrController are fixed policies that the runner plays
+directly: each has a name and a no-op update(window_loss, w_history).
 """
 
 from __future__ import annotations
@@ -43,25 +47,10 @@ class Observation:
     disturbances: Array
 
 
-class WeakController:
-    """Contract: act on an observation, then receive a residual loss.
-
-    receive_loss gets the loss plus the (2H-1, k) disturbance history
-    w_{t-2H+1}..w_{t-1}, which contains the window that generated each of
-    the controller's last H actions.
-    """
-
-    action_ball: BallSet
-
-    def act(self, obs: Observation) -> Array:
-        raise NotImplementedError
-
-    def receive_loss(self, loss, w_history: Array) -> None:
-        raise NotImplementedError
-
-
-class ZeroController(WeakController):
+class ZeroController:
     """Always outputs the zero action; ignores losses."""
+
+    name = "zero"
 
     def __init__(self, action_ball: BallSet):
         self.action_ball = action_ball
@@ -69,7 +58,7 @@ class ZeroController(WeakController):
     def act(self, obs: Observation) -> Array:
         return np.zeros(self.action_ball.dim)
 
-    def receive_loss(self, loss, w_history) -> None:
+    def update(self, window_loss, w_history) -> None:
         pass
 
 
@@ -93,7 +82,7 @@ def _slot_rows(H: int) -> Array:
     return rows
 
 
-class GpcController(WeakController):
+class GpcController:
     """Action = sum_i M^i w_{t-i}, with M learned by projected OGD.
 
     The GPC policy class of Agarwal et al. (ICML 2019) without state
@@ -273,7 +262,7 @@ class LstmCell:
         return grads
 
 
-class RecurrentController(WeakController):
+class RecurrentController:
     """Maps the disturbance window through a small recurrent net to an action.
 
     The state input is ignored: the policy class is purely
@@ -447,8 +436,10 @@ def solve_dare(
     return P, K
 
 
-class LqrController(WeakController):
+class LqrController:
     """Fixed linear state feedback u = -K x from the Riccati solution."""
+
+    name = "lqr"
 
     def __init__(self, K: Array, action_ball: BallSet):
         self.action_ball = action_ball
@@ -457,5 +448,5 @@ class LqrController(WeakController):
     def act(self, obs: Observation) -> Array:
         return project_to_ball(-self.K @ obs.state, self.action_ball)
 
-    def receive_loss(self, loss, w_history) -> None:
+    def update(self, window_loss, w_history) -> None:
         pass

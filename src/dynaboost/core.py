@@ -2,8 +2,8 @@
 
 Finite-checked vectors and matrices, the Euclidean action set with its
 projection, zero-padded action windows kept as plain arrays, and
-deterministic seeded random streams. All numerics are
-float64.
+deterministic seeded random streams whose callers draw whole arrays at
+once. All numerics are float64.
 """
 
 from __future__ import annotations
@@ -162,15 +162,3 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self._path})"
 
-
-def gaussian(rng: RngStream, mean, std: float) -> Array:
-    """mean + std * z with z i.i.d. standard normal draws from rng.
-
-    std == 0 returns the mean exactly (degenerate case); std < 0 is an error.
-    """
-    m = as_vector(mean)
-    if std < 0:
-        raise ValueError(f"std must be nonnegative, got {std}")
-    if std == 0:
-        return m.copy()
-    return m + std * rng.standard_normal(m.shape[0])

@@ -1,9 +1,10 @@
-"""Dynamical systems, disturbance generators, and counterfactual replay.
+"""Dynamical systems, the window replay, and per-episode records.
 
 Systems expose the deterministic part f of x' = f(x, u) + w together with
 its Jacobians, so the loss module can propagate forward sensitivities
 through short rollouts without knowing the system family. `rollout` is the
-one place that folds f over a window.
+one place that folds f over a window. Disturbance streams are drawn whole
+before round 1, in `harness.runner.draw_disturbances`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dynaboost.core import Array, RngStream, as_matrix, as_vector, gaussian
+# as_vector stays importable from this module: perfbench/spans.py counts
+# its calls per importing module.
+from dynaboost.core import Array, RngStream, as_matrix, as_vector  # noqa: F401
 
 
 def spectral_radius_estimate(A, tol: float = 1e-9, max_iter: int = 200) -> float:
@@ -153,25 +156,24 @@ class PendulumSystem:
     def action_dim(self) -> int:
         return 1
 
-    def f(self, x, u) -> Array:
+    def _pre_clip(self, x, u) -> tuple[float, float]:
+        """(theta, angular velocity before the speed clip) after one step from (x, u)."""
         theta, theta_dot = float(x[0]), float(x[1])
         torque = min(max(float(u[0]), -self.max_torque), self.max_torque)
         accel = 3.0 * self.g / (2.0 * self.l) * math.sin(theta) + 3.0 / (self.m * self.l**2) * torque
-        new_dot = theta_dot + accel * self.dt
-        new_dot = min(max(new_dot, -self.max_speed), self.max_speed)
+        return theta, theta_dot + accel * self.dt
+
+    def f(self, x, u) -> Array:
+        theta, pre_dot = self._pre_clip(x, u)
+        new_dot = min(max(pre_dot, -self.max_speed), self.max_speed)
         new_theta = wrap_angle(theta + new_dot * self.dt)
         return np.array([new_theta, new_dot])
 
     def jacobians(self, x, u) -> tuple[Array, Array]:
         # Clip saturation zeroes the corresponding sensitivity; the angle
         # wrap has unit derivative almost everywhere.
-        theta, theta_dot = float(x[0]), float(x[1])
+        theta, pre_dot = self._pre_clip(x, u)
         torque_active = abs(float(u[0])) <= self.max_torque
-        accel = (
-            3.0 * self.g / (2.0 * self.l) * math.sin(theta)
-            + 3.0 / (self.m * self.l**2) * min(max(float(u[0]), -self.max_torque), self.max_torque)
-        )
-        pre_dot = theta_dot + accel * self.dt
         speed_active = abs(pre_dot) <= self.max_speed
         d_dot_d_theta = 3.0 * self.g / (2.0 * self.l) * math.cos(theta) * self.dt if speed_active else 0.0
         d_dot_d_dot = 1.0 if speed_active else 0.0
@@ -208,78 +210,6 @@ def random_lds(rng: RngStream, k: int, d: int, rho_target: float) -> LinearSyste
     return LinearSystem(A, B)
 
 
-class DisturbanceGenerator:
-    """Base for w_t sources. Draws must be requested with increasing t."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("disturbance dim must be >= 1")
-        self.dim = dim
-        self._last_t: int | None = None
-
-    def generate(self, t: int) -> Array:
-        if t < 0:
-            raise ValueError(f"round index must be >= 0, got {t}")
-        if self._last_t is not None and t <= self._last_t:
-            raise ValueError(f"round index must increase across calls, got {t} after {self._last_t}")
-        self._last_t = t
-        return self._draw(t)
-
-    def _draw(self, t: int) -> Array:
-        raise NotImplementedError
-
-
-class IidGaussianDisturbance(DisturbanceGenerator):
-    """Zero-mean i.i.d. Gaussian noise; a draw longer than cap is scaled back to norm cap.
-
-    The default cap of 10 std sqrt(dim) is far in the tail and does not
-    measurably distort the sample statistics.
-    """
-
-    def __init__(self, dim: int, std: float, rng: RngStream, cap: float | None = None):
-        super().__init__(dim)
-        if std < 0:
-            raise ValueError("std must be nonnegative")
-        self.std = std
-        self.rng = rng
-        self.cap = 10.0 * std * math.sqrt(dim) if cap is None else cap
-
-    def _draw(self, t: int) -> Array:
-        w = gaussian(self.rng, np.zeros(self.dim), self.std)
-        n = float(np.linalg.norm(w))
-        if self.cap > 0 and n > self.cap:
-            w = w * (self.cap / n)
-        return w
-
-
-class RandomWalkDisturbance(DisturbanceGenerator):
-    """Gaussian random walk clipped componentwise to [clip_lo, clip_hi]."""
-
-    def __init__(self, dim: int, std: float, clip_lo: float, clip_hi: float, rng: RngStream):
-        super().__init__(dim)
-        if std < 0:
-            raise ValueError("std must be nonnegative")
-        if not clip_lo < clip_hi:
-            raise ValueError(f"need clip_lo < clip_hi, got [{clip_lo}, {clip_hi}]")
-        self.std = std
-        self.clip_lo = clip_lo
-        self.clip_hi = clip_hi
-        self.rng = rng
-        self.prev = np.zeros(dim)
-
-    def _draw(self, t: int) -> Array:
-        w = np.clip(gaussian(self.rng, self.prev, self.std), self.clip_lo, self.clip_hi)
-        self.prev = w
-        return w
-
-
-class SinusoidalDisturbance(DisturbanceGenerator):
-    """Every coordinate equals sin(t) / (2 pi) at integer round index t."""
-
-    def _draw(self, t: int) -> Array:
-        return np.full(self.dim, math.sin(t) / (2.0 * math.pi))
-
-
 def rollout(system, x_start, actions, disturbances) -> Array:
     """(n+1, k) states of the fold x_{j+1} = f(x_j, u_j) + w_j from x_0 = x_start.
 
@@ -294,20 +224,6 @@ def rollout(system, x_start, actions, disturbances) -> Array:
     return X
 
 
-def counterfactual_state(system, x_start, actions, disturbances) -> Array:
-    """Final state of the rollout of aligned action/disturbance windows, inputs checked."""
-    x = as_vector(x_start, system.state_dim)
-    acts = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    dists = np.atleast_2d(np.asarray(disturbances, dtype=np.float64))
-    if acts.size == 0 and dists.size == 0:
-        return x.copy()
-    if acts.shape[0] != dists.shape[0]:
-        raise ValueError(
-            f"misaligned windows: {acts.shape[0]} actions vs {dists.shape[0]} disturbances"
-        )
-    return rollout(system, x, acts, as_matrix(dists, cols=system.state_dim))[-1]
-
-
 def disturbance_hash(w_sequence: Array) -> str:
     """Stable digest of a disturbance stream, for paired-comparison checks."""
     w = np.ascontiguousarray(np.asarray(w_sequence, dtype=np.float64))
@@ -318,8 +234,8 @@ def disturbance_hash(w_sequence: Array) -> str:
 class Trajectory:
     """Per-step record of one episode.
 
-    Replaying (states[0], actions, disturbances) through the system must
-    reproduce the recorded states.
+    rollout(system, states[0], actions, disturbances) reproduces the
+    recorded states.
     """
 
     states: Array  # (T+1, k)
@@ -346,13 +262,3 @@ class Trajectory:
 
     def running_average(self) -> Array:
         return np.cumsum(self.costs) / np.arange(1, self.horizon + 1)
-
-    def replay_error(self, system) -> float:
-        """Max abs deviation when re-running the recorded actions and disturbances."""
-        worst = 0.0
-        x = self.states[0]
-        for t in range(self.horizon):
-            x = system.step(x, self.actions[t], self.disturbances[t])
-            worst = max(worst, float(np.max(np.abs(x - self.states[t + 1]))))
-            x = self.states[t + 1]
-        return worst

@@ -188,6 +188,12 @@ def validate(cfg: ExperimentConfig, fail) -> None:
         one_of(("baselines", i), "baseline", b, BASELINES)
     if len(set(cfg.baselines)) != len(cfg.baselines):
         fail(("baselines",), "duplicate baselines")
+    if "overparam" in cfg.baselines and weak.kind != "rnn":
+        # The net is parameter-matched to N weak nets of weak.hidden units.
+        fail(
+            ("baselines", cfg.baselines.index("overparam")),
+            f"baseline 'overparam' needs weak kind 'rnn', got {weak.kind!r}",
+        )
 
     if cfg.H < 1:
         fail(("H",), f"H must be >= 1, got {cfg.H}")

@@ -22,20 +22,11 @@ from dynaboost.controllers import (
     LqrController,
     Observation,
     RecurrentController,
-    WeakController,
     ZeroController,
     solve_dare,
 )
 from dynaboost.core import BallSet, RngStream, push_window, zero_window
-from dynaboost.dynamics import (
-    IidGaussianDisturbance,
-    PendulumSystem,
-    RandomWalkDisturbance,
-    SinusoidalDisturbance,
-    Trajectory,
-    disturbance_hash,
-    random_lds,
-)
+from dynaboost.dynamics import PendulumSystem, Trajectory, disturbance_hash, random_lds
 from dynaboost.harness.config import ExperimentConfig
 from dynaboost.harness.stats import SeriesStats, aggregate
 from dynaboost.losses import (
@@ -63,19 +54,32 @@ def build_system(cfg: ExperimentConfig):
     return system, QuadraticCost.identity(cfg.env.k, cfg.env.d)
 
 
-def make_disturbance(cfg: ExperimentConfig, dim: int, rng: RngStream):
-    d = cfg.disturbance
-    if d.kind == "iid_gaussian":
-        return IidGaussianDisturbance(dim, d.std, rng)
-    if d.kind == "random_walk":
-        return RandomWalkDisturbance(dim, d.std, d.clip_lo, d.clip_hi, rng)
-    return SinusoidalDisturbance(dim)
-
-
 def draw_disturbances(cfg: ExperimentConfig, dim: int, run_index: int) -> np.ndarray:
+    """The (T, dim) disturbance stream of run run_index, drawn whole before round 1.
+
+    iid_gaussian: std z_t, a row longer than 10 std sqrt(dim) scaled back to
+    that norm. random_walk: w_t = clip(w_{t-1} + std z_t) componentwise, from
+    w_{-1} = 0. sinusoidal: every coordinate sin(t) / (2 pi). The z_t are the
+    rows of one standard-normal (T, dim) draw from the run's substream.
+    """
+    d, T = cfg.disturbance, cfg.T
+    if d.kind == "sinusoidal":
+        # math.sin, not np.sin: numpy does not promise the same bits.
+        wave = np.array([math.sin(t) / (2.0 * math.pi) for t in range(T)])
+        return np.repeat(wave[:, None], dim, axis=1)
     rng = RngStream(cfg.seed).child(_DISTURBANCE_STREAM).child(run_index)
-    gen = make_disturbance(cfg, dim, rng)
-    return np.stack([gen.generate(t) for t in range(cfg.T)])
+    # The zero mean is added, so std = 0 gives +0.0, never -0.0.
+    W = 0.0 + d.std * rng.standard_normal((T, dim))
+    if d.kind == "random_walk":
+        w = np.zeros(dim)
+        for t in range(T):
+            W[t] = w = np.clip(w + W[t], d.clip_lo, d.clip_hi)
+        return W
+    cap = 10.0 * d.std * math.sqrt(dim)
+    norms = np.linalg.norm(W, axis=1)
+    capped = norms > cap
+    W[capped] *= (cap / norms[capped])[:, None]
+    return W
 
 
 def booster_curvature(cfg: ExperimentConfig, system, cost) -> CurvatureBounds | None:
@@ -89,7 +93,7 @@ def booster_curvature(cfg: ExperimentConfig, system, cost) -> CurvatureBounds | 
 
 def make_weak_controller(
     cfg: ExperimentConfig, state_dim: int, ball: BallSet, rng: RngStream
-) -> WeakController:
+) -> GpcController | RecurrentController:
     w = cfg.weak
     if w.kind == "gpc":
         return GpcController(
@@ -129,7 +133,7 @@ def overparam_hidden(k: int, d: int, hidden: int, cell: str, N: int) -> int:
 class _SelfTaughtPolicy:
     """One weak controller doing plain gradient steps on its own window."""
 
-    def __init__(self, name: str, ctrl: WeakController, H: int):
+    def __init__(self, name: str, ctrl: GpcController | RecurrentController, H: int):
         self.name = name
         self.ctrl = ctrl
         self.window = zero_window(H, ctrl.action_ball.dim)  # last H actions, oldest first
@@ -142,18 +146,6 @@ class _SelfTaughtPolicy:
     def update(self, window_loss, w_history):
         grads = window_loss.gradients(self.window)
         self.ctrl.receive_loss(LinearResidualLoss(grads), w_history)
-
-
-class _StaticPolicy:
-    def __init__(self, name: str, ctrl: WeakController):
-        self.name = name
-        self.ctrl = ctrl
-
-    def act(self, obs: Observation):
-        return self.ctrl.act(obs)
-
-    def update(self, window_loss, w_history):
-        pass
 
 
 def lqr_gain(system, cost) -> np.ndarray:
@@ -179,10 +171,10 @@ def build_policies(
             ctrl = make_weak_controller(cfg, system.state_dim, ball, base.child(1))
             policies.append(_SelfTaughtPolicy("single", ctrl, cfg.H))
         elif name == "zero":
-            policies.append(_StaticPolicy("zero", ZeroController(ball)))
+            policies.append(ZeroController(ball))
         elif name == "lqr":
             K = lqr if lqr is not None else lqr_gain(system, cost)
-            policies.append(_StaticPolicy("lqr", LqrController(K, ball)))
+            policies.append(LqrController(K, ball))
         elif name == "overparam":
             hidden = overparam_hidden(
                 system.state_dim, system.action_dim, cfg.weak.hidden, cfg.weak.cell, cfg.N

@@ -159,14 +159,6 @@ class LinearResidualLoss:
             raise ValueError("residual gradients must be finite")
         self.gradients = g
 
-    @property
-    def horizon(self) -> int:
-        return self.gradients.shape[0]
-
-    @property
-    def action_dim(self) -> int:
-        return self.gradients.shape[1]
-
     def _check(self, actions) -> Array:
         U = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         if U.shape != self.gradients.shape:
@@ -205,14 +197,6 @@ class QuadraticResidualLoss:
             raise ValueError(f"curvature coefficient must be positive, got {self.coefficient}")
         self.gradients = g
         self.anchors = a
-
-    @property
-    def horizon(self) -> int:
-        return self.gradients.shape[0]
-
-    @property
-    def action_dim(self) -> int:
-        return self.gradients.shape[1]
 
     def _check(self, actions) -> Array:
         U = np.atleast_2d(np.asarray(actions, dtype=np.float64))

@@ -33,9 +33,11 @@ class TestZeroController:
         out = ctrl.act(obs(np.ones(2), np.ones((4, 2))))
         assert np.array_equal(out, np.zeros(3))
 
-    def test_receive_loss_is_noop(self):
+    def test_update_is_noop(self):
         ctrl = ZeroController(BallSet(radius=1.0, dim=1))
-        ctrl.receive_loss(None, np.zeros((1, 1)))
+        ctrl.update(None, np.zeros((1, 1)))
+        assert ctrl.name == "zero"
+        assert np.array_equal(ctrl.act(obs(1.0, np.ones((1, 1)))), [0.0])
 
 
 class TestGpcAct:
@@ -437,10 +439,11 @@ class TestLqrController:
         assert max(abs(np.linalg.eigvals(A - B @ K))) < 1.0
         assert np.min(np.linalg.eigvalsh(P)) > 0.0
 
-    def test_receive_loss_is_noop(self):
+    def test_update_is_noop(self):
         ctrl = LqrController(K=[[1.0]], action_ball=BallSet(radius=1.0, dim=1))
         before = ctrl.K.copy()
-        ctrl.receive_loss(None, None)
+        ctrl.update(None, None)
+        assert ctrl.name == "lqr"
         assert np.array_equal(ctrl.K, before)
 
 

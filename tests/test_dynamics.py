@@ -7,21 +7,17 @@ from hypothesis import strategies as st
 
 from dynaboost.core import RngStream
 from dynaboost.dynamics import (
-    IidGaussianDisturbance,
     LinearSystem,
     PendulumSystem,
-    RandomWalkDisturbance,
-    SinusoidalDisturbance,
     Trajectory,
-    counterfactual_state,
     disturbance_hash,
     random_lds,
     rollout,
     spectral_radius_estimate,
     wrap_angle,
 )
-from dynaboost.harness.config import EnvConfig, ExperimentConfig
-from dynaboost.harness.runner import build_system, run_experiment
+from dynaboost.harness.config import DisturbanceConfig, EnvConfig, ExperimentConfig
+from dynaboost.harness.runner import build_system, draw_disturbances, run_experiment
 
 
 class TestSpectralRadius:
@@ -172,53 +168,74 @@ class TestRandomLds:
             random_lds(RngStream(0), 2, 2, 0.0)
 
 
-class TestDisturbances:
-    def test_sinusoidal_values(self):
-        gen = SinusoidalDisturbance(3)
-        assert np.allclose(gen.generate(0), 0.0)
-        w1 = gen.generate(1)
-        assert np.allclose(w1, math.sin(1) / (2 * math.pi))
-        assert w1[0] == pytest.approx(0.1339, abs=1e-4)
+def _stream(kind: str, T: int, dim: int = 1, seed: int = 0, run_index: int = 0, **kw):
+    cfg = ExperimentConfig(seed=seed, T=T, disturbance=DisturbanceConfig(kind=kind, **kw))
+    return draw_disturbances(cfg, dim, run_index)
 
-    def test_monotone_round_index_enforced(self):
-        gen = SinusoidalDisturbance(1)
-        gen.generate(0)
-        gen.generate(5)
-        with pytest.raises(ValueError):
-            gen.generate(5)
-        with pytest.raises(ValueError):
-            gen.generate(2)
-        with pytest.raises(ValueError):
-            SinusoidalDisturbance(1).generate(-1)
+
+class TestDisturbances:
+    # First rows at seed 7, run 1, dim 2, std 0.3, clip [-0.5, 0.5]: a change
+    # of draw order or of the substream layout changes them.
+    PINNED = {
+        "iid_gaussian": [
+            [-0.36845171242173047, -0.35382487823780756],
+            [-0.058961307700697525, 0.8503350078651992],
+            [-0.40637024356642687, 0.05248104689584535],
+        ],
+        "random_walk": [
+            [-0.36845171242173047, -0.35382487823780756],
+            [-0.427413020122428, 0.49651012962739166],
+            [-0.5, 0.5],
+        ],
+        "sinusoidal": [
+            [0.0, 0.0],
+            [0.13392426670058188, 0.13392426670058188],
+            [0.14471918022004823, 0.14471918022004823],
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_pinned_first_rows(self, kind):
+        w = _stream(kind, 3, dim=2, seed=7, run_index=1, std=0.3, clip_lo=-0.5, clip_hi=0.5)
+        assert w.tolist() == self.PINNED[kind]
+
+    @pytest.mark.parametrize("kind", ["iid_gaussian", "random_walk"])
+    def test_zero_std_is_exact(self, kind):
+        w = _stream(kind, 50, dim=3, std=0.0)
+        assert np.array_equal(w, np.zeros((50, 3)))
+        assert not np.signbit(w).any()
+
+    def test_sinusoidal_values(self):
+        w = _stream("sinusoidal", 2, dim=3)
+        assert np.array_equal(w[0], np.zeros(3))
+        assert np.allclose(w[1], math.sin(1) / (2 * math.pi))
+        assert w[1, 0] == pytest.approx(0.1339, abs=1e-4)
 
     def test_walk_respects_clip(self):
-        gen = RandomWalkDisturbance(2, 0.3, -1.0, 1.0, RngStream(2))
-        for t in range(500):
-            w = gen.generate(t)
-            assert np.all(w >= -1.0) and np.all(w <= 1.0)
+        w = _stream("random_walk", 500, dim=2, seed=2, std=0.3)
+        assert np.all(w >= -1.0) and np.all(w <= 1.0)
 
     def test_walk_clip_active(self):
-        gen = RandomWalkDisturbance(1, 0.3, -1.0, 1.0, RngStream(0))
-        gen.prev = np.array([0.95])
-        # Force the next draw towards the bound by substituting its rng
-        # with one whose first draw is large positive.
-        for seed in range(50):
-            g = RandomWalkDisturbance(1, 0.3, -1.0, 1.0, RngStream(seed))
-            g.prev = np.array([0.95])
-            w = g.generate(0)
-            if w[0] == 1.0:
-                return
-        pytest.fail("no clipped draw found in 50 seeds")
+        # The walk folds the same std z_t rows as the iid stream of its seed.
+        steps = _stream("iid_gaussian", 500, seed=5, std=0.3)
+        walk = _stream("random_walk", 500, seed=5, std=0.3)
+        w = np.zeros(1)
+        for t in range(500):
+            w = np.clip(w + steps[t], -1.0, 1.0)
+            assert np.array_equal(walk[t], w)
+        assert np.any(np.abs(walk) == 1.0)
 
     def test_iid_std_matches(self):
-        gen = IidGaussianDisturbance(1, 0.1, RngStream(6))
-        ws = np.array([gen.generate(t)[0] for t in range(100000)])
-        assert abs(ws.std() - 0.1) < 0.002  # within 2%
+        w = _stream("iid_gaussian", 100000, seed=6, std=0.1)
+        assert abs(w.std() - 0.1) < 0.002  # within 2%
 
-    def test_iid_bound_holds(self):
-        gen = IidGaussianDisturbance(3, 0.5, RngStream(1), cap=1.0)
-        for t in range(200):
-            assert np.linalg.norm(gen.generate(t)) <= 1.0 + 1e-12
+    def test_iid_bound_holds(self, monkeypatch):
+        # No shipped std reaches the 10 std sqrt(dim) cap, so force one long row.
+        z = np.array([[20.0, 20.0, 20.0, 20.0], [1.0, -1.0, 1.0, -1.0]])
+        monkeypatch.setattr(RngStream, "standard_normal", lambda self, shape: z.copy())
+        w = _stream("iid_gaussian", 2, dim=4, std=0.5)
+        assert np.linalg.norm(w[0]) == 10.0 * 0.5 * math.sqrt(4)
+        assert w.tolist() == [[5.0, 5.0, 5.0, 5.0], [0.5, -0.5, 0.5, -0.5]]
 
 
 class TestInferDisturbance:
@@ -259,26 +276,23 @@ def test_rollout_reproduces_recorded_run(env):
 
 
 class TestCounterfactualState:
+    """The state a window replay reaches: the last row of rollout."""
+
     def test_empty_windows_return_start(self):
         sys = LinearSystem([[0.5]], [[1.0]])
-        x = counterfactual_state(sys, [3.0], np.zeros((0, 1)), np.zeros((0, 1)))
+        x = rollout(sys, np.array([3.0]), np.zeros((0, 1)), np.zeros((0, 1)))[-1]
         assert np.allclose(x, [3.0])
 
     def test_single_pair(self):
         sys = LinearSystem([[0.5]], [[1.0]])
-        x = counterfactual_state(sys, [0.0], np.array([[1.0]]), np.array([[0.5]]))
+        x = rollout(sys, np.array([0.0]), np.array([[1.0]]), np.array([[0.5]]))[-1]
         assert np.allclose(x, [1.5])
 
     def test_two_step_fold(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         acts = np.array([[1.0], [0.0]])
         dists = np.array([[0.0], [1.0]])
-        assert np.allclose(counterfactual_state(sys, [0.0], acts, dists), [1.5])
-
-    def test_misaligned_rejected(self):
-        sys = LinearSystem([[0.5]], [[1.0]])
-        with pytest.raises(ValueError, match="misaligned"):
-            counterfactual_state(sys, [0.0], np.zeros((2, 1)), np.zeros((3, 1)))
+        assert np.allclose(rollout(sys, np.array([0.0]), acts, dists)[-1], [1.5])
 
 
 def test_disturbance_hash_distinguishes():
@@ -304,12 +318,12 @@ class TestTrajectory:
 
     def test_replay_is_exact_for_lds(self):
         sys, tr = self._make()
-        assert tr.replay_error(sys) == 0.0
+        assert np.array_equal(rollout(sys, tr.states[0], tr.actions, tr.disturbances), tr.states)
 
     def test_replay_detects_tampering(self):
         sys, tr = self._make()
         tr.states[2] += 0.1
-        assert tr.replay_error(sys) > 0.05
+        assert not np.array_equal(rollout(sys, tr.states[0], tr.actions, tr.disturbances), tr.states)
 
     def test_running_average(self):
         _, tr = self._make()

@@ -11,7 +11,7 @@ import yaml
 
 from dynaboost.controllers import ZeroController, solve_dare
 from dynaboost.core import BallSet
-from dynaboost.dynamics import PendulumSystem, Trajectory
+from dynaboost.dynamics import PendulumSystem, Trajectory, rollout
 from dynaboost.harness.config import (
     ConfigError,
     DisturbanceConfig,
@@ -25,7 +25,6 @@ from dynaboost.harness.experiments import GPC_LR, correlated_suite, overparam_su
 from dynaboost.harness.outputs import write_outputs
 from dynaboost.harness.runner import (
     _run_one,
-    _StaticPolicy,
     build_policies,
     build_system,
     draw_disturbances,
@@ -124,6 +123,33 @@ class TestConfigParsing:
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError, match="lr must be positive"):
             parse_config("weak:\n  lr: -0.1\n", source="c.yaml")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("disturbance:\n  std: -0.1\n", r"c\.yaml:2: std must be >= 0"),
+            (
+                "weak:\n  kind: gpc\nbaselines:\n  - single\n  - overparam\n",
+                r"c\.yaml:5: baseline 'overparam' needs weak kind 'rnn', got 'gpc'",
+            ),
+        ],
+        ids=["negative_std", "overparam_beside_gpc"],
+    )
+    def test_range_error_names_line(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text, source="c.yaml")
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(disturbance=DisturbanceConfig(std=-0.1)), r"override disturbance\.std: std must be >= 0"),
+            (dict(baselines=("overparam", "zero")), r"override baselines\.0: baseline 'overparam' needs"),
+        ],
+        ids=["negative_std", "overparam_beside_gpc"],
+    )
+    def test_override_error_names_field(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig().override(**kw)
 
     def test_bad_lr_schedule_names_value(self):
         with pytest.raises(ConfigError, match=r":2: lr_schedule must be one of .*, got 'cosine'"):
@@ -321,10 +347,10 @@ class TestRunner:
     def test_zero_policy_zero_noise_zero_cost(self):
         cfg = _tiny_cfg(T=5)
         system, cost = build_system(cfg)
-        policy = _StaticPolicy("zero", ZeroController(BallSet(cfg.action_radius, 1)))
+        policy = ZeroController(BallSet(cfg.action_radius, 1))
         traj = run_episode(system, cost, cfg, policy, np.zeros((5, 1)), 0)
         assert traj.total_cost() == 0.0
-        assert traj.replay_error(system) == 0.0
+        assert np.array_equal(rollout(system, traj.states[0], traj.actions, traj.disturbances), traj.states)
 
     def test_lqr_steady_state_average(self):
         # long-run average cost of LQR under iid noise is sigma^2 * trace(P)
@@ -361,7 +387,8 @@ class TestRunner:
         res = run_experiment(cfg)
         for alg in res.algorithms:
             for traj in res.trajectories[alg]:
-                assert traj.replay_error(system) <= 1e-12
+                X = rollout(system, traj.states[0], traj.actions, traj.disturbances)
+                assert np.array_equal(X, traj.states)
 
     def test_divergence_truncates_and_flags(self):
         cfg = _tiny_cfg(divergence_threshold=0.05, T=60)
