@@ -62,16 +62,14 @@ class ZeroController:
         pass
 
 
-def _slot_windows(w_history: Array, H: int, k: int) -> Array:
+def _slot_windows(w_history: Array, H: int) -> Array:
     """(H, H, k) stack where entry j is the window behind action slot j.
 
-    w_history holds w_{t-2H+1}..w_{t-1} oldest first; slot j's action at
-    time t-H+1+j was driven by rows j..j+H-1.
+    w_history, the runner's (2H-1, k) array, holds w_{t-2H+1}..w_{t-1}
+    oldest first; slot j's action at time t-H+1+j was driven by rows
+    j..j+H-1.
     """
-    Wh = np.asarray(w_history, dtype=np.float64)
-    if Wh.shape != (2 * H - 1, k):
-        raise ValueError(f"need disturbance history of shape {(2 * H - 1, k)}, got {Wh.shape}")
-    return Wh[_slot_rows(H)]
+    return w_history[_slot_rows(H)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,11 +121,8 @@ class GpcController:
         self._t = 0
 
     def act(self, obs: Observation) -> Array:
-        W = obs.disturbances
-        if W.shape != (self.H, self.k):
-            raise ValueError(f"need disturbance window {(self.H, self.k)}, got {W.shape}")
         # M[m] pairs with the (m+1)-th most recent disturbance.
-        raw = np.einsum("mdk,mk->d", self.M, W[::-1])
+        raw = np.einsum("mdk,mk->d", self.M, obs.disturbances[::-1])
         return project_to_ball(raw, self.action_ball)
 
     def loss_gradients(self, loss, w_history) -> Array:
@@ -138,7 +133,7 @@ class GpcController:
         the ball projection, so the parameter gradient is exact for the
         actions the window loss sees.
         """
-        rev = _slot_windows(w_history, self.H, self.k)[:, ::-1, :]
+        rev = _slot_windows(w_history, self.H)[:, ::-1, :]
         # rev[j, m] = disturbance m+1 steps before slot j's action
         # raws[j] = sum_m M[m] rev[j, m], as batched matmuls over m.
         raws = (self.M @ rev.transpose(1, 2, 0)).sum(axis=0).T
@@ -348,7 +343,7 @@ class RecurrentController:
         persistent disturbance once pushed past the rim; training on the raw
         outputs keeps such a learner recoverable when the residual flips.
         """
-        windows = _slot_windows(w_history, self.H, self.k)
+        windows = _slot_windows(w_history, self.H)
         raws, h, cache = self._raw_batch(windows)
         actions, _ = project_slots(raws, self.action_ball)
         g = loss.slot_gradients(actions)

@@ -63,10 +63,6 @@ class BallSet:
         if self.dim < 1:
             raise ValueError(f"ball dim must be positive, got {self.dim}")
 
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
 
 def project_to_ball(v, ball: BallSet) -> Array:
     """Euclidean projection onto the ball: identity inside, radial rescale outside.
@@ -79,16 +75,6 @@ def project_to_ball(v, ball: BallSet) -> Array:
     if n <= ball.radius:
         return a
     return a * (ball.radius / n)
-
-
-def projection_jacobian(v, ball: BallSet) -> Array:
-    """Jacobian of project_to_ball at v (identity on and inside the boundary)."""
-    a = as_vector(v, ball.dim)
-    n = float(np.linalg.norm(a))
-    if n <= ball.radius:
-        return np.eye(ball.dim)
-    unit = a / n
-    return (ball.radius / n) * (np.eye(ball.dim) - np.outer(unit, unit))
 
 
 def project_slots(raws: Array, ball: BallSet) -> tuple[Array, Array]:
@@ -106,9 +92,9 @@ def project_slots(raws: Array, ball: BallSet) -> tuple[Array, Array]:
 
 
 def project_slots_vjp(raws: Array, norms: Array, g: Array, ball: BallSet) -> Array:
-    """Row-wise projection_jacobian(raws[j]).T @ g[j], in closed form.
+    """Row-wise J_j' g[j] in closed form, J_j the Jacobian of project_to_ball at raws[j].
 
-    Inside the ball the Jacobian is the identity; outside it is
+    Inside the ball J_j is the identity; outside it is
     (R/n)(I - u u') with u = raw/n, which is symmetric.
     """
     outside = norms > ball.radius
@@ -155,9 +141,6 @@ class RngStream:
 
     def standard_normal(self, shape) -> Array:
         return self._gen.standard_normal(shape)
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self._path})"

@@ -257,8 +257,5 @@ class Trajectory:
     def horizon(self) -> int:
         return self.actions.shape[0]
 
-    def total_cost(self) -> float:
-        return float(np.sum(self.costs))
-
     def running_average(self) -> Array:
         return np.cumsum(self.costs) / np.arange(1, self.horizon + 1)

@@ -2,16 +2,19 @@
 
 A fixed policy u_t = sum_i M^i w_{t-i} replayed on a recorded disturbance
 sequence gives the hindsight cost the online algorithms are measured
-against. The total cost is a convex quadratic in M, minimized in closed
-form when the unconstrained optimum fits in the Frobenius ball and by
-projected gradient descent otherwise.
+against. On a LinearSystem that total cost is a convex quadratic in M;
+fixed_gpc_quadratic builds it exactly in one forward pass, and
+best_fixed_gpc minimizes it in closed form when the unconstrained optimum
+fits in the Frobenius ball and by projected gradient descent otherwise.
+The replay functions are the independent reference the quadratic is
+checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dynaboost.core import Array
+from dynaboost.core import Array, BallSet, project_to_ball
 from dynaboost.dynamics import rollout
 
 
@@ -51,84 +54,60 @@ def evaluate_fixed_gpc(w_seq, M, system, cost, H: int) -> float:
     return float(np.sum(replay_fixed_gpc(w_seq, M, system, cost, H)[2]))
 
 
-def fixed_gpc_gradient(w_seq, M, system, cost, H: int) -> Array:
-    """Exact gradient of the total replay cost in M, by the adjoint recursion."""
-    M = np.asarray(M, dtype=np.float64)
+def fixed_gpc_quadratic(w_seq, system, cost, H: int) -> tuple[Array, Array, float]:
+    """(P, q, c0) with total replay cost m'Pm + 2q'm + c0 at m = M.ravel().
+
+    On a LinearSystem from x_0 = 0 the actions are linear in m (u_t = Z_t m)
+    and the states affine (x_t = F_t m + c_t), so one forward pass over
+    F_t and c_t gives the stage costs x'Qx + u'Ru summed exactly.
+    """
     W = _as_w_seq(w_seq, system.state_dim)
-    T = W.shape[0]
-    X, U, _ = replay_fixed_gpc(W, M, system, cost, H)
-    A, B = system.A, system.B
-    G = np.zeros_like(M)
-    lam = np.zeros(system.state_dim)  # dJ/dx_{t+1}, zero beyond the horizon
-    for t in range(T - 1, -1, -1):
-        du = cost.grad_u(U[t]) + B.T @ lam
-        for i in range(1, H + 1):
-            if t - i >= 0:
-                G[i - 1] += np.outer(du, W[t - i])
-        lam = cost.grad_x(X[t]) + A.T @ lam
-    return G
+    T, k = W.shape
+    d = system.action_dim
+    p = H * d * k
+    lagged = np.zeros((T, H, k))  # lagged[t, i] = w_{t-1-i}, zero before w_0
+    for i in range(min(H, T - 1)):
+        lagged[i + 1 :, i] = W[: T - 1 - i]
+    # Row a of Z_t reads block M[i, a] against w_{t-1-i}.
+    Z = np.einsum("ac,tib->taicb", np.eye(d), lagged).reshape(T, d, p)
+    F = np.zeros((T, k, p))
+    c = np.zeros((T, k))
+    for t in range(T - 1):
+        F[t + 1] = system.A @ F[t] + system.B @ Z[t]
+        c[t + 1] = system.A @ c[t] + W[t]
+    QF = cost.Q @ F
+    P = np.einsum("tkp,tkq->pq", F, QF) + np.einsum("tdp,tdq->pq", Z, cost.R @ Z)
+    q = np.einsum("tkp,tk->p", QF, c)
+    return P, q, float(np.einsum("tk,tk->", c, c @ cost.Q))
 
 
-def best_fixed_gpc(
-    w_seq,
-    system,
-    cost,
-    H: int,
-    R_M: float = 10.0,
-    method: str = "auto",
-    tol: float = 1e-8,
-    max_iter: int = 20_000,
-) -> tuple[Array, float]:
+# Projected descent stops once a step moves m by at most PGD_TOL step lengths.
+PGD_TOL = 1e-8
+PGD_MAX_ITER = 20_000
+
+
+def best_fixed_gpc(w_seq, system, cost, H: int, R_M: float = 10.0) -> tuple[Array, float]:
     """Minimize the replay cost over ||M||_F <= R_M; returns (M*, cost*).
 
-    method 'auto' solves the normal equations and falls back to projected
-    gradient descent only when the unconstrained optimum leaves the ball;
-    'pgd' forces the iterative path. Intended for small instances.
+    Solves the normal equations of the exact quadratic, and runs projected
+    gradient descent on it only when that optimum leaves the ball.
+    Intended for small instances.
     """
-    if method not in ("auto", "pgd"):
-        raise ValueError(f"unknown method {method!r}")
     W = _as_w_seq(w_seq, system.state_dim)
-    k = system.state_dim
-    d = system.action_dim
-    shape = (H, d, k)
-    p = H * d * k
-
-    def grad(vec: Array) -> Array:
-        return fixed_gpc_gradient(W, vec.reshape(shape), system, cost, H).ravel()
-
-    g0 = grad(np.zeros(p))
-    # The cost is quadratic in M, so Hessian columns come from gradient differences.
-    Hess = np.empty((p, p))
-    for i in range(p):
-        e = np.zeros(p)
-        e[i] = 1.0
-        Hess[:, i] = grad(e) - g0
-    Hess = 0.5 * (Hess + Hess.T)
-
-    if method == "auto":
-        m_star, *_ = np.linalg.lstsq(Hess, -g0, rcond=None)
-        if float(np.linalg.norm(m_star)) <= R_M:
-            M_star = m_star.reshape(shape)
-            return M_star, evaluate_fixed_gpc(W, M_star, system, cost, H)
-
-    L = float(np.linalg.eigvalsh(Hess)[-1])
-    if L <= 0:
-        # Degenerate stream (e.g. all-zero w): any feasible point is optimal.
-        M_star = np.zeros(shape)
-        return M_star, evaluate_fixed_gpc(W, M_star, system, cost, H)
-    step = 1.0 / L
-
-    def project(vec: Array) -> Array:
-        n = float(np.linalg.norm(vec))
-        return vec if n <= R_M else vec * (R_M / n)
-
-    m = project(-g0 * step)
-    for _ in range(max_iter):
-        m_next = project(m - step * grad(m))
-        if float(np.linalg.norm(m_next - m)) <= tol * step:
-            M_star = m_next.reshape(shape)
-            return M_star, evaluate_fixed_gpc(W, M_star, system, cost, H)
-        m = m_next
-    raise RuntimeError(
-        f"projected gradient descent did not reach tolerance {tol} within {max_iter} iterations"
-    )
+    P, q, _ = fixed_gpc_quadratic(W, system, cost, H)
+    m, *_ = np.linalg.lstsq(P, -q, rcond=None)
+    if float(np.linalg.norm(m)) > R_M:
+        ball = BallSet(R_M, q.size)
+        step = 0.5 / float(np.linalg.eigvalsh(P)[-1])
+        m = np.zeros_like(q)
+        for _ in range(PGD_MAX_ITER):
+            m, prev = project_to_ball(m - step * 2.0 * (P @ m + q), ball), m
+            if float(np.linalg.norm(m - prev)) <= PGD_TOL * step:
+                break
+        else:
+            raise RuntimeError(
+                f"projected gradient descent did not reach tolerance {PGD_TOL} "
+                f"within {PGD_MAX_ITER} iterations"
+            )
+    M_star = m.reshape(H, system.action_dim, system.state_dim)
+    return M_star, evaluate_fixed_gpc(W, M_star, system, cost, H)

@@ -2,8 +2,8 @@
 
 Central differences with h = 1e-5 against: window-loss slot gradients
 (linear and pendulum rollouts), the GPC parameter gradient, recurrent
-backpropagation through time (both cells), and the comparator's adjoint
-gradient. Used by the CLI and by the test suite.
+backpropagation through time (both cells), and the gradient 2(Pm + q) of
+the comparator's exact quadratic. Used by the CLI and by the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from dynaboost.controllers import GpcController, RecurrentController, _slot_windows
 from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import LinearSystem, PendulumSystem
-from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_gradient
+from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_quadratic
 from dynaboost.losses import LinearResidualLoss, ProxyLoss, QuadraticCost, QuadraticResidualLoss
 
 FD_STEP = 1e-5
@@ -91,7 +91,7 @@ def check_gpc_gradient(points: int = 100) -> CheckResult:
         # A controller that has not acted has zero offsets, so its slot
         # actions are the projected M-w sums that composed() rebuilds.
         G = gpc.loss_gradients(loss, wh).ravel()
-        windows = _slot_windows(wh, H, k)
+        windows = _slot_windows(wh, H)
 
         def composed(vec):
             M = vec.reshape(H, d, k)
@@ -132,7 +132,7 @@ def check_rnn_gradient(cell: str, points: int = 100) -> CheckResult:
             [v.ravel() for v in cg.values()] + [v.ravel() for v in og.values()]
         )
         theta0 = ctrl.parameter_vector()
-        windows = _slot_windows(wh, H, k)
+        windows = _slot_windows(wh, H)
         # The update trains the raw outputs against the loss gradients
         # frozen at the played actions, so that is the objective to
         # differentiate here.
@@ -164,13 +164,14 @@ def check_comparator_gradient(points: int = 20) -> CheckResult:
         cost = QuadraticCost.identity(k, d)
         W = rng.normal(size=(T, k))
         M0 = rng.normal(size=(H, d, k))
-        analytic = fixed_gpc_gradient(W, M0, system, cost, H).ravel()
+        P, q, _ = fixed_gpc_quadratic(W, system, cost, H)
+        analytic = 2.0 * (P @ M0.ravel() + q)
         fd = _central_fd(
             lambda v: evaluate_fixed_gpc(W, v.reshape(H, d, k), system, cost, H),
             M0.ravel().copy(),
         )
         worst = max(worst, _rel_err(analytic, fd))
-    return CheckResult("comparator adjoint gradient", worst, TOL_DEFAULT)
+    return CheckResult("comparator quadratic gradient", worst, TOL_DEFAULT)
 
 
 def run_all(points: int = 100) -> list[CheckResult]:

@@ -27,7 +27,7 @@ from dynaboost.controllers import (
 )
 from dynaboost.core import BallSet, RngStream, push_window, zero_window
 from dynaboost.dynamics import PendulumSystem, Trajectory, disturbance_hash, random_lds
-from dynaboost.harness.config import ExperimentConfig
+from dynaboost.harness.config import ConfigError, ExperimentConfig, validate
 from dynaboost.harness.stats import SeriesStats, aggregate
 from dynaboost.losses import (
     CurvatureBounds,
@@ -214,7 +214,7 @@ def run_episode(
     for t in range(T):
         hist = padded[t : t + 2 * H - 1]
         obs = Observation(x, hist[H - 1 :])
-        u = np.asarray(policy.act(obs), dtype=np.float64).reshape(d)
+        u = policy.act(obs)
         c = cost.value(x, u)
         x_next = system.step(x, u, w_seq[t])
         actions[t] = u
@@ -285,6 +285,11 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentResult:
+    # A config built in code has passed no loader, so check it here, once.
+    def fail(path: tuple, msg: str):
+        raise ConfigError(f"{cfg.source}: {'.'.join(map(str, path))}: {msg}")
+
+    validate(cfg, fail)
     built = build_experiment(cfg)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as ex:

@@ -76,7 +76,8 @@ class ProxyLoss:
     On a LinearSystem the replay is affine in the actions: the state is
     c + Phi u with the system's cached window operators and c = Psi w
     computed once here, so every gradients() call is two products.
-    Other systems replay the window with dynamics.rollout.
+    Other systems replay the window with dynamics.rollout. The methods run
+    inside the round loop and take the (H, d) action window as given.
     """
 
     system: object
@@ -102,27 +103,15 @@ class ProxyLoss:
             self._markov, psi = self.system.window_operators(self.horizon)
             self._free = psi @ w.ravel()
 
-    def _window(self, actions) -> Array:
-        U = np.asarray(actions, dtype=np.float64)
-        if U.ndim != 2:
-            U = np.atleast_2d(U)
-        if U.shape != (self.horizon, self.system.action_dim):
-            raise ValueError(
-                f"need {self.horizon} actions of dim {self.system.action_dim}, got {U.shape}"
-            )
-        return U
-
-    def truncated_state(self, actions) -> Array:
-        U = self._window(actions)
+    def truncated_state(self, U: Array) -> Array:
         if self._markov is not None:
             return self._free + self._markov @ U[:-1].ravel()
         return rollout(self.system, 0.0, U[:-1], self.disturbances)[-1]
 
-    def value(self, actions) -> float:
-        U = self._window(actions)
+    def value(self, U: Array) -> float:
         return self.cost.value(self.truncated_state(U), U[-1])
 
-    def gradients(self, actions) -> Array:
+    def gradients(self, U: Array) -> Array:
         """(H, d) array of per-slot gradients.
 
         Slot j < H-1 only influences the replayed state; the final slot
@@ -130,7 +119,6 @@ class ProxyLoss:
         is Phi_j' grad_x; otherwise the states of one rollout are chained
         back through the Jacobians at each step.
         """
-        U = self._window(actions)
         H = self.horizon
         grads = np.empty((H, self.system.action_dim))
         grads[H - 1] = self.cost.grad_u(U[-1])
@@ -169,8 +157,7 @@ class LinearResidualLoss:
         return float(np.sum(self.gradients * self._check(actions)))
 
     def slot_gradients(self, actions) -> Array:
-        self._check(actions)
-        return self.gradients.copy()
+        return self.gradients
 
 
 @dataclass
@@ -209,8 +196,7 @@ class QuadraticResidualLoss:
         return float(self.coefficient * np.sum(D * D) + np.sum(self.gradients * D))
 
     def slot_gradients(self, actions) -> Array:
-        D = self._check(actions) - self.anchors
-        return 2.0 * self.coefficient * D + self.gradients
+        return 2.0 * self.coefficient * (actions - self.anchors) + self.gradients
 
 
 @dataclass(frozen=True)

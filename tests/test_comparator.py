@@ -8,7 +8,7 @@ from dynaboost.harness.comparator import (
     _fixed_actions,
     best_fixed_gpc,
     evaluate_fixed_gpc,
-    fixed_gpc_gradient,
+    fixed_gpc_quadratic,
     replay_fixed_gpc,
 )
 from dynaboost.losses import QuadraticCost
@@ -19,6 +19,34 @@ def scalar_system(a=0.5, b=1.0):
 
 
 COST_1D = QuadraticCost.identity(1, 1)
+
+
+def fd_gradient(W, M0, system, cost, H, h=1e-6):
+    """Central differences of the replay cost in M, flattened."""
+    flat = M0.ravel()
+    fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        up, dn = flat.copy(), flat.copy()
+        up[i] += h
+        dn[i] -= h
+        fd[i] = (
+            evaluate_fixed_gpc(W, up.reshape(M0.shape), system, cost, H)
+            - evaluate_fixed_gpc(W, dn.reshape(M0.shape), system, cost, H)
+        ) / (2 * h)
+    return fd
+
+
+def two_state_system():
+    return LinearSystem([[0.6, 0.1], [0.0, 0.5]], [[1.0], [0.4]])
+
+
+def pinned_multidim():
+    """(W, system, cost) of a seeded 2-state, 2-action instance."""
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(2, 2))
+    A *= 0.7 / max(abs(np.linalg.eigvals(A)))
+    system = LinearSystem(A, rng.normal(size=(2, 2)))
+    return rng.normal(size=(60, 2)), system, QuadraticCost.identity(2, 2)
 
 
 class TestFixedActions:
@@ -69,32 +97,35 @@ class TestReplay:
             )
 
 
-class TestAdjointGradient:
-    def test_matches_finite_differences(self):
+class TestQuadratic:
+    def test_matches_replay_cost(self):
         rng = np.random.default_rng(11)
-        system = LinearSystem([[0.6, 0.1], [0.0, 0.5]], [[1.0], [0.4]])
+        system = two_state_system()
+        cost = QuadraticCost.identity(2, 1)
+        W = rng.normal(size=(15, 2))
+        P, q, c0 = fixed_gpc_quadratic(W, system, cost, 2)
+        for _ in range(5):
+            M = rng.normal(size=(2, 1, 2))
+            m = M.ravel()
+            replayed = evaluate_fixed_gpc(W, M, system, cost, 2)
+            assert m @ P @ m + 2.0 * q @ m + c0 == pytest.approx(replayed, rel=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        system = two_state_system()
         cost = QuadraticCost.identity(2, 1)
         W = rng.normal(size=(15, 2))
         M0 = rng.normal(size=(2, 1, 2))
-        analytic = fixed_gpc_gradient(W, M0, system, cost, 2).ravel()
-        h = 1e-6
-        fd = np.zeros_like(analytic)
-        flat = M0.ravel()
-        for i in range(flat.size):
-            up, dn = flat.copy(), flat.copy()
-            up[i] += h
-            dn[i] -= h
-            fd[i] = (
-                evaluate_fixed_gpc(W, up.reshape(M0.shape), system, cost, 2)
-                - evaluate_fixed_gpc(W, dn.reshape(M0.shape), system, cost, 2)
-            ) / (2 * h)
+        P, q, _ = fixed_gpc_quadratic(W, system, cost, 2)
+        analytic = 2.0 * (P @ M0.ravel() + q)
+        fd = fd_gradient(W, M0, system, cost, 2)
         assert np.abs(analytic - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
-    def test_zero_at_global_minimum_of_zero_stream(self):
-        G = fixed_gpc_gradient(
-            np.zeros((10, 1)), 0.5 * np.ones((2, 1, 1)), scalar_system(), COST_1D, 2
-        )
-        assert np.array_equal(G, np.zeros((2, 1, 1)))
+    def test_zero_stream_is_zero(self):
+        P, q, c0 = fixed_gpc_quadratic(np.zeros((10, 1)), scalar_system(), COST_1D, 2)
+        assert np.array_equal(P, np.zeros((2, 2)))
+        assert np.array_equal(q, np.zeros(2))
+        assert c0 == 0.0
 
 
 class TestBestFixed:
@@ -138,15 +169,6 @@ class TestBestFixed:
         M_star, c_star = best_fixed_gpc(W, system, COST_1D, 5)
         assert c_star < evaluate_fixed_gpc(W, np.zeros((5, 1, 1)), system, COST_1D, 5)
 
-    def test_pgd_agrees_with_normal_equations(self):
-        rng = np.random.default_rng(31)
-        W = rng.normal(size=(80, 1))
-        system = scalar_system(0.6, 1.0)
-        M_auto, c_auto = best_fixed_gpc(W, system, COST_1D, 2)
-        M_pgd, c_pgd = best_fixed_gpc(W, system, COST_1D, 2, method="pgd", tol=1e-10)
-        assert np.allclose(M_auto, M_pgd, atol=1e-5)
-        assert c_pgd == pytest.approx(c_auto, rel=1e-8)
-
     def test_tight_ball_binds_on_boundary(self):
         rng = np.random.default_rng(37)
         W = rng.normal(size=(80, 1))
@@ -158,18 +180,26 @@ class TestBestFixed:
         # still beats the naive rescale of the unconstrained optimum or ties it
         clipped = M_free * (radius / np.linalg.norm(M_free))
         assert c_tight <= evaluate_fixed_gpc(W, clipped, system, COST_1D, 2) + 1e-9
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            best_fixed_gpc(np.zeros((5, 1)), scalar_system(), COST_1D, 1, method="newton")
+        # KKT on the rim: the gradient P m + q points straight back inside
+        P, q, _ = fixed_gpc_quadratic(W, system, COST_1D, 2)
+        m = M_tight.ravel()
+        g = P @ m + q
+        cosine = g @ m / (np.linalg.norm(g) * np.linalg.norm(m))
+        assert cosine == pytest.approx(-1.0, abs=1e-6)
 
     def test_multidim_stationarity(self):
-        rng = np.random.default_rng(41)
-        A = rng.normal(size=(2, 2))
-        A *= 0.7 / max(abs(np.linalg.eigvals(A)))
-        system = LinearSystem(A, rng.normal(size=(2, 2)))
-        cost = QuadraticCost.identity(2, 2)
-        W = rng.normal(size=(60, 2))
+        W, system, cost = pinned_multidim()
         M_star, _ = best_fixed_gpc(W, system, cost, 2)
-        G = fixed_gpc_gradient(W, M_star, system, cost, 2)
-        assert np.abs(G).max() <= 1e-5
+        assert np.abs(fd_gradient(W, M_star, system, cost, 2)).max() <= 1e-5
+
+    @pytest.mark.parametrize(
+        "R_M, expected",
+        [(10.0, 101.55745304437902), (0.1, 114.46815210959532)],
+        ids=["free", "rim"],
+    )
+    def test_pinned_optimal_cost(self, R_M, expected):
+        # Costs an independent solver (adjoint gradients, Hessian from their
+        # differences) reached on this stream: free optimum and a binding rim.
+        W, system, cost = pinned_multidim()
+        _, c_star = best_fixed_gpc(W, system, cost, 2, R_M=R_M)
+        assert c_star == pytest.approx(expected, rel=1e-12)

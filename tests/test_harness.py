@@ -349,8 +349,23 @@ class TestRunner:
         system, cost = build_system(cfg)
         policy = ZeroController(BallSet(cfg.action_radius, 1))
         traj = run_episode(system, cost, cfg, policy, np.zeros((5, 1)), 0)
-        assert traj.total_cost() == 0.0
+        assert traj.costs.sum() == 0.0
         assert np.array_equal(rollout(system, traj.states[0], traj.actions, traj.disturbances), traj.states)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (
+                dict(baselines=("overparam",), T=20, runs=1),
+                r"^<builtin>: baselines\.0: baseline 'overparam' needs weak kind 'rnn', got 'gpc'$",
+            ),
+            (dict(T=20, runs=0), r"^<builtin>: runs: runs must be >= 1, got 0$"),
+        ],
+        ids=["overparam_needs_rnn", "zero_runs"],
+    )
+    def test_run_experiment_validates_config(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(ExperimentConfig(**kw))
 
     def test_lqr_steady_state_average(self):
         # long-run average cost of LQR under iid noise is sigma^2 * trace(P)
