@@ -13,10 +13,9 @@ from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import LinearSystem, PendulumSystem, Trajectory, random_lds
 from dynaboost.losses import (
     CurvatureBounds,
-    LinearResidualLoss,
     ProxyLoss,
     QuadraticCost,
-    QuadraticResidualLoss,
+    ResidualLoss,
     derive_curvature_bounds,
 )
 
@@ -27,15 +26,14 @@ __all__ = [
     "CurvatureBounds",
     "DynaBoost",
     "GpcController",
-    "LinearResidualLoss",
     "LinearSystem",
     "LqrController",
     "Observation",
     "PendulumSystem",
     "ProxyLoss",
     "QuadraticCost",
-    "QuadraticResidualLoss",
     "RecurrentController",
+    "ResidualLoss",
     "RngStream",
     "Trajectory",
     "ZeroController",

@@ -2,10 +2,10 @@
 
 Per round: act combines the learners' actions by the step-length
 recursion u^i = (1 - eta_i) u^{i-1} + eta_i A_i, starting from u^0 = 0;
-update hands each learner i a residual loss built from the window-loss
+update hands each learner i a ResidualLoss built from the window-loss
 gradients at the previous level's action window. Two variants: linear
-residuals with eta_i = 2/(i+1), and proximal quadratic residuals with
-the constant step eta = alpha/beta.
+residuals (coefficient 0) with eta_i = 2/(i+1), and proximal quadratic
+residuals (coefficient eta*beta/2) with the constant step eta = alpha/beta.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import numpy as np
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
 from dynaboost.core import Array, as_vector, push_window, zero_window  # noqa: F401
-from dynaboost.losses import CurvatureBounds, LinearResidualLoss, QuadraticResidualLoss
-
-VARIANTS = ("dynaboost1", "dynaboost2")
+from dynaboost.losses import CurvatureBounds, ResidualLoss
 
 
 def step_lengths(variant: str, N: int, curvature: CurvatureBounds | None = None) -> Array:
@@ -47,7 +45,9 @@ class DynaBoost:
     level_windows is one (N+1, H, d) array: row i holds the last H partial
     actions u^i, oldest first and zero-padded at the start. Level 0 is
     identically zero and anchors the recursion. act must precede update
-    within each round.
+    within each round; the runner keeps that order, so it is not checked.
+    coefficients holds each level's residual curvature: 0 under dynaboost1,
+    eta_i*beta/2 under dynaboost2.
     """
 
     name = "boosted"
@@ -63,19 +63,17 @@ class DynaBoost:
             raise ValueError("need at least one weak learner")
         if H < 1:
             raise ValueError("memory length must be >= 1")
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
         self.learners = list(learners)
         self.N = len(self.learners)
         self.H = H
         self.variant = variant
-        self.curvature = curvature
         self.etas = step_lengths(variant, self.N, curvature)
+        self.coefficients = (
+            0.5 * self.etas * curvature.beta if variant == "dynaboost2" else np.zeros(self.N)
+        )
         self.action_dim = self.learners[0].action_ball.dim
         self.level_windows = zero_window(H, self.action_dim, self.N + 1)
         self.last_partials: Array | None = None
-        self._acts = 0
-        self._updates = 0
 
     def act(self, obs) -> Array:
         partials = np.zeros((self.N + 1, self.action_dim))
@@ -85,7 +83,6 @@ class DynaBoost:
             partials[i] = u
         push_window(self.level_windows, partials)
         self.last_partials = partials
-        self._acts += 1
         return partials[self.N].copy()
 
     def update(self, window_loss, w_history) -> None:
@@ -95,15 +92,7 @@ class DynaBoost:
         w_history is the (2H-1, k) disturbance history forwarded to each
         learner.
         """
-        if self._updates >= self._acts:
-            raise RuntimeError("update called before act in this round")
-        self._updates += 1
-        for i in range(1, self.N + 1):
-            anchor = self.level_windows[i - 1].copy()
-            grads = window_loss.gradients(anchor)
-            if self.variant == "dynaboost1":
-                loss = LinearResidualLoss(grads)
-            else:
-                coeff = 0.5 * self.etas[i - 1] * self.curvature.beta
-                loss = QuadraticResidualLoss(grads, anchors=anchor, coefficient=coeff)
-            self.learners[i - 1].receive_loss(loss, w_history)
+        for i, (coeff, learner) in enumerate(zip(self.coefficients, self.learners)):
+            anchor = self.level_windows[i].copy()
+            loss = ResidualLoss(window_loss.gradients(anchor), anchor, coeff)
+            learner.receive_loss(loss, w_history)

@@ -2,10 +2,11 @@
 
 Every controller maps an observation (state + recent disturbance window)
 to an action inside its action_ball. The learners (GPC and the recurrent
-family) then take receive_loss(loss, w_history): a residual loss over the
-window of their last H actions, plus the (2H-1, k) disturbance history
-w_{t-2H+1}..w_{t-1}, which contains the window that generated each of
-those actions. They differentiate the loss through their own action map,
+family) then take receive_loss(loss, w_history): a losses.ResidualLoss
+over the window of their last H actions (coefficient 0 under dynaboost1),
+plus the (2H-1, k) disturbance history w_{t-2H+1}..w_{t-1}, which
+contains the window that generated each of those actions. They
+differentiate the loss's slot_gradients through their own action map,
 treating all H window actions as produced by the current parameters.
 
 ZeroController and LqrController are fixed policies that the runner plays
@@ -291,7 +292,6 @@ class RecurrentController:
             raise ValueError("weight_radius must be positive")
         if lr_schedule not in ("sqrt", "constant"):
             raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
-        self.k = input_dim
         self.H = H
         self.action_ball = action_ball
         self.d = action_ball.dim
@@ -326,10 +326,7 @@ class RecurrentController:
         return h @ self.out["W_o"].T + self.out["b_o"], h, cache
 
     def act(self, obs: Observation) -> Array:
-        W = obs.disturbances
-        if W.shape != (self.H, self.k):
-            raise ValueError(f"need disturbance window {(self.H, self.k)}, got {W.shape}")
-        raw, _, _ = self._raw_batch(W[None])
+        raw, _, _ = self._raw_batch(obs.disturbances[None])
         return project_to_ball(raw[0], self.action_ball)
 
     def loss_gradients(self, loss, w_history) -> tuple[dict[str, Array], dict[str, Array]]:

@@ -115,11 +115,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as e:
-        if "not writable" in str(e):
-            print(str(e), file=sys.stderr)
-            return EXIT_CONFIG
-        raise
 
 
 def _suite_kwargs(args) -> dict:

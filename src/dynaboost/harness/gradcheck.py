@@ -16,7 +16,7 @@ from dynaboost.controllers import GpcController, RecurrentController, _slot_wind
 from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_quadratic
-from dynaboost.losses import LinearResidualLoss, ProxyLoss, QuadraticCost, QuadraticResidualLoss
+from dynaboost.losses import ProxyLoss, QuadraticCost, ResidualLoss
 
 FD_STEP = 1e-5
 TOL_DEFAULT = 1e-5
@@ -54,10 +54,8 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 def _random_residual(rng, H, d, kind: str):
     grads = rng.normal(size=(H, d))
     if kind == "linear":
-        return LinearResidualLoss(grads)
-    return QuadraticResidualLoss(
-        grads, anchors=0.5 * rng.normal(size=(H, d)), coefficient=0.5 + rng.uniform()
-    )
+        return ResidualLoss(grads, np.zeros((H, d)))
+    return ResidualLoss(grads, 0.5 * rng.normal(size=(H, d)), 0.5 + rng.uniform())
 
 
 def check_window_loss(system, name: str, points: int = 100, scale: float = 0.5) -> CheckResult:

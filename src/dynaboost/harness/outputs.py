@@ -13,6 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+from dynaboost.harness.config import ConfigError
 from dynaboost.harness.stats import SeriesStats, aggregate
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -33,7 +34,7 @@ def _ensure_dir(out_dir) -> Path:
         probe.write_text("")
         probe.unlink()
     except OSError as e:
-        raise RuntimeError(f"output directory {out} is not writable: {e}") from e
+        raise ConfigError(f"output directory {out} is not writable: {e}") from e
     return out
 
 

@@ -31,9 +31,9 @@ from dynaboost.harness.config import ConfigError, ExperimentConfig, validate
 from dynaboost.harness.stats import SeriesStats, aggregate
 from dynaboost.losses import (
     CurvatureBounds,
-    LinearResidualLoss,
     ProxyLoss,
     QuadraticCost,
+    ResidualLoss,
     derive_curvature_bounds,
 )
 
@@ -145,7 +145,7 @@ class _SelfTaughtPolicy:
 
     def update(self, window_loss, w_history):
         grads = window_loss.gradients(self.window)
-        self.ctrl.receive_loss(LinearResidualLoss(grads), w_history)
+        self.ctrl.receive_loss(ResidualLoss(grads, self.window), w_history)
 
 
 def lqr_gain(system, cost) -> np.ndarray:

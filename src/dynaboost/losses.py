@@ -3,8 +3,9 @@
 The window loss evaluates the stage cost at the counterfactual state
 reached from zero by replaying the last H-1 actions and disturbances,
 so it depends on only the last H actions. Its per-slot gradients are
-what the booster hands to weak learners, either raw (linear residual)
-or wrapped in a proximal quadratic (quadratic residual).
+what the booster hands to weak learners inside one ResidualLoss: linear
+in the window (coefficient 0, dynaboost1) or a proximal quadratic around
+the previous level's window (dynaboost2).
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class QuadraticCost:
         return cls(np.eye(state_dim), np.eye(action_dim))
 
     def value(self, x, u) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
         return float(x @ self.Q @ x + u @ self.R @ u)
 
     def grad_x(self, x) -> Array:
@@ -76,8 +75,9 @@ class ProxyLoss:
     On a LinearSystem the replay is affine in the actions: the state is
     c + Phi u with the system's cached window operators and c = Psi w
     computed once here, so every gradients() call is two products.
-    Other systems replay the window with dynamics.rollout. The methods run
-    inside the round loop and take the (H, d) action window as given.
+    Other systems replay the window with dynamics.rollout. It is built once
+    per round, so it takes the (H-1, k) float64 disturbances and the (H, d)
+    action windows as given.
     """
 
     system: object
@@ -86,30 +86,17 @@ class ProxyLoss:
     disturbances: Array  # (H-1, k), oldest first
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("memory length must be >= 1")
-        w = np.asarray(self.disturbances, dtype=np.float64)
-        if self.horizon == 1:
-            w = w.reshape(0, self.system.state_dim)
-        w = np.atleast_2d(w)
-        if w.shape != (self.horizon - 1, self.system.state_dim):
-            raise ValueError(
-                f"need {self.horizon - 1} disturbances of dim {self.system.state_dim}, "
-                f"got shape {w.shape}"
-            )
-        self.disturbances = w
         self._markov = None
         if isinstance(self.system, LinearSystem):
             self._markov, psi = self.system.window_operators(self.horizon)
-            self._free = psi @ w.ravel()
-
-    def truncated_state(self, U: Array) -> Array:
-        if self._markov is not None:
-            return self._free + self._markov @ U[:-1].ravel()
-        return rollout(self.system, 0.0, U[:-1], self.disturbances)[-1]
+            self._free = psi @ self.disturbances.ravel()
 
     def value(self, U: Array) -> float:
-        return self.cost.value(self.truncated_state(U), U[-1])
+        if self._markov is not None:
+            x = self._free + self._markov @ U[:-1].ravel()
+        else:
+            x = rollout(self.system, 0.0, U[:-1], self.disturbances)[-1]
+        return self.cost.value(x, U[-1])
 
     def gradients(self, U: Array) -> Array:
         """(H, d) array of per-slot gradients.
@@ -136,66 +123,26 @@ class ProxyLoss:
 
 
 @dataclass
-class LinearResidualLoss:
-    """l(u_1..u_H) = sum_j g_j'u_j with g_j the window-loss gradients."""
+class ResidualLoss:
+    """Residual sum_j c||u_j - a_j||^2 + g_j'(u_j - a_j) over an (H, d) window.
 
-    gradients: Array  # (H, d)
-
-    def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.gradients, dtype=np.float64))
-        if not np.all(np.isfinite(g)):
-            raise ValueError("residual gradients must be finite")
-        self.gradients = g
-
-    def _check(self, actions) -> Array:
-        U = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        if U.shape != self.gradients.shape:
-            raise ValueError(f"expected action window {self.gradients.shape}, got {U.shape}")
-        return U
-
-    def value(self, actions) -> float:
-        return float(np.sum(self.gradients * self._check(actions)))
-
-    def slot_gradients(self, actions) -> Array:
-        return self.gradients
-
-
-@dataclass
-class QuadraticResidualLoss:
-    """Proximal residual: sum_j c||u_j - a_j||^2 + g_j'(u_j - a_j).
-
-    Anchors a_j are the previous boosting level's window; the coefficient
-    c is half the step-length-scaled smoothness constant, so the loss is
-    2c-strongly convex in the whole window.
+    The g_j are the window-loss gradients at the anchors a_j, the previous
+    boosting level's window. With c = 0 (dynaboost1) this is the linear
+    residual sum_j g_j'u_j up to a constant; with c > 0 (dynaboost2, c half
+    the step-length-scaled smoothness constant) it is the proximal residual,
+    2c-strongly convex in the whole window. Built once per level and round,
+    so nothing is checked or coerced.
     """
 
     gradients: Array  # (H, d)
     anchors: Array  # (H, d)
-    coefficient: float
+    coefficient: float = 0.0
 
-    def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.gradients, dtype=np.float64))
-        a = np.atleast_2d(np.asarray(self.anchors, dtype=np.float64))
-        if g.shape != a.shape:
-            raise ValueError(f"gradient/anchor shape mismatch: {g.shape} vs {a.shape}")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(a))):
-            raise ValueError("residual gradients and anchors must be finite")
-        if not self.coefficient > 0:
-            raise ValueError(f"curvature coefficient must be positive, got {self.coefficient}")
-        self.gradients = g
-        self.anchors = a
-
-    def _check(self, actions) -> Array:
-        U = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        if U.shape != self.gradients.shape:
-            raise ValueError(f"expected action window {self.gradients.shape}, got {U.shape}")
-        return U
-
-    def value(self, actions) -> float:
-        D = self._check(actions) - self.anchors
+    def value(self, actions: Array) -> float:
+        D = actions - self.anchors
         return float(self.coefficient * np.sum(D * D) + np.sum(self.gradients * D))
 
-    def slot_gradients(self, actions) -> Array:
+    def slot_gradients(self, actions: Array) -> Array:
         return 2.0 * self.coefficient * (actions - self.anchors) + self.gradients
 
 

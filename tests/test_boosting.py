@@ -11,10 +11,9 @@ from dynaboost.core import BallSet
 from dynaboost.dynamics import LinearSystem
 from dynaboost.losses import (
     CurvatureBounds,
-    LinearResidualLoss,
     ProxyLoss,
     QuadraticCost,
-    QuadraticResidualLoss,
+    ResidualLoss,
 )
 
 
@@ -219,11 +218,6 @@ class RecordingWindowLoss:
 
 
 class TestBoostUpdate:
-    def test_update_before_act_rejected(self):
-        booster = DynaBoost([FixedLearner(1.0)], H=2)
-        with pytest.raises(RuntimeError, match="before act"):
-            booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
-
     def test_linear_dispatch_uses_previous_level_window(self):
         learners = [FixedLearner(a) for a in (2.0, -1.0, 0.5)]
         booster = DynaBoost(learners, H=2)
@@ -233,7 +227,7 @@ class TestBoostUpdate:
         booster.update(RecordingWindowLoss(), hist)
         for i, learner in enumerate(learners, start=1):
             loss, seen_hist = learner.received[-1]
-            assert isinstance(loss, LinearResidualLoss)
+            assert isinstance(loss, ResidualLoss) and loss.coefficient == 0.0
             anchor = booster.level_windows[i - 1].view()
             assert np.allclose(loss.gradients, anchor + 1.0)
             assert np.array_equal(seen_hist, hist)
@@ -246,7 +240,7 @@ class TestBoostUpdate:
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
         for i, learner in enumerate(learners, start=1):
             loss, _ = learner.received[-1]
-            assert isinstance(loss, QuadraticResidualLoss)
+            assert isinstance(loss, ResidualLoss)
             assert loss.coefficient == pytest.approx(0.5 * 0.25 * 4.0)
             assert np.allclose(loss.anchors, booster.level_windows[i - 1].view())
 

@@ -20,7 +20,12 @@ from dynaboost.controllers import (
 )
 from dynaboost.core import BallSet, RngStream
 from dynaboost.dynamics import PendulumSystem
-from dynaboost.losses import LinearResidualLoss
+from dynaboost.losses import ResidualLoss
+
+
+def linear_loss(g):
+    """The dynaboost1 residual sum_j g_j'u_j: coefficient 0, zero anchors."""
+    return ResidualLoss(g, np.zeros_like(g))
 
 
 def obs(state, window):
@@ -81,28 +86,28 @@ class TestGpcUpdate:
         ctrl = GpcController(state_dim=1, H=3, action_ball=BallSet(radius=1.0, dim=1))
         ctrl.M = np.arange(3.0).reshape(3, 1, 1)
         before = ctrl.M.copy()
-        ctrl.receive_loss(LinearResidualLoss(np.zeros((3, 1))), np.zeros((5, 1)))
+        ctrl.receive_loss(linear_loss(np.zeros((3, 1))), np.zeros((5, 1)))
         assert np.array_equal(ctrl.M, before)
 
     def test_hand_update_single_tap(self):
         # grad 2, disturbance 3, step 0.1: M goes from 1 to 1 - 0.1*6 = 0.4.
         ctrl = self._scalar(lr=0.1)
         ctrl.M = np.ones((1, 1, 1))
-        ctrl.receive_loss(LinearResidualLoss(np.array([[2.0]])), np.array([[3.0]]))
+        ctrl.receive_loss(linear_loss(np.array([[2.0]])), np.array([[3.0]]))
         assert ctrl.M.item() == pytest.approx(0.4, abs=1e-14)
 
     def test_default_lr_used_when_unset(self):
         ctrl = self._scalar(lr=None)
         ctrl.lr_schedule = "constant"
         ctrl.M = np.ones((1, 1, 1))
-        ctrl.receive_loss(LinearResidualLoss(np.array([[2.0]])), np.array([[3.0]]))
+        ctrl.receive_loss(linear_loss(np.array([[2.0]])), np.array([[3.0]]))
         expected = 1.0 - GpcController.default_lr * 6.0
         assert ctrl.M.item() == pytest.approx(expected, abs=1e-14)
 
     def test_sqrt_schedule_decays(self):
         ctrl = self._scalar(lr=0.1, schedule="sqrt")
         ctrl.M = np.ones((1, 1, 1))
-        loss = LinearResidualLoss(np.array([[2.0]]))
+        loss = linear_loss(np.array([[2.0]]))
         hist = np.array([[3.0]])
         ctrl.receive_loss(loss, hist)  # step 0.1
         ctrl.receive_loss(loss, hist)  # step 0.1/sqrt(2), same gradient
@@ -111,7 +116,7 @@ class TestGpcUpdate:
 
     def test_frobenius_projection_tight(self):
         ctrl = self._scalar(lr=1.0, R_M=0.1)
-        ctrl.receive_loss(LinearResidualLoss(np.array([[5.0]])), np.array([[3.0]]))
+        ctrl.receive_loss(linear_loss(np.array([[5.0]])), np.array([[3.0]]))
         assert float(np.linalg.norm(ctrl.M)) == pytest.approx(0.1, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -125,7 +130,7 @@ class TestGpcUpdate:
         ctrl.M = 0.8 * rng.child(0).standard_normal((H, d, k))
         hist = rng.child(1).standard_normal((2 * H - 1, k))
         grads = rng.child(2).standard_normal((H, d))
-        loss = LinearResidualLoss(grads)
+        loss = linear_loss(grads)
 
         def composed(M_flat):
             M = M_flat.reshape(H, d, k)
@@ -164,7 +169,7 @@ class TestGpcUpdate:
         for child in range(3):
             g = rng.child(child).standard_normal((2, 2))
             hist = rng.child(10 + child).standard_normal((3, 2))
-            ctrl.receive_loss(LinearResidualLoss(g), hist)
+            ctrl.receive_loss(linear_loss(g), hist)
             assert np.linalg.norm(ctrl.M) <= ctrl.R_M + 1e-12
 
 
@@ -228,11 +233,6 @@ class TestRecurrentForward:
         # W 20 + U 100 + b 20 + W_o 5 + b_o 1
         assert lstm.parameter_count() == 146
 
-    def test_window_shape_mismatch_rejected(self):
-        ctrl = self._ctrl()
-        with pytest.raises(ValueError):
-            ctrl.act(obs(0.0, np.zeros((2, 1))))
-
     def test_output_projected_into_ball(self):
         ctrl = self._ctrl(action_ball=BallSet(radius=0.25, dim=1))
         ctrl.out["b_o"] = np.array([50.0])
@@ -263,7 +263,7 @@ class TestRecurrentUpdate:
     def test_zero_gradients_leave_weights(self):
         ctrl = self._ctrl()
         before = ctrl.parameter_vector()
-        ctrl.receive_loss(LinearResidualLoss(np.zeros((3, 2))), np.zeros((5, 2)))
+        ctrl.receive_loss(linear_loss(np.zeros((3, 2))), np.zeros((5, 2)))
         assert np.array_equal(ctrl.parameter_vector(), before)
 
     def test_nonfinite_gradient_skipped_with_warning(self):
@@ -281,7 +281,7 @@ class TestRecurrentUpdate:
         ctrl.set_parameter_vector(theta)
         hist = rng.child(1).standard_normal((5, 2))
         grads = rng.child(2).standard_normal((3, 2))
-        loss = LinearResidualLoss(grads)
+        loss = linear_loss(grads)
         cell_g, out_g = ctrl.loss_gradients(loss, hist)
         analytic = np.concatenate(
             [v.ravel() for v in cell_g.values()] + [v.ravel() for v in out_g.values()]
@@ -312,7 +312,7 @@ class TestRecurrentUpdate:
     def test_gradient_clip_bounds_step(self):
         ctrl = self._ctrl(clip_norm=1e-3, lr=1.0)
         before = ctrl.parameter_vector()
-        big = LinearResidualLoss(1e4 * np.ones((3, 2)))
+        big = linear_loss(1e4 * np.ones((3, 2)))
         ctrl.receive_loss(big, np.ones((5, 2)))
         moved = np.linalg.norm(ctrl.parameter_vector() - before)
         assert moved <= 1e-3 + 1e-12
@@ -321,7 +321,7 @@ class TestRecurrentUpdate:
         ctrl = self._ctrl()
         hist = RngStream(41).child(0).standard_normal((5, 2))
         grads = np.ones((3, 2))
-        loss = LinearResidualLoss(grads)
+        loss = linear_loss(grads)
         cell_g, out_g = ctrl.loss_gradients(loss, hist)
         direction = np.concatenate(
             [v.ravel() for v in cell_g.values()] + [v.ravel() for v in out_g.values()]
@@ -335,7 +335,7 @@ class TestRecurrentUpdate:
         # a persistent one-signed residual would otherwise grow weights forever
         ctrl = self._ctrl(weight_radius=4.0, lr=0.5)
         hist = np.ones((5, 2))
-        loss = LinearResidualLoss(-np.ones((3, 2)))
+        loss = linear_loss(-np.ones((3, 2)))
         for _ in range(200):
             ctrl.receive_loss(loss, hist)
             assert np.linalg.norm(ctrl.parameter_vector()) <= 4.0 + 1e-9

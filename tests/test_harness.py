@@ -13,6 +13,7 @@ from dynaboost.controllers import ZeroController, solve_dare
 from dynaboost.core import BallSet
 from dynaboost.dynamics import PendulumSystem, Trajectory, rollout
 from dynaboost.harness.config import (
+    BoosterConfig,
     ConfigError,
     DisturbanceConfig,
     EnvConfig,
@@ -303,7 +304,7 @@ class TestOutputs:
     def test_unwritable_directory_raises(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        with pytest.raises(RuntimeError, match="not writable"):
+        with pytest.raises(ConfigError, match="not writable"):
             write_outputs(blocker / "sub", *_fake_payload()[0:1], {}, {}, [], {})
 
 
@@ -366,6 +367,27 @@ class TestRunner:
     def test_run_experiment_validates_config(self, kw, match):
         with pytest.raises(ConfigError, match=match):
             run_experiment(ExperimentConfig(**kw))
+
+    @pytest.mark.parametrize(
+        "kw, boosted",
+        [
+            (
+                dict(booster=BoosterConfig(variant="dynaboost2")),
+                [0.017432021237162823, 0.019203086015345292],
+            ),
+            (
+                dict(weak=WeakConfig(kind="rnn"), booster=BoosterConfig(variant="dynaboost2", alpha=0.5)),
+                [0.01777661514701791, 0.018788725211921244],
+            ),
+        ],
+        ids=["gpc_derived_alpha", "elman_given_alpha"],
+    )
+    def test_dynaboost2_final_averages_pinned(self, kw, boosted):
+        # The proximal-residual path through run_experiment, pinned bit for
+        # bit: GPC levels with (alpha, beta) derived from the system, and
+        # Elman levels with alpha given and beta derived.
+        res = run_experiment(_tiny_cfg(T=60, **kw))
+        assert res.final_averages("boosted").tolist() == boosted
 
     def test_lqr_steady_state_average(self):
         # long-run average cost of LQR under iid noise is sigma^2 * trace(P)

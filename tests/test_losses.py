@@ -7,10 +7,9 @@ from dynaboost.core import RngStream
 from dynaboost.dynamics import LinearSystem, PendulumSystem, random_lds
 from dynaboost.losses import (
     CurvatureBounds,
-    LinearResidualLoss,
     ProxyLoss,
     QuadraticCost,
-    QuadraticResidualLoss,
+    ResidualLoss,
     derive_curvature_bounds,
 )
 
@@ -43,7 +42,7 @@ def scalar_loss(H=2, disturbances=None):
     cost = QuadraticCost.identity(1, 1)
     if disturbances is None:
         disturbances = np.zeros((H - 1, 1))
-    return ProxyLoss(sys, cost, H, disturbances)
+    return ProxyLoss(sys, cost, H, np.asarray(disturbances, dtype=np.float64))
 
 
 class TestProxyLoss:
@@ -53,7 +52,6 @@ class TestProxyLoss:
         # action slot feeds through B=1 so slot0 grad is 2*1.5*1 = 3.
         loss = scalar_loss(H=2, disturbances=[[0.5]])
         U = np.array([[1.0], [2.0]])
-        assert loss.truncated_state(U) == pytest.approx(1.5)
         assert loss.value(U) == pytest.approx(6.25)
         g = loss.gradients(U)
         assert np.allclose(g, [[3.0], [4.0]])
@@ -74,7 +72,7 @@ class TestProxyLoss:
         with pytest.raises(ValueError):
             loss.value(np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            ProxyLoss(LinearSystem([[0.5]], [[1.0]]), QuadraticCost.identity(1, 1), 3, [[0.1]])
+            ProxyLoss(LinearSystem([[0.5]], [[1.0]]), QuadraticCost.identity(1, 1), 3, np.array([[0.1]]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -166,15 +164,23 @@ class TestLinearWindowOperators:
 
 
 class TestLinearResidualLoss:
+    """ResidualLoss with coefficient 0, the dynaboost1 residual."""
+
     def test_value_is_inner_product(self):
         g = np.array([[1.0], [2.0]])
-        loss = LinearResidualLoss(g)
-        assert loss.value([[3.0], [4.0]]) == pytest.approx(11.0)
+        loss = ResidualLoss(g, np.zeros_like(g))
+        assert loss.value(np.array([[3.0], [4.0]])) == pytest.approx(11.0)
 
     def test_slot_gradients_constant(self):
         g = np.array([[1.0, -1.0]])
-        loss = LinearResidualLoss(g)
-        assert np.allclose(loss.slot_gradients([[9.0, 9.0]]), g)
+        loss = ResidualLoss(g, np.array([[0.5, -2.0]]))
+        assert np.array_equal(loss.slot_gradients(np.array([[9.0, 9.0]])), g)
+
+    def test_anchors_shift_value_by_a_constant(self):
+        rng = RngStream(3)
+        g, a, u = (rng.child(i).standard_normal((3, 2)) for i in range(3))
+        plain = ResidualLoss(g, np.zeros_like(g)).value(u)
+        assert ResidualLoss(g, a).value(u) == pytest.approx(plain - np.sum(g * a))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=40)
@@ -183,23 +189,21 @@ class TestLinearResidualLoss:
         g = rng.child(0).standard_normal((3, 2))
         u = rng.child(1).standard_normal((3, 2))
         v = rng.child(2).standard_normal((3, 2))
-        loss = LinearResidualLoss(g)
+        loss = ResidualLoss(g, np.zeros_like(g))
         assert loss.value(u + v) == pytest.approx(loss.value(u) + loss.value(v), abs=1e-9)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            LinearResidualLoss(np.array([[np.nan]]))
 
 
 class TestQuadraticResidualLoss:
+    """ResidualLoss with a positive coefficient, the dynaboost2 residual."""
+
     def test_zero_at_anchor(self):
-        loss = QuadraticResidualLoss(np.ones((2, 1)), np.zeros((2, 1)), 0.5)
+        loss = ResidualLoss(np.ones((2, 1)), np.zeros((2, 1)), 0.5)
         assert loss.value(np.zeros((2, 1))) == 0.0
 
     def test_value_and_gradient(self):
         g = np.array([[1.0]])
         a = np.array([[2.0]])
-        loss = QuadraticResidualLoss(g, a, 0.5)
+        loss = ResidualLoss(g, a, 0.5)
         u = np.array([[4.0]])
         assert loss.value(u) == pytest.approx(0.5 * 4 + 1 * 2)
         assert np.allclose(loss.slot_gradients(u), [[2 * 0.5 * 2 + 1]])
@@ -211,7 +215,7 @@ class TestQuadraticResidualLoss:
         g = rng.child(0).standard_normal((3, 2))
         a = rng.child(1).standard_normal((3, 2))
         c = 0.7
-        loss = QuadraticResidualLoss(g, a, c)
+        loss = ResidualLoss(g, a, c)
         u = rng.child(2).standard_normal((3, 2))
         v = rng.child(3).standard_normal((3, 2))
         mid = 0.5 * (u + v)
@@ -220,7 +224,7 @@ class TestQuadraticResidualLoss:
 
     def test_gradient_matches_fd(self):
         rng = RngStream(9)
-        loss = QuadraticResidualLoss(
+        loss = ResidualLoss(
             rng.child(0).standard_normal((2, 2)),
             rng.child(1).standard_normal((2, 2)),
             1.3,
@@ -235,13 +239,9 @@ class TestQuadraticResidualLoss:
                 fd = (loss.value(U + E) - loss.value(U - E)) / (2 * h)
                 assert g[j, i] == pytest.approx(fd, abs=1e-7)
 
-    def test_rejects_bad_coefficient(self):
-        with pytest.raises(ValueError):
-            QuadraticResidualLoss(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
-
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            QuadraticResidualLoss(np.zeros((2, 1)), np.zeros((3, 1)), 1.0)
+            ResidualLoss(np.zeros((2, 1)), np.zeros((3, 1)), 1.0).value(np.zeros((2, 1)))
 
 
 class TestCurvatureBounds:
