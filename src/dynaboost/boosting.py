@@ -2,8 +2,9 @@
 
 Per round: act combines the learners' actions by the step-length
 recursion u^i = (1 - eta_i) u^{i-1} + eta_i A_i, starting from u^0 = 0;
-update hands each learner i a ResidualLoss built from the window-loss
-gradients at the previous level's action window. Two variants: linear
+update builds one ResidualLoss per level from the window-loss gradients
+at the previous level's action window, stacked along a leading level
+axis, and takes one step over all N levels at once. Two variants: linear
 residuals (coefficient 0) with eta_i = 2/(i+1), and proximal quadratic
 residuals (coefficient eta*beta/2) with the constant step eta = alpha/beta.
 """
@@ -14,6 +15,7 @@ import numpy as np
 
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
+from dynaboost.controllers import join_levels
 from dynaboost.core import Array, as_vector, push_window, zero_window  # noqa: F401
 from dynaboost.losses import CurvatureBounds, ResidualLoss
 
@@ -47,7 +49,10 @@ class DynaBoost:
     identically zero and anchors the recursion. act must precede update
     within each round; the runner keeps that order, so it is not checked.
     coefficients holds each level's residual curvature: 0 under dynaboost1,
-    eta_i*beta/2 under dynaboost2.
+    eta_i*beta/2 under dynaboost2. GPC and recurrent learners of one family
+    are joined into one level stack (controllers.join_levels), whose step
+    updates every level at once; other learners take their residuals one
+    by one through receive_loss.
     """
 
     name = "boosted"
@@ -74,6 +79,7 @@ class DynaBoost:
         self.action_dim = self.learners[0].action_ball.dim
         self.level_windows = zero_window(H, self.action_dim, self.N + 1)
         self.last_partials: Array | None = None
+        self.levels = join_levels(self.learners) or _EachLevel(self.learners)
 
     def act(self, obs) -> Array:
         partials = np.zeros((self.N + 1, self.action_dim))
@@ -86,13 +92,25 @@ class DynaBoost:
         return partials[self.N].copy()
 
     def update(self, window_loss, w_history) -> None:
-        """Build per-level residual losses from window_loss and dispatch them.
+        """Build the levels' residual losses from window_loss and step the levels.
 
-        window_loss must expose gradients(actions) over an (H, d) window;
-        w_history is the (2H-1, k) disturbance history forwarded to each
-        learner.
+        window_loss must expose gradients(actions) over an (H, d) window,
+        called once per level anchor; w_history is the (2H-1, k)
+        disturbance history forwarded to the levels' step.
         """
-        for i, (coeff, learner) in enumerate(zip(self.coefficients, self.learners)):
-            anchor = self.level_windows[i].copy()
-            loss = ResidualLoss(window_loss.gradients(anchor), anchor, coeff)
-            learner.receive_loss(loss, w_history)
+        anchors = self.level_windows[: self.N].copy()
+        grads = np.stack([window_loss.gradients(anchor) for anchor in anchors])
+        coefficients = self.coefficients[:, None, None]
+        self.levels.step(ResidualLoss(grads, anchors, coefficients), w_history)
+
+
+class _EachLevel:
+    """Learners with no level stack: each receives its own row of the stacked residual."""
+
+    def __init__(self, learners: list):
+        self.learners = learners
+
+    def step(self, loss: ResidualLoss, w_history) -> None:
+        rows = zip(self.learners, loss.gradients, loss.anchors, loss.coefficient.ravel())
+        for learner, grads, anchors, coefficient in rows:
+            learner.receive_loss(ResidualLoss(grads, anchors, coefficient), w_history)

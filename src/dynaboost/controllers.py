@@ -9,12 +9,19 @@ contains the window that generated each of those actions. They
 differentiate the loss's slot_gradients through their own action map,
 treating all H window actions as produced by the current parameters.
 
+Each family's gradient and step are written once, over a leading level
+axis: GpcLevels and RecurrentLevels hold L learners' parameters in one
+array and step all L levels at once. The boosted stack joins its N
+learners into one (join_levels); a lone learner's receive_loss is the
+same step at L = 1.
+
 ZeroController and LqrController are fixed policies that the runner plays
 directly: each has a name and a no-op update(window_loss, w_history).
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import warnings
@@ -127,40 +134,92 @@ class GpcController:
         return project_to_ball(raw, self.action_ball)
 
     def loss_gradients(self, loss, w_history) -> Array:
-        """(H, d, k) gradient of the residual loss in M at the current parameters.
-
-        All H window slots are replayed at once with the current M; the loss
-        gradients at the played (projected) actions are chained back through
-        the ball projection, so the parameter gradient is exact for the
-        actions the window loss sees.
-        """
-        rev = _slot_windows(w_history, self.H)[:, ::-1, :]
-        # rev[j, m] = disturbance m+1 steps before slot j's action
-        # raws[j] = sum_m M[m] rev[j, m], as batched matmuls over m.
-        raws = (self.M @ rev.transpose(1, 2, 0)).sum(axis=0).T
-        actions, norms = project_slots(raws, self.action_ball)
-        g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), self.action_ball)
-        # G[m] = sum_j g_j rev[j, m]': one batched matmul over m.
-        return g.T @ rev.transpose(1, 0, 2)
+        """(H, d, k) gradient of the residual loss in M: GpcLevels at L = 1."""
+        return next(GpcLevels([self], self.M[None]).level_gradients(loss, w_history))
 
     def receive_loss(self, loss, w_history) -> None:
-        G = self.loss_gradients(loss, w_history)
-        self._t += 1
-        base = self.default_lr if self.lr is None else self.lr
-        step = base if self.lr_schedule == "constant" else base / math.sqrt(self._t)
-        # M - step * G, written into G's buffer: at d = k = 100 fresh
-        # (H, d, k) temporaries cost more than the arithmetic.
-        G *= step
-        self.M = self._project_frobenius(np.subtract(self.M, G, out=G))
+        GpcLevels([self], self.M[None]).step(loss, w_history)
 
-    def _project_frobenius(self, M: Array) -> Array:
-        flat = M.ravel()
-        n = math.sqrt(flat.dot(flat))
-        return M if n <= self.R_M else M * (self.R_M / n)
+
+class GpcLevels:
+    """L GPC learners' M as one (L, H, d, k) stack, and their one gradient and step.
+
+    The replay, projection and chain rule of all L levels run batched; each
+    level's (H, d, k) gradient then steps its row of M in place. The
+    boosted stack joins its levels once: each learner's M becomes a view
+    of its row, so its act sees every step. A lone learner steps as
+    the stack of its own M at L = 1. The loss holds one residual per level
+    along a leading axis; a lone (H, d) residual broadcasts to L = 1. The
+    learners share H and the action ball; each keeps its own step
+    schedule, R_M and update count.
+    """
+
+    def __init__(self, learners: list, M: Array):
+        self.learners = learners
+        self.M = M
+        # One level's gradient at a time: at d = k = 100 a whole
+        # (L, H, d, k) gradient would add L - 1 levels' worth of memory.
+        self._gradient = np.empty(M.shape[1:])
+
+    @classmethod
+    def join(cls, learners: list) -> "GpcLevels":
+        _check_shared(learners)
+        M = np.zeros((len(learners), *learners[0].M.shape))
+        for c, row in zip(learners, M):
+            # A fresh learner's M is zero pages never touched; copying them
+            # would fault the whole stack in before the first step.
+            if c.M.any():
+                row[...] = c.M
+            c.M = row
+        return cls(learners, M)
+
+    def level_gradients(self, loss, w_history, out: Array | None = None):
+        """Yields each level's (H, d, k) gradient of its residual in its M, in level order.
+
+        All H window slots of all L levels are replayed at once with the
+        current M, before the first level is yielded; the loss gradients at
+        the played (projected) actions are chained back through the ball
+        projection, so the parameter gradient is exact for the actions the
+        window loss sees. With out, every level's gradient is written into
+        that one buffer.
+        """
+        first = self.learners[0]
+        rev = _slot_windows(w_history, first.H)[:, ::-1, :]
+        # rev[j, m] = disturbance m+1 steps before slot j's action
+        # raws[l, j] = sum_m M[l, m] rev[j, m], as batched matmuls over m.
+        raws = (self.M @ rev.transpose(1, 2, 0)).sum(axis=1).swapaxes(-1, -2)
+        actions, norms = project_slots(raws, first.action_ball)
+        g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), first.action_ball)
+        rev_t = rev.transpose(1, 0, 2)
+        for g_level in g:
+            # G[m] = sum_j g_j rev[j, m]': one batched matmul over m.
+            yield np.matmul(g_level.T, rev_t, out=out)
+
+    def step(self, loss, w_history) -> None:
+        gradients = self.level_gradients(loss, w_history, out=self._gradient)
+        for c, M, G in zip(self.learners, self.M, gradients):
+            c._t += 1
+            base = c.default_lr if c.lr is None else c.lr
+            G *= base if c.lr_schedule == "constant" else base / math.sqrt(c._t)
+            M -= G
+            flat = M.ravel()
+            n = math.sqrt(flat.dot(flat))
+            if n > c.R_M:
+                M *= c.R_M / n
+
+
+def _check_shared(learners: list) -> None:
+    if len({(c.H, c.action_ball) for c in learners}) != 1:
+        raise ValueError("stacked levels must share the memory length and the action ball")
 
 
 class ElmanCell:
-    """h_s = tanh(W_h h_{s-1} + W_x w_s + b_h), h_0 = 0."""
+    """h_s = tanh(W_h h_{s-1} + W_x w_s + b_h), h_0 = 0.
+
+    forward and backward (LstmCell's too) read the weights as
+    (..., rows, cols) stacks: the same code runs one learner's weights and
+    a level stack's (L, ...) views.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: RngStream):
         self.input_dim = input_dim
@@ -172,27 +231,27 @@ class ElmanCell:
         }
 
     def forward(self, windows: Array) -> tuple[Array, list]:
-        """windows: (S, L, k) batch of sequences -> final hidden (S, h) + cache."""
-        S = windows.shape[0]
-        W_x, W_h, b_h = self.weights["W_x"], self.weights["W_h"], self.weights["b_h"]
-        h = np.zeros((S, self.hidden_dim))
+        """windows: (S, n, k) batch of sequences -> final hidden (..., S, h) + cache."""
+        W_h = self.weights["W_h"]
+        W_hT, W_xT = W_h.swapaxes(-1, -2), self.weights["W_x"].swapaxes(-1, -2)
+        b_h = self.weights["b_h"][..., None, :]
+        h = np.zeros((*W_h.shape[:-2], windows.shape[0], self.hidden_dim))
         cache = [h]
         for s in range(windows.shape[1]):
-            h = np.tanh(h @ W_h.T + windows[:, s, :] @ W_x.T + b_h)
+            h = np.tanh(h @ W_hT + windows[:, s, :] @ W_xT + b_h)
             cache.append(h)
         return h, [windows, cache]
 
-    def backward(self, cache, dh: Array) -> dict[str, Array]:
+    def backward(self, cache, dh: Array, grads: dict[str, Array]) -> None:
+        """Adds the gradients into grads, zeroed arrays shaped like the weights."""
         windows, hs = cache
         W_h = self.weights["W_h"]
-        grads = {k: np.zeros_like(v) for k, v in self.weights.items()}
         for s in range(windows.shape[1], 0, -1):
             da = dh * (1.0 - hs[s] ** 2)
-            grads["W_h"] += da.T @ hs[s - 1]
-            grads["W_x"] += da.T @ windows[:, s - 1, :]
-            grads["b_h"] += da.sum(axis=0)
+            grads["W_h"] += da.swapaxes(-1, -2) @ hs[s - 1]
+            grads["W_x"] += da.swapaxes(-1, -2) @ windows[:, s - 1, :]
+            grads["b_h"] += da.sum(axis=-2)
             dh = da @ W_h
-        return grads
 
 
 def _sigmoid(z: Array) -> Array:
@@ -214,18 +273,19 @@ class LstmCell:
         }
 
     def forward(self, windows: Array) -> tuple[Array, list]:
-        S = windows.shape[0]
         hd = self.hidden_dim
-        W, U, b = self.weights["W"], self.weights["U"], self.weights["b"]
-        h = np.zeros((S, hd))
-        c = np.zeros((S, hd))
+        U = self.weights["U"]
+        WT, UT = self.weights["W"].swapaxes(-1, -2), U.swapaxes(-1, -2)
+        b = self.weights["b"][..., None, :]
+        h = np.zeros((*U.shape[:-2], windows.shape[0], hd))
+        c = np.zeros_like(h)
         steps = []
         for s in range(windows.shape[1]):
-            z = windows[:, s, :] @ W.T + h @ U.T + b
-            i = _sigmoid(z[:, :hd])
-            f = _sigmoid(z[:, hd : 2 * hd])
-            g = np.tanh(z[:, 2 * hd : 3 * hd])
-            o = _sigmoid(z[:, 3 * hd :])
+            z = windows[:, s, :] @ WT + h @ UT + b
+            i = _sigmoid(z[..., :hd])
+            f = _sigmoid(z[..., hd : 2 * hd])
+            g = np.tanh(z[..., 2 * hd : 3 * hd])
+            o = _sigmoid(z[..., 3 * hd :])
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             steps.append((h, c, i, f, g, o, tc))
@@ -233,11 +293,9 @@ class LstmCell:
             c = c_new
         return h, [windows, steps]
 
-    def backward(self, cache, dh: Array) -> dict[str, Array]:
+    def backward(self, cache, dh: Array, grads: dict[str, Array]) -> None:
         windows, steps = cache
-        hd = self.hidden_dim
         U = self.weights["U"]
-        grads = {k: np.zeros_like(v) for k, v in self.weights.items()}
         dc = np.zeros_like(dh)
         for s in range(windows.shape[1] - 1, -1, -1):
             h_prev, c_prev, i, f, g, o, tc = steps[s]
@@ -248,14 +306,19 @@ class LstmCell:
             do = dh * tc
             dz = np.concatenate(
                 [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)],
-                axis=1,
+                axis=-1,
             )
-            grads["W"] += dz.T @ windows[:, s, :]
-            grads["U"] += dz.T @ h_prev
-            grads["b"] += dz.sum(axis=0)
+            grads["W"] += dz.swapaxes(-1, -2) @ windows[:, s, :]
+            grads["U"] += dz.swapaxes(-1, -2) @ h_prev
+            grads["b"] += dz.sum(axis=-2)
             dh = dz @ U
             dc = dc * f
-        return grads
+
+
+def _raw_outputs(cell, out: dict[str, Array], windows: Array) -> tuple[Array, Array, list]:
+    """(..., S, d) raw head outputs of an (S, n, k) window batch, the final hidden, the cache."""
+    h, cache = cell.forward(windows)
+    return h @ out["W_o"].swapaxes(-1, -2) + out["b_o"][..., None, :], h, cache
 
 
 class RecurrentController:
@@ -269,6 +332,12 @@ class RecurrentController:
     residual losses reward ever-larger actions, and without it a learner
     fed such losses for long stretches drifts to parameter norms it takes
     thousands of opposite-signed steps to walk back.
+
+    All parameters live in one flat vector theta, in parameter_vector
+    order (the cell's weights, then W_o and b_o); cell.weights and out
+    are reshaped views into it, so write them in place. An update with a
+    non-finite gradient is skipped with a warning and counted in
+    skipped_updates.
     """
 
     def __init__(
@@ -306,31 +375,91 @@ class RecurrentController:
         # built stack of these adds no action noise before training starts.
         # Head gradients are nonzero from the first update, and the cell
         # starts learning once the head moves off zero.
-        self.out = {
-            "W_o": np.zeros((self.d, hidden_dim)),
-            "b_o": np.zeros(self.d),
-        }
+        head = {"W_o": np.zeros((self.d, hidden_dim)), "b_o": np.zeros(self.d)}
+        blocks = {**self.cell.weights, **head}
+        self._shapes = {k: v.shape for k, v in blocks.items()}
         self.lr = lr
         self.lr_schedule = lr_schedule
         self.clip_norm = clip_norm
         self.weight_radius = weight_radius
         self._t = 0
+        self.skipped_updates = 0
+        self._bind(np.concatenate([v.ravel() for v in blocks.values()]))
+
+    def _views(self, theta: Array) -> dict[str, Array]:
+        """Named weight views into (..., P) parameters, shaped (..., *block shape)."""
+        views, pos = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            views[name] = theta[..., pos : pos + size].reshape(*theta.shape[:-1], *shape)
+            pos += size
+        return views
+
+    def _bind(self, theta: Array) -> None:
+        """Make theta this learner's parameters; its named weights become views into it."""
+        self.theta = theta
+        views = self._views(theta)
+        self.cell.weights = {k: views[k] for k in self.cell.weights}
+        self.out = {"W_o": views["W_o"], "b_o": views["b_o"]}
+        self._own = RecurrentLevels([self], theta[None])
 
     def parameter_count(self) -> int:
-        return sum(v.size for v in self.cell.weights.values()) + sum(
-            v.size for v in self.out.values()
-        )
+        return self.theta.size
 
     def _raw_batch(self, windows: Array) -> tuple[Array, Array, list]:
-        h, cache = self.cell.forward(windows)
-        return h @ self.out["W_o"].T + self.out["b_o"], h, cache
+        return _raw_outputs(self.cell, self.out, windows)
 
     def act(self, obs: Observation) -> Array:
         raw, _, _ = self._raw_batch(obs.disturbances[None])
         return project_to_ball(raw[0], self.action_ball)
 
-    def loss_gradients(self, loss, w_history) -> tuple[dict[str, Array], dict[str, Array]]:
-        """Unclipped parameter gradients of the residual loss at current weights.
+    def loss_gradients(self, loss, w_history) -> Array:
+        """Unclipped flat gradient of the residual loss at the current weights.
+
+        In parameter_vector order; RecurrentLevels.gradients at L = 1.
+        """
+        return self._own.gradients(loss, w_history)[0]
+
+    def receive_loss(self, loss, w_history) -> None:
+        self._own.step(loss, w_history)
+
+    # Flat views used by finite-difference verification.
+
+    def parameter_vector(self) -> Array:
+        return self.theta.copy()
+
+    def set_parameter_vector(self, vec: Array) -> None:
+        self.theta[...] = as_vector(vec, self.theta.size)
+
+
+class RecurrentLevels:
+    """L recurrent learners' parameters as one (L, P) stack theta, and their one step.
+
+    Joined as GpcLevels is: each learner's theta becomes a view of its row,
+    and a lone learner steps as the stack of its own theta at L = 1. The
+    learners share H, the action ball and the net's shape; each keeps its
+    own lr, schedule, clip norm, weight radius and counts.
+    """
+
+    def __init__(self, learners: list, theta: Array):
+        first = learners[0]
+        self.learners = learners
+        self.theta = theta
+        views = first._views(theta)
+        self.cell = copy.copy(first.cell)  # the same cell math over the stack's views
+        self.cell.weights = {k: views[k] for k in first.cell.weights}
+        self.out = {"W_o": views["W_o"], "b_o": views["b_o"]}
+
+    @classmethod
+    def join(cls, learners: list) -> "RecurrentLevels":
+        _check_shared(learners)
+        theta = np.stack([c.theta for c in learners])
+        for c, row in zip(learners, theta):
+            c._bind(row)
+        return cls(learners, theta)
+
+    def gradients(self, loss, w_history) -> Array:
+        """(L, P) unclipped gradients of each level's residual, rows in parameter_vector order.
 
         The per-slot loss gradients are taken at the played (projected)
         actions and backpropagated through the raw forward pass. Chaining
@@ -340,54 +469,56 @@ class RecurrentController:
         persistent disturbance once pushed past the rim; training on the raw
         outputs keeps such a learner recoverable when the residual flips.
         """
-        windows = _slot_windows(w_history, self.H)
-        raws, h, cache = self._raw_batch(windows)
-        actions, _ = project_slots(raws, self.action_ball)
+        first = self.learners[0]
+        windows = _slot_windows(w_history, first.H)
+        raws, h, cache = _raw_outputs(self.cell, self.out, windows)
+        actions, _ = project_slots(raws, first.action_ball)
         g = loss.slot_gradients(actions)
-        out_grads = {"W_o": g.T @ h, "b_o": g.sum(axis=0)}
-        cell_grads = self.cell.backward(cache, g @ self.out["W_o"])
-        return cell_grads, out_grads
+        G = np.zeros_like(self.theta)
+        grads = first._views(G)
+        grads["W_o"][...] = g.swapaxes(-1, -2) @ h
+        grads["b_o"][...] = g.sum(axis=-2)
+        self.cell.backward(cache, g @ self.out["W_o"], grads)
+        return G
 
-    def receive_loss(self, loss, w_history) -> None:
-        cell_grads, out_grads = self.loss_gradients(loss, w_history)
-        flat = np.concatenate(
-            [v.ravel() for v in cell_grads.values()] + [v.ravel() for v in out_grads.values()]
-        )
-        if not np.all(np.isfinite(flat)):
-            warnings.warn("skipping recurrent update: non-finite gradient", stacklevel=2)
-            return
-        self._t += 1
-        norm = float(np.linalg.norm(flat))
-        scale = 1.0 if norm <= self.clip_norm else self.clip_norm / norm
-        step = self.lr if self.lr_schedule == "constant" else self.lr / math.sqrt(self._t)
-        for k in self.cell.weights:
-            self.cell.weights[k] -= step * scale * cell_grads[k]
-        for k in self.out:
-            self.out[k] -= step * scale * out_grads[k]
-        norm = float(np.linalg.norm(self.parameter_vector()))
-        if norm > self.weight_radius:
-            shrink = self.weight_radius / norm
-            for store in (self.cell.weights, self.out):
-                for k in store:
-                    store[k] *= shrink
+    def step(self, loss, w_history) -> None:
+        """Clipped SGD on every level with a finite gradient, then the weight-ball projection.
 
-    # Flat views used by finite-difference verification.
+        A level whose gradient has a non-finite entry keeps its parameters
+        and update count; the others step.
+        """
+        G = self.gradients(loss, w_history)
+        finite = np.isfinite(G).all(axis=1)
+        steps = np.zeros(len(G))
+        for i, (c, g) in enumerate(zip(self.learners, G)):
+            if not finite[i]:
+                warnings.warn("skipping recurrent update: non-finite gradient", stacklevel=3)
+                c.skipped_updates += 1
+                g[...] = 0.0  # a zero step leaves the row bit for bit
+                continue
+            c._t += 1
+            norm = math.sqrt(g.dot(g))
+            scale = 1.0 if norm <= c.clip_norm else c.clip_norm / norm
+            step = c.lr if c.lr_schedule == "constant" else c.lr / math.sqrt(c._t)
+            steps[i] = step * scale
+        G *= steps[:, None]
+        self.theta -= G
+        for c, theta, stepped in zip(self.learners, self.theta, finite):
+            if not stepped:
+                continue
+            norm = math.sqrt(theta.dot(theta))
+            if norm > c.weight_radius:
+                theta *= c.weight_radius / norm
 
-    def parameter_vector(self) -> Array:
-        return np.concatenate(
-            [v.ravel() for v in self.cell.weights.values()]
-            + [v.ravel() for v in self.out.values()]
-        )
 
-    def set_parameter_vector(self, vec: Array) -> None:
-        vec = as_vector(vec)
-        pos = 0
-        for store in (self.cell.weights, self.out):
-            for k, v in store.items():
-                store[k] = vec[pos : pos + v.size].reshape(v.shape).copy()
-                pos += v.size
-        if pos != vec.size:
-            raise ValueError(f"parameter vector has {vec.size} entries, expected {pos}")
+def join_levels(learners: list):
+    """GpcLevels or RecurrentLevels joining learners of one family; None for other learners."""
+    families = {type(c) for c in learners}
+    if families == {GpcController}:
+        return GpcLevels.join(learners)
+    if families == {RecurrentController}:
+        return RecurrentLevels.join(learners)
+    return None
 
 
 def solve_dare(

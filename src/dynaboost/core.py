@@ -78,32 +78,34 @@ def project_to_ball(v, ball: BallSet) -> Array:
 
 
 def project_slots(raws: Array, ball: BallSet) -> tuple[Array, Array]:
-    """Row-wise project_to_ball of an (H, d) stack, with each row's norm.
+    """Row-wise project_to_ball of an (..., H, d) stack, with each row's norm.
 
     The norms feed project_slots_vjp, which needs them to chain a gradient
-    back through the same projection.
+    back through the same projection. Leading axes (a level axis, say) are
+    batched; every row's arithmetic is the same as for a lone (H, d) stack.
     """
-    norms = np.sqrt(np.einsum("jd,jd->j", raws, raws))
+    norms = np.sqrt(np.einsum("...d,...d->...", raws, raws))
     outside = norms > ball.radius
     if not outside.any():
         return raws, norms
     scale = np.where(outside, ball.radius / np.where(outside, norms, 1.0), 1.0)
-    return raws * scale[:, None], norms
+    return raws * scale[..., None], norms
 
 
 def project_slots_vjp(raws: Array, norms: Array, g: Array, ball: BallSet) -> Array:
     """Row-wise J_j' g[j] in closed form, J_j the Jacobian of project_to_ball at raws[j].
 
     Inside the ball J_j is the identity; outside it is
-    (R/n)(I - u u') with u = raw/n, which is symmetric.
+    (R/n)(I - u u') with u = raw/n, which is symmetric. Leading axes are
+    batched as in project_slots.
     """
     outside = norms > ball.radius
     if not outside.any():
         return g
-    n = np.where(outside, norms, 1.0)[:, None]
+    n = np.where(outside, norms, 1.0)[..., None]
     unit = raws / n
-    tangent = g - unit * np.einsum("jd,jd->j", unit, g)[:, None]
-    return np.where(outside[:, None], (ball.radius / n) * tangent, g)
+    tangent = g - unit * np.einsum("...d,...d->...", unit, g)[..., None]
+    return np.where(outside[..., None], (ball.radius / n) * tangent, g)
 
 
 def zero_window(capacity: int, dim: int, *lead: int) -> Array:

@@ -130,15 +130,18 @@ class ResidualLoss:
     boosting level's window. With c = 0 (dynaboost1) this is the linear
     residual sum_j g_j'u_j up to a constant; with c > 0 (dynaboost2, c half
     the step-length-scaled smoothness constant) it is the proximal residual,
-    2c-strongly convex in the whole window. Built once per level and round,
-    so nothing is checked or coerced.
+    2c-strongly convex in the whole window. The booster stacks its N
+    levels' residuals along a leading axis: (N, H, d) gradients and
+    anchors, and an (N, 1, 1) coefficient array. Built once per round, so
+    nothing is checked or coerced.
     """
 
-    gradients: Array  # (H, d)
-    anchors: Array  # (H, d)
-    coefficient: float = 0.0
+    gradients: Array  # (H, d), or (N, H, d) for a level stack
+    anchors: Array  # like gradients
+    coefficient: float | Array = 0.0
 
     def value(self, actions: Array) -> float:
+        """The residual of one level: (H, d) fields and a float coefficient."""
         D = actions - self.anchors
         return float(self.coefficient * np.sum(D * D) + np.sum(self.gradients * D))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynaboost.boosting import DynaBoost
 from dynaboost.controllers import (
     ElmanCell,
     GpcController,
@@ -16,11 +17,12 @@ from dynaboost.controllers import (
     Observation,
     RecurrentController,
     ZeroController,
+    join_levels,
     solve_dare,
 )
 from dynaboost.core import BallSet, RngStream
-from dynaboost.dynamics import PendulumSystem
-from dynaboost.losses import ResidualLoss
+from dynaboost.dynamics import LinearSystem, PendulumSystem
+from dynaboost.losses import CurvatureBounds, ProxyLoss, QuadraticCost, ResidualLoss
 
 
 def linear_loss(g):
@@ -194,11 +196,12 @@ class TestRecurrentForward:
     def test_tanh_pass_through(self):
         # identity input weight, no recurrence: action = tanh(last disturbance)
         ctrl = self._ctrl()
-        ctrl.cell.weights["W_x"] = np.array([[1.0]])
-        ctrl.cell.weights["W_h"] = np.array([[0.0]])
-        ctrl.cell.weights["b_h"] = np.array([0.0])
-        ctrl.out["W_o"] = np.array([[1.0]])
-        ctrl.out["b_o"] = np.array([0.0])
+        # weights are views into the parameter vector: write them in place
+        ctrl.cell.weights["W_x"][...] = 1.0
+        ctrl.cell.weights["W_h"][...] = 0.0
+        ctrl.cell.weights["b_h"][...] = 0.0
+        ctrl.out["W_o"][...] = 1.0
+        ctrl.out["b_o"][...] = 0.0
         out = ctrl.act(obs(0.0, np.array([[0.0], [0.0], [0.5]])))
         assert float(out[0]) == pytest.approx(math.tanh(0.5), abs=1e-12)
 
@@ -235,7 +238,7 @@ class TestRecurrentForward:
 
     def test_output_projected_into_ball(self):
         ctrl = self._ctrl(action_ball=BallSet(radius=0.25, dim=1))
-        ctrl.out["b_o"] = np.array([50.0])
+        ctrl.out["b_o"][...] = 50.0
         out = ctrl.act(obs(0.0, np.zeros((3, 1))))
         assert abs(float(out[0])) <= 0.25 + 1e-12
 
@@ -282,10 +285,7 @@ class TestRecurrentUpdate:
         hist = rng.child(1).standard_normal((5, 2))
         grads = rng.child(2).standard_normal((3, 2))
         loss = linear_loss(grads)
-        cell_g, out_g = ctrl.loss_gradients(loss, hist)
-        analytic = np.concatenate(
-            [v.ravel() for v in cell_g.values()] + [v.ravel() for v in out_g.values()]
-        )
+        analytic = ctrl.loss_gradients(loss, hist)
 
         def objective(vec):
             ctrl.set_parameter_vector(vec)
@@ -322,10 +322,7 @@ class TestRecurrentUpdate:
         hist = RngStream(41).child(0).standard_normal((5, 2))
         grads = np.ones((3, 2))
         loss = linear_loss(grads)
-        cell_g, out_g = ctrl.loss_gradients(loss, hist)
-        direction = np.concatenate(
-            [v.ravel() for v in cell_g.values()] + [v.ravel() for v in out_g.values()]
-        )
+        direction = ctrl.loss_gradients(loss, hist)
         before = ctrl.parameter_vector()
         ctrl.receive_loss(loss, hist)
         delta = ctrl.parameter_vector() - before
@@ -340,6 +337,114 @@ class TestRecurrentUpdate:
             ctrl.receive_loss(loss, hist)
             assert np.linalg.norm(ctrl.parameter_vector()) <= 4.0 + 1e-9
         assert np.linalg.norm(ctrl.parameter_vector()) == pytest.approx(4.0)
+
+
+def _level(family, i, ball, H=3, k=2):
+    """Level i of a three-level stack: 0 inside the ball, 1 on its rim, 2 projected back.
+
+    Level 1's raw actions sit far outside the action ball; level 2 starts
+    outside its parameter ball (R_M or weight_radius), so its first step
+    ends in the projection.
+    """
+    rng = RngStream(60 + i)
+    if family == "gpc":
+        ctrl = GpcController(k, H, ball, R_M=10.0, lr=0.5, lr_schedule="sqrt")
+        ctrl.M = (0.2, 4.0, 1.0)[i] * rng.standard_normal((H, ball.dim, k))
+        if i == 2:
+            ctrl.R_M = 0.5 * float(np.linalg.norm(ctrl.M))
+        return ctrl
+    ctrl = RecurrentController(
+        k, H, ball, rng.child(0), hidden_dim=3, cell=family, lr=0.2, lr_schedule="sqrt"
+    )
+    ctrl.set_parameter_vector(0.3 * rng.child(1).standard_normal(ctrl.parameter_count()))
+    if i == 1:
+        ctrl.out["b_o"][...] = 5.0
+    if i == 2:
+        ctrl.weight_radius = 0.5 * float(np.linalg.norm(ctrl.parameter_vector()))
+    return ctrl
+
+
+def _parameters(ctrl):
+    return ctrl.M.copy() if isinstance(ctrl, GpcController) else ctrl.parameter_vector()
+
+
+def _raw_action(ctrl, window):
+    if isinstance(ctrl, GpcController):
+        return np.einsum("mdk,mk->d", ctrl.M, window[::-1])
+    return ctrl._raw_batch(window[None])[0][0]
+
+
+class TestLevelStacks:
+    @pytest.mark.parametrize("variant", ["dynaboost1", "dynaboost2"])
+    @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
+    def test_stack_equals_lone_learners(self, family, variant):
+        H, k = 3, 2
+        ball = BallSet(radius=1.0, dim=2)
+        curvature = CurvatureBounds(alpha=1.0, beta=4.0) if variant == "dynaboost2" else None
+        stacked = [_level(family, i, ball) for i in range(3)]
+        lone = [_level(family, i, ball) for i in range(3)]
+        booster = DynaBoost(stacked, H, variant=variant, curvature=curvature)
+        system = LinearSystem([[0.6, 0.2], [0.0, 0.5]], [[1.0, 0.0], [0.3, 1.0]])
+        cost = QuadraticCost.identity(k, 2)
+        rng = RngStream(77)
+        for t in range(3):
+            hist = rng.child(t).standard_normal((2 * H - 1, k))
+            ob = obs(np.zeros(k), hist[H - 1 :])
+            if t == 0:
+                assert np.linalg.norm(_raw_action(stacked[1], ob.disturbances)) > 2 * ball.radius
+            booster.act(ob)
+            window_loss = ProxyLoss(system, cost, H, hist[H:])
+            for i, ctrl in enumerate(lone):
+                anchor = booster.level_windows[i].copy()
+                residual = ResidualLoss(
+                    window_loss.gradients(anchor), anchor, booster.coefficients[i]
+                )
+                ctrl.receive_loss(residual, hist)
+            booster.update(window_loss, hist)
+            if t == 0:
+                radius = stacked[2].R_M if family == "gpc" else stacked[2].weight_radius
+                assert np.linalg.norm(_parameters(stacked[2])) == pytest.approx(radius, rel=1e-12)
+            for mine, theirs in zip(stacked, lone):
+                assert np.array_equal(_parameters(mine), _parameters(theirs))
+                # act reads the learner's own attributes: they must still
+                # be views of the stack the update wrote
+                assert np.array_equal(mine.act(ob), theirs.act(ob))
+
+    def test_one_nonfinite_level_is_skipped_alone(self):
+        H = 3
+        ball = BallSet(radius=1.0, dim=2)
+        stacked = [_level("elman", i, ball) for i in range(3)]
+        lone = [_level("elman", i, ball) for i in range(3)]
+        levels = join_levels(stacked)
+        rng = RngStream(5)
+        hist = rng.child(0).standard_normal((2 * H - 1, 2))
+        grads = rng.child(1).standard_normal((3, H, 2))
+        grads[1, 0, 0] = np.nan
+        anchors = np.zeros((3, H, 2))
+        before = stacked[1].parameter_vector()
+        with pytest.warns(UserWarning, match="non-finite gradient") as caught:
+            levels.step(ResidualLoss(grads, anchors), hist)
+        assert len(caught) == 1
+        assert [c.skipped_updates for c in stacked] == [0, 1, 0]
+        assert np.array_equal(stacked[1].parameter_vector(), before)
+        for i in (0, 2):
+            lone[i].receive_loss(ResidualLoss(grads[i], anchors[i]), hist)
+            assert np.array_equal(stacked[i].parameter_vector(), lone[i].parameter_vector())
+            fresh = _level("elman", i, ball).parameter_vector()
+            assert not np.array_equal(stacked[i].parameter_vector(), fresh)
+
+    def test_levels_must_share_memory_and_ball(self):
+        a = GpcController(1, 2, BallSet(1.0, 1))
+        with pytest.raises(ValueError, match="share"):
+            join_levels([a, GpcController(1, 3, BallSet(1.0, 1))])
+        with pytest.raises(ValueError, match="share"):
+            join_levels([a, GpcController(1, 2, BallSet(2.0, 1))])
+
+    def test_other_learners_are_not_joined(self):
+        ball = BallSet(1.0, 1)
+        rnn = RecurrentController(1, 2, ball, RngStream(1))
+        assert join_levels([GpcController(1, 2, ball), rnn]) is None
+        assert join_levels([ZeroController(ball)]) is None
 
 
 class TestElmanCellShapes:
