@@ -15,7 +15,7 @@ import numpy as np
 
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
-from dynaboost.controllers import join_levels
+from dynaboost.controllers import LevelStack
 from dynaboost.core import Array, as_vector, push_window, zero_window  # noqa: F401
 from dynaboost.losses import CurvatureBounds, ResidualLoss
 
@@ -50,9 +50,9 @@ class DynaBoost:
     within each round; the runner keeps that order, so it is not checked.
     coefficients holds each level's residual curvature: 0 under dynaboost1,
     eta_i*beta/2 under dynaboost2. GPC and recurrent learners of one family
-    are joined into one level stack (controllers.join_levels), whose step
-    updates every level at once; other learners take their residuals one
-    by one through receive_loss.
+    are joined into one controllers.LevelStack, whose step updates every
+    level at once; other learners take their residuals one by one through
+    receive_loss.
     """
 
     name = "boosted"
@@ -78,8 +78,7 @@ class DynaBoost:
         )
         self.action_dim = self.learners[0].action_ball.dim
         self.level_windows = zero_window(H, self.action_dim, self.N + 1)
-        self.last_partials: Array | None = None
-        self.levels = join_levels(self.learners) or _EachLevel(self.learners)
+        self.levels = LevelStack.join(self.learners) or _EachLevel(self.learners)
 
     def act(self, obs) -> Array:
         partials = np.zeros((self.N + 1, self.action_dim))
@@ -88,7 +87,6 @@ class DynaBoost:
             u = (1.0 - eta) * u + eta * learner.act(obs)
             partials[i] = u
         push_window(self.level_windows, partials)
-        self.last_partials = partials
         return partials[self.N].copy()
 
     def update(self, window_loss, w_history) -> None:

@@ -9,11 +9,11 @@ contains the window that generated each of those actions. They
 differentiate the loss's slot_gradients through their own action map,
 treating all H window actions as produced by the current parameters.
 
-Each family's gradient and step are written once, over a leading level
-axis: GpcLevels and RecurrentLevels hold L learners' parameters in one
-array and step all L levels at once. The boosted stack joins its N
-learners into one (join_levels); a lone learner's receive_loss is the
-same step at L = 1.
+Both families keep their parameters in one array and share one projected
+online step, written once in LevelStack, over a leading level axis: L
+learners of one family with their parameters as the rows of one array. The
+boosted stack joins its N learners into one (LevelStack.join); a lone
+learner's receive_loss is the same step at L = 1.
 
 ZeroController and LqrController are fixed policies that the runner plays
 directly: each has a name and a no-op update(window_loss, w_history).
@@ -21,7 +21,6 @@ directly: each has a name and a no-op update(window_loss, w_history).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -88,7 +87,39 @@ def _slot_rows(H: int) -> Array:
     return rows
 
 
-class GpcController:
+class _Learner:
+    """What the GPC and recurrent learners share: step settings, counts, the lone-learner path.
+
+    A family supplies its parameters as one array (params, which _bind
+    replaces), their named block shapes (_shapes), the radius of their
+    ball, _views and _level_gradients; LevelStack runs the one step over
+    them. A family without clip_norm is not clipped.
+    """
+
+    clip_norm = math.inf
+
+    def __init__(self, H: int, action_ball: BallSet, lr: float, lr_schedule: str):
+        if H < 1:
+            raise ValueError("memory length must be >= 1")
+        if lr_schedule not in ("sqrt", "constant"):
+            raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
+        self.H = H
+        self.action_ball = action_ball
+        self.d = action_ball.dim
+        self.lr = lr
+        self.lr_schedule = lr_schedule
+        self._t = 0
+        self.skipped_updates = 0
+
+    def loss_gradients(self, loss, w_history) -> Array:
+        """Unclipped gradient of the residual loss, shaped like params: LevelStack at L = 1."""
+        return next(LevelStack([self], self.params[None]).gradients(loss, w_history))
+
+    def receive_loss(self, loss, w_history) -> None:
+        LevelStack([self], self.params[None]).step(loss, w_history)
+
+
+class GpcController(_Learner):
     """Action = sum_i M^i w_{t-i}, with M learned by projected OGD.
 
     The GPC policy class of Agarwal et al. (ICML 2019) without state
@@ -111,130 +142,79 @@ class GpcController:
         lr: float | None = None,
         lr_schedule: str = "sqrt",
     ):
-        if H < 1:
-            raise ValueError("memory length must be >= 1")
+        super().__init__(H, action_ball, self.default_lr if lr is None else lr, lr_schedule)
         if R_M <= 0:
             raise ValueError("R_M must be positive")
-        if lr_schedule not in ("sqrt", "constant"):
-            raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
         self.k = state_dim
-        self.H = H
-        self.action_ball = action_ball
-        self.d = action_ball.dim
         # M[m] multiplies w_{t-1-m}: index 0 is the most recent disturbance.
         self.M = np.zeros((H, self.d, self.k))
         self.R_M = R_M
-        self.lr = lr
-        self.lr_schedule = lr_schedule
-        self._t = 0
+
+    params = property(lambda self: self.M)
+    radius = property(lambda self: self.R_M)
+    _shapes = property(lambda self: {"M": self.M.shape})
+
+    def _bind(self, M: Array) -> None:
+        self.M = M
+
+    @staticmethod
+    def _views(M: Array) -> Array:
+        return M
 
     def act(self, obs: Observation) -> Array:
         # M[m] pairs with the (m+1)-th most recent disturbance.
         raw = np.einsum("mdk,mk->d", self.M, obs.disturbances[::-1])
         return project_to_ball(raw, self.action_ball)
 
-    def loss_gradients(self, loss, w_history) -> Array:
-        """(H, d, k) gradient of the residual loss in M: GpcLevels at L = 1."""
-        return next(GpcLevels([self], self.M[None]).level_gradients(loss, w_history))
+    def _level_gradients(self, M: Array, loss, w_history, out: Array):
+        """Yields each level's (H, d, k) gradient of its residual in its M, written into out.
 
-    def receive_loss(self, loss, w_history) -> None:
-        GpcLevels([self], self.M[None]).step(loss, w_history)
-
-
-class GpcLevels:
-    """L GPC learners' M as one (L, H, d, k) stack, and their one gradient and step.
-
-    The replay, projection and chain rule of all L levels run batched; each
-    level's (H, d, k) gradient then steps its row of M in place. The
-    boosted stack joins its levels once: each learner's M becomes a view
-    of its row, so its act sees every step. A lone learner steps as
-    the stack of its own M at L = 1. The loss holds one residual per level
-    along a leading axis; a lone (H, d) residual broadcasts to L = 1. The
-    learners share H and the action ball; each keeps its own step
-    schedule, R_M and update count.
-    """
-
-    def __init__(self, learners: list, M: Array):
-        self.learners = learners
-        self.M = M
-        # One level's gradient at a time: at d = k = 100 a whole
-        # (L, H, d, k) gradient would add L - 1 levels' worth of memory.
-        self._gradient = np.empty(M.shape[1:])
-
-    @classmethod
-    def join(cls, learners: list) -> "GpcLevels":
-        _check_shared(learners)
-        M = np.zeros((len(learners), *learners[0].M.shape))
-        for c, row in zip(learners, M):
-            # A fresh learner's M is zero pages never touched; copying them
-            # would fault the whole stack in before the first step.
-            if c.M.any():
-                row[...] = c.M
-            c.M = row
-        return cls(learners, M)
-
-    def level_gradients(self, loss, w_history, out: Array | None = None):
-        """Yields each level's (H, d, k) gradient of its residual in its M, in level order.
-
-        All H window slots of all L levels are replayed at once with the
-        current M, before the first level is yielded; the loss gradients at
-        the played (projected) actions are chained back through the ball
-        projection, so the parameter gradient is exact for the actions the
-        window loss sees. With out, every level's gradient is written into
-        that one buffer.
+        All H window slots of all L levels of the (L, H, d, k) M are
+        replayed at once, before the first level is yielded; the loss
+        gradients at the played (projected) actions are chained back
+        through the ball projection, so the parameter gradient is exact
+        for the actions the window loss sees.
         """
-        first = self.learners[0]
-        rev = _slot_windows(w_history, first.H)[:, ::-1, :]
+        rev = _slot_windows(w_history, self.H)[:, ::-1, :]
         # rev[j, m] = disturbance m+1 steps before slot j's action
         # raws[l, j] = sum_m M[l, m] rev[j, m], as batched matmuls over m.
-        raws = (self.M @ rev.transpose(1, 2, 0)).sum(axis=1).swapaxes(-1, -2)
-        actions, norms = project_slots(raws, first.action_ball)
-        g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), first.action_ball)
+        raws = (M @ rev.transpose(1, 2, 0)).sum(axis=1).swapaxes(-1, -2)
+        actions, norms = project_slots(raws, self.action_ball)
+        g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), self.action_ball)
         rev_t = rev.transpose(1, 0, 2)
         for g_level in g:
             # G[m] = sum_j g_j rev[j, m]': one batched matmul over m.
             yield np.matmul(g_level.T, rev_t, out=out)
 
-    def step(self, loss, w_history) -> None:
-        gradients = self.level_gradients(loss, w_history, out=self._gradient)
-        for c, M, G in zip(self.learners, self.M, gradients):
-            c._t += 1
-            base = c.default_lr if c.lr is None else c.lr
-            G *= base if c.lr_schedule == "constant" else base / math.sqrt(c._t)
-            M -= G
-            flat = M.ravel()
-            n = math.sqrt(flat.dot(flat))
-            if n > c.R_M:
-                M *= c.R_M / n
 
+class _Cell:
+    """A recurrent cell's sizes; its weights are a dict passed to every call.
 
-def _check_shared(learners: list) -> None:
-    if len({(c.H, c.action_ball) for c in learners}) != 1:
-        raise ValueError("stacked levels must share the memory length and the action ball")
-
-
-class ElmanCell:
-    """h_s = tanh(W_h h_{s-1} + W_x w_s + b_h), h_0 = 0.
-
-    forward and backward (LstmCell's too) read the weights as
-    (..., rows, cols) stacks: the same code runs one learner's weights and
-    a level stack's (L, ...) views.
+    forward and backward read the weights as (..., rows, cols) stacks: the
+    same code runs one learner's weights and a level stack's (L, ...) views.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: RngStream):
+    def __init__(self, input_dim: int, hidden_dim: int):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.weights = {
-            "W_x": rng.standard_normal((hidden_dim, input_dim)) / math.sqrt(input_dim),
-            "W_h": rng.standard_normal((hidden_dim, hidden_dim)) / math.sqrt(hidden_dim),
-            "b_h": np.zeros(hidden_dim),
+
+
+class ElmanCell(_Cell):
+    """h_s = tanh(W_h h_{s-1} + W_x w_s + b_h), h_0 = 0."""
+
+    def initial_weights(self, rng: RngStream) -> dict[str, Array]:
+        n, hd = self.input_dim, self.hidden_dim
+        return {
+            "W_x": rng.standard_normal((hd, n)) / math.sqrt(n),
+            "W_h": rng.standard_normal((hd, hd)) / math.sqrt(hd),
+            "b_h": np.zeros(hd),
         }
 
-    def forward(self, windows: Array) -> tuple[Array, list]:
+    def forward(self, weights: dict[str, Array], windows: Array) -> tuple[Array, list]:
         """windows: (S, n, k) batch of sequences -> final hidden (..., S, h) + cache."""
-        W_h = self.weights["W_h"]
-        W_hT, W_xT = W_h.swapaxes(-1, -2), self.weights["W_x"].swapaxes(-1, -2)
-        b_h = self.weights["b_h"][..., None, :]
+        W_h = weights["W_h"]
+        W_hT, W_xT = W_h.swapaxes(-1, -2), weights["W_x"].swapaxes(-1, -2)
+        b_h = weights["b_h"][..., None, :]
         h = np.zeros((*W_h.shape[:-2], windows.shape[0], self.hidden_dim))
         cache = [h]
         for s in range(windows.shape[1]):
@@ -242,10 +222,10 @@ class ElmanCell:
             cache.append(h)
         return h, [windows, cache]
 
-    def backward(self, cache, dh: Array, grads: dict[str, Array]) -> None:
+    def backward(self, weights: dict[str, Array], cache, dh: Array, grads: dict[str, Array]) -> None:
         """Adds the gradients into grads, zeroed arrays shaped like the weights."""
         windows, hs = cache
-        W_h = self.weights["W_h"]
+        W_h = weights["W_h"]
         for s in range(windows.shape[1], 0, -1):
             da = dh * (1.0 - hs[s] ** 2)
             grads["W_h"] += da.swapaxes(-1, -2) @ hs[s - 1]
@@ -258,25 +238,24 @@ def _sigmoid(z: Array) -> Array:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-class LstmCell:
+class LstmCell(_Cell):
     """Standard LSTM with forget-gate bias 1; gate order (input, forget, cell, output)."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: RngStream):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        b = np.zeros(4 * hidden_dim)
-        b[hidden_dim : 2 * hidden_dim] = 1.0
-        self.weights = {
-            "W": rng.standard_normal((4 * hidden_dim, input_dim)) / math.sqrt(input_dim),
-            "U": rng.standard_normal((4 * hidden_dim, hidden_dim)) / math.sqrt(hidden_dim),
+    def initial_weights(self, rng: RngStream) -> dict[str, Array]:
+        n, hd = self.input_dim, self.hidden_dim
+        b = np.zeros(4 * hd)
+        b[hd : 2 * hd] = 1.0
+        return {
+            "W": rng.standard_normal((4 * hd, n)) / math.sqrt(n),
+            "U": rng.standard_normal((4 * hd, hd)) / math.sqrt(hd),
             "b": b,
         }
 
-    def forward(self, windows: Array) -> tuple[Array, list]:
+    def forward(self, weights: dict[str, Array], windows: Array) -> tuple[Array, list]:
         hd = self.hidden_dim
-        U = self.weights["U"]
-        WT, UT = self.weights["W"].swapaxes(-1, -2), U.swapaxes(-1, -2)
-        b = self.weights["b"][..., None, :]
+        U = weights["U"]
+        WT, UT = weights["W"].swapaxes(-1, -2), U.swapaxes(-1, -2)
+        b = weights["b"][..., None, :]
         h = np.zeros((*U.shape[:-2], windows.shape[0], hd))
         c = np.zeros_like(h)
         steps = []
@@ -293,9 +272,9 @@ class LstmCell:
             c = c_new
         return h, [windows, steps]
 
-    def backward(self, cache, dh: Array, grads: dict[str, Array]) -> None:
+    def backward(self, weights: dict[str, Array], cache, dh: Array, grads: dict[str, Array]) -> None:
         windows, steps = cache
-        U = self.weights["U"]
+        U = weights["U"]
         dc = np.zeros_like(dh)
         for s in range(windows.shape[1] - 1, -1, -1):
             h_prev, c_prev, i, f, g, o, tc = steps[s]
@@ -315,13 +294,13 @@ class LstmCell:
             dc = dc * f
 
 
-def _raw_outputs(cell, out: dict[str, Array], windows: Array) -> tuple[Array, Array, list]:
+def _raw_outputs(cell, weights: dict[str, Array], windows: Array) -> tuple[Array, Array, list]:
     """(..., S, d) raw head outputs of an (S, n, k) window batch, the final hidden, the cache."""
-    h, cache = cell.forward(windows)
-    return h @ out["W_o"].swapaxes(-1, -2) + out["b_o"][..., None, :], h, cache
+    h, cache = cell.forward(weights, windows)
+    return h @ weights["W_o"].swapaxes(-1, -2) + weights["b_o"][..., None, :], h, cache
 
 
-class RecurrentController:
+class RecurrentController(_Learner):
     """Maps the disturbance window through a small recurrent net to an action.
 
     The state input is ignored: the policy class is purely
@@ -333,11 +312,10 @@ class RecurrentController:
     fed such losses for long stretches drifts to parameter norms it takes
     thousands of opposite-signed steps to walk back.
 
-    All parameters live in one flat vector theta, in parameter_vector
-    order (the cell's weights, then W_o and b_o); cell.weights and out
-    are reshaped views into it, so write them in place. An update with a
-    non-finite gradient is skipped with a warning and counted in
-    skipped_updates.
+    All parameters live in one flat vector theta (params), in
+    parameter_vector order (the cell's weights, then the head's W_o and
+    b_o); weights holds reshaped views into it by name, so write them in
+    place.
     """
 
     def __init__(
@@ -353,172 +331,157 @@ class RecurrentController:
         lr_schedule: str = "constant",
         weight_radius: float = 10.0,
     ):
-        if H < 1:
-            raise ValueError("memory length must be >= 1")
+        super().__init__(H, action_ball, lr, lr_schedule)
         if lr <= 0 or clip_norm <= 0:
             raise ValueError("lr and clip_norm must be positive")
         if weight_radius <= 0:
             raise ValueError("weight_radius must be positive")
-        if lr_schedule not in ("sqrt", "constant"):
-            raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
-        self.H = H
-        self.action_ball = action_ball
-        self.d = action_ball.dim
-        self.hidden_dim = hidden_dim
-        if cell == "elman":
-            self.cell = ElmanCell(input_dim, hidden_dim, rng)
-        elif cell == "lstm":
-            self.cell = LstmCell(input_dim, hidden_dim, rng)
-        else:
+        cells = {"elman": ElmanCell, "lstm": LstmCell}
+        if cell not in cells:
             raise ValueError(f"unknown cell {cell!r}")
+        self.hidden_dim = hidden_dim
+        self.cell = cells[cell](input_dim, hidden_dim)
         # Zero output head: the net starts as the zero policy, so a freshly
         # built stack of these adds no action noise before training starts.
         # Head gradients are nonzero from the first update, and the cell
         # starts learning once the head moves off zero.
         head = {"W_o": np.zeros((self.d, hidden_dim)), "b_o": np.zeros(self.d)}
-        blocks = {**self.cell.weights, **head}
+        blocks = {**self.cell.initial_weights(rng), **head}
         self._shapes = {k: v.shape for k, v in blocks.items()}
-        self.lr = lr
-        self.lr_schedule = lr_schedule
         self.clip_norm = clip_norm
         self.weight_radius = weight_radius
-        self._t = 0
-        self.skipped_updates = 0
         self._bind(np.concatenate([v.ravel() for v in blocks.values()]))
 
-    def _views(self, theta: Array) -> dict[str, Array]:
+    radius = property(lambda self: self.weight_radius)
+
+    def _views(self, params: Array) -> dict[str, Array]:
         """Named weight views into (..., P) parameters, shaped (..., *block shape)."""
         views, pos = {}, 0
         for name, shape in self._shapes.items():
             size = math.prod(shape)
-            views[name] = theta[..., pos : pos + size].reshape(*theta.shape[:-1], *shape)
+            views[name] = params[..., pos : pos + size].reshape(*params.shape[:-1], *shape)
             pos += size
         return views
 
-    def _bind(self, theta: Array) -> None:
-        """Make theta this learner's parameters; its named weights become views into it."""
-        self.theta = theta
-        views = self._views(theta)
-        self.cell.weights = {k: views[k] for k in self.cell.weights}
-        self.out = {"W_o": views["W_o"], "b_o": views["b_o"]}
-        self._own = RecurrentLevels([self], theta[None])
+    def _bind(self, params: Array) -> None:
+        """Make params this learner's parameters; its named weights become views into it."""
+        self.params = params
+        self.weights = self._views(params)
 
     def parameter_count(self) -> int:
-        return self.theta.size
+        return self.params.size
 
     def _raw_batch(self, windows: Array) -> tuple[Array, Array, list]:
-        return _raw_outputs(self.cell, self.out, windows)
+        return _raw_outputs(self.cell, self.weights, windows)
 
     def act(self, obs: Observation) -> Array:
         raw, _, _ = self._raw_batch(obs.disturbances[None])
         return project_to_ball(raw[0], self.action_ball)
 
-    def loss_gradients(self, loss, w_history) -> Array:
-        """Unclipped flat gradient of the residual loss at the current weights.
+    def _level_gradients(self, weights: dict[str, Array], loss, w_history, out: Array):
+        """Each level's (P,) unclipped gradient of its residual, in parameter_vector order.
 
-        In parameter_vector order; RecurrentLevels.gradients at L = 1.
+        One forward and one backward pass run over all L levels of the
+        stack's weights; out is not needed. The per-slot loss gradients are
+        taken at the played (projected) actions and backpropagated through
+        the raw forward pass. Chaining through the ball projection instead
+        would zero the gradient of any saturated slot when the action is
+        scalar (the projection has no tangent directions in 1-d),
+        permanently freezing a learner that a persistent disturbance once
+        pushed past the rim; training on the raw outputs keeps such a
+        learner recoverable when the residual flips.
         """
-        return self._own.gradients(loss, w_history)[0]
-
-    def receive_loss(self, loss, w_history) -> None:
-        self._own.step(loss, w_history)
+        windows = _slot_windows(w_history, self.H)
+        raws, h, cache = _raw_outputs(self.cell, weights, windows)
+        actions, _ = project_slots(raws, self.action_ball)
+        g = loss.slot_gradients(actions)
+        G = np.zeros((len(raws), self.params.size))
+        grads = self._views(G)
+        grads["W_o"][...] = g.swapaxes(-1, -2) @ h
+        grads["b_o"][...] = g.sum(axis=-2)
+        self.cell.backward(weights, cache, g @ weights["W_o"], grads)
+        return iter(G)
 
     # Flat views used by finite-difference verification.
 
     def parameter_vector(self) -> Array:
-        return self.theta.copy()
+        return self.params.copy()
 
     def set_parameter_vector(self, vec: Array) -> None:
-        self.theta[...] = as_vector(vec, self.theta.size)
+        self.params[...] = as_vector(vec, self.params.size)
 
 
-class RecurrentLevels:
-    """L recurrent learners' parameters as one (L, P) stack theta, and their one step.
+class LevelStack:
+    """L learners of one family, their parameters as the rows of one array, and the one step.
 
-    Joined as GpcLevels is: each learner's theta becomes a view of its row,
-    and a lone learner steps as the stack of its own theta at L = 1. The
-    learners share H, the action ball and the net's shape; each keeps its
-    own lr, schedule, clip norm, weight radius and counts.
+    params is (L, H, d, k) for GPC and (L, P) for the recurrent nets;
+    weights is the family's view of it (GPC reads M as is, a recurrent net
+    reads its named blocks). The boosted stack joins its learners once, and
+    each learner's params is a view of its row, so its act sees every step;
+    a lone learner steps as the stack of its own params at L = 1. The loss
+    holds one residual per level along a leading axis; a lone (H, d)
+    residual broadcasts to L = 1. The learners share H, the action ball and
+    the parameter layout; each keeps its own step settings, radius and
+    counts.
     """
 
-    def __init__(self, learners: list, theta: Array):
-        first = learners[0]
+    def __init__(self, learners: list, params: Array):
         self.learners = learners
-        self.theta = theta
-        views = first._views(theta)
-        self.cell = copy.copy(first.cell)  # the same cell math over the stack's views
-        self.cell.weights = {k: views[k] for k in first.cell.weights}
-        self.out = {"W_o": views["W_o"], "b_o": views["b_o"]}
+        self.params = params
+        self.weights = learners[0]._views(params)
+        # GPC writes each level's gradient in turn into this one buffer: at
+        # d = k = 100 a whole (L, H, d, k) gradient would add L - 1 levels'
+        # worth of memory.
+        self._gradient = np.empty(params.shape[1:])
 
     @classmethod
-    def join(cls, learners: list) -> "RecurrentLevels":
-        _check_shared(learners)
-        theta = np.stack([c.theta for c in learners])
-        for c, row in zip(learners, theta):
+    def join(cls, learners: list) -> "LevelStack | None":
+        """The stack of learners of one family, rebound to views of its rows; None for others."""
+        first = learners[0]
+        if not isinstance(first, _Learner) or {type(c) for c in learners} != {type(first)}:
+            return None
+        if len({(c.H, c.action_ball) for c in learners}) != 1:
+            raise ValueError("stacked levels must share the memory length and the action ball")
+        layouts = {", ".join(f"{k} {s}" for k, s in c._shapes.items()) for c in learners}
+        if len(layouts) != 1:
+            got = "; ".join(sorted(layouts))
+            raise ValueError(f"stacked levels must share one parameter layout, got {got}")
+        params = np.zeros((len(learners), *first.params.shape))
+        for c, row in zip(learners, params):
+            # A fresh GPC learner's M is zero pages never touched; copying
+            # them would fault the whole stack in before the first step.
+            if c.params.any():
+                row[...] = c.params
             c._bind(row)
-        return cls(learners, theta)
+        return cls(learners, params)
 
-    def gradients(self, loss, w_history) -> Array:
-        """(L, P) unclipped gradients of each level's residual, rows in parameter_vector order.
-
-        The per-slot loss gradients are taken at the played (projected)
-        actions and backpropagated through the raw forward pass. Chaining
-        through the ball projection instead would zero the gradient of any
-        saturated slot when the action is scalar (the projection has no
-        tangent directions in 1-d), permanently freezing a learner that a
-        persistent disturbance once pushed past the rim; training on the raw
-        outputs keeps such a learner recoverable when the residual flips.
-        """
-        first = self.learners[0]
-        windows = _slot_windows(w_history, first.H)
-        raws, h, cache = _raw_outputs(self.cell, self.out, windows)
-        actions, _ = project_slots(raws, first.action_ball)
-        g = loss.slot_gradients(actions)
-        G = np.zeros_like(self.theta)
-        grads = first._views(G)
-        grads["W_o"][...] = g.swapaxes(-1, -2) @ h
-        grads["b_o"][...] = g.sum(axis=-2)
-        self.cell.backward(cache, g @ self.out["W_o"], grads)
-        return G
+    def gradients(self, loss, w_history):
+        """Each level's unclipped gradient of its residual, shaped like its row, in level order."""
+        return self.learners[0]._level_gradients(self.weights, loss, w_history, self._gradient)
 
     def step(self, loss, w_history) -> None:
-        """Clipped SGD on every level with a finite gradient, then the weight-ball projection.
+        """One projected OGD step per level: lr or lr/sqrt(t), clipped, then onto the radius.
 
         A level whose gradient has a non-finite entry keeps its parameters
-        and update count; the others step.
+        and update count, warns and counts a skipped update; the others
+        step.
         """
-        G = self.gradients(loss, w_history)
-        finite = np.isfinite(G).all(axis=1)
-        steps = np.zeros(len(G))
-        for i, (c, g) in enumerate(zip(self.learners, G)):
-            if not finite[i]:
-                warnings.warn("skipping recurrent update: non-finite gradient", stacklevel=3)
+        for c, row, g in zip(self.learners, self.params, self.gradients(loss, w_history)):
+            flat = g.ravel()
+            norm = math.sqrt(flat.dot(flat))
+            # The norm alone can overflow on a finite gradient; that one steps.
+            if not math.isfinite(norm) and not np.isfinite(flat).all():
+                warnings.warn("skipping update: non-finite gradient", stacklevel=3)
                 c.skipped_updates += 1
-                g[...] = 0.0  # a zero step leaves the row bit for bit
                 continue
             c._t += 1
-            norm = math.sqrt(g.dot(g))
-            scale = 1.0 if norm <= c.clip_norm else c.clip_norm / norm
-            step = c.lr if c.lr_schedule == "constant" else c.lr / math.sqrt(c._t)
-            steps[i] = step * scale
-        G *= steps[:, None]
-        self.theta -= G
-        for c, theta, stepped in zip(self.learners, self.theta, finite):
-            if not stepped:
-                continue
-            norm = math.sqrt(theta.dot(theta))
-            if norm > c.weight_radius:
-                theta *= c.weight_radius / norm
-
-
-def join_levels(learners: list):
-    """GpcLevels or RecurrentLevels joining learners of one family; None for other learners."""
-    families = {type(c) for c in learners}
-    if families == {GpcController}:
-        return GpcLevels.join(learners)
-    if families == {RecurrentController}:
-        return RecurrentLevels.join(learners)
-    return None
+            lr = c.lr if c.lr_schedule == "constant" else c.lr / math.sqrt(c._t)
+            g *= lr if norm <= c.clip_norm else lr * (c.clip_norm / norm)
+            row -= g
+            flat = row.ravel()
+            norm = math.sqrt(flat.dot(flat))
+            if norm > c.radius:
+                row *= c.radius / norm
 
 
 def solve_dare(

@@ -181,11 +181,11 @@ def test_perfect_oracle_excess_contracts_per_level():
         booster.update(target, np.zeros((1, 1)))
     booster.act(_OBS)
     elapsed = time.perf_counter() - start
-    initial = target.excess(booster.last_partials[0])
+    initial = target.excess(booster.level_windows[0, -1])
     worst_margin = -np.inf
     ok = elapsed < 1.0
     for i in range(1, N + 1):
-        excess = target.excess(booster.last_partials[i])
+        excess = target.excess(booster.level_windows[i, -1])
         bound = (0.75**i) * initial + 1e-9
         worst_margin = max(worst_margin, excess - bound)
         ok = ok and excess <= bound
@@ -210,7 +210,7 @@ def test_linear_oracle_excess_scales_inversely_with_levels():
             booster.act(_OBS)
             booster.update(target, np.zeros((1, 1)))
         booster.act(_OBS)
-        products[N] = N * target.excess(booster.last_partials[N])
+        products[N] = N * target.excess(booster.level_windows[N, -1])
     reference = products[2]
     ok = reference > 0 and all(products[N] <= 2.0 * reference for N in (4, 8, 16))
     _report(

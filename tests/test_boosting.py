@@ -85,7 +85,7 @@ class TestBoostAct:
     def test_hand_recursion(self):
         booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)], H=2)
         out = booster.act(scalar_obs())
-        assert booster.last_partials[:, 0] == pytest.approx([0.0, 3.0, 1.0, 3.5])
+        assert booster.level_windows[:, -1, 0] == pytest.approx([0.0, 3.0, 1.0, 3.5])
         assert out[0] == pytest.approx(3.5)
 
     def test_hand_recursion_matches_closed_form(self):
@@ -137,7 +137,7 @@ class TestBoostAct:
     def test_level_windows_record_partials(self):
         booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)], H=2)
         booster.act(scalar_obs())
-        partials = booster.last_partials.copy()
+        partials = booster.level_windows[:, -1].copy()
         booster.act(scalar_obs())
         for level in range(4):
             window = booster.level_windows[level].view()
@@ -167,7 +167,7 @@ class TestBoostAct:
         )
         booster.act(scalar_obs())
         # u^1 = 0.25*4 = 1, u^2 = 0.75*1 + 0.25*(-4) = -0.25
-        assert booster.last_partials[:, 0] == pytest.approx([0.0, 1.0, -0.25])
+        assert booster.level_windows[:, -1, 0] == pytest.approx([0.0, 1.0, -0.25])
 
 
 class NoisyLearner(FixedLearner):
@@ -191,7 +191,7 @@ class TestLevelWindows:
         history = [np.zeros((4, 2))] * 3
         for _ in range(rounds):
             booster.act(scalar_obs(3))
-            history.append(booster.last_partials.copy())
+            history.append(booster.level_windows[:, -1].copy())
         for i in range(4):
             assert np.array_equal(booster.level_windows[i], np.array(history[-3:])[:, i])
         assert not booster.level_windows[0].any()
@@ -343,7 +343,7 @@ class TestOracleContraction:
             booster.act(obs)
             booster.update(target, np.zeros((1, 1)))
         booster.act(obs)
-        initial = target.excess(booster.last_partials[0])
+        initial = target.excess(booster.level_windows[0, -1])
         for i in range(1, N + 1):
-            excess = target.excess(booster.last_partials[i])
+            excess = target.excess(booster.level_windows[i, -1])
             assert excess <= (0.75**i) * initial + 1e-9

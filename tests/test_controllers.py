@@ -16,8 +16,8 @@ from dynaboost.controllers import (
     LstmCell,
     Observation,
     RecurrentController,
+    LevelStack,
     ZeroController,
-    join_levels,
     solve_dare,
 )
 from dynaboost.core import BallSet, RngStream
@@ -174,6 +174,15 @@ class TestGpcUpdate:
             ctrl.receive_loss(linear_loss(g), hist)
             assert np.linalg.norm(ctrl.M) <= ctrl.R_M + 1e-12
 
+    def test_nonfinite_gradient_skipped_and_counted(self):
+        ctrl = GpcController(state_dim=2, H=3, action_ball=BallSet(radius=1.0, dim=2), lr=0.5)
+        ctrl.M = RngStream(3).standard_normal((3, 2, 2))
+        before = ctrl.M.copy()
+        with pytest.warns(UserWarning, match="non-finite gradient"):
+            ctrl.receive_loss(_NanLoss(), np.ones((5, 2)))
+        assert np.array_equal(ctrl.M, before)
+        assert ctrl.skipped_updates == 1
+
 
 class TestRecurrentForward:
     def _ctrl(self, **kw):
@@ -197,11 +206,11 @@ class TestRecurrentForward:
         # identity input weight, no recurrence: action = tanh(last disturbance)
         ctrl = self._ctrl()
         # weights are views into the parameter vector: write them in place
-        ctrl.cell.weights["W_x"][...] = 1.0
-        ctrl.cell.weights["W_h"][...] = 0.0
-        ctrl.cell.weights["b_h"][...] = 0.0
-        ctrl.out["W_o"][...] = 1.0
-        ctrl.out["b_o"][...] = 0.0
+        ctrl.weights["W_x"][...] = 1.0
+        ctrl.weights["W_h"][...] = 0.0
+        ctrl.weights["b_h"][...] = 0.0
+        ctrl.weights["W_o"][...] = 1.0
+        ctrl.weights["b_o"][...] = 0.0
         out = ctrl.act(obs(0.0, np.array([[0.0], [0.0], [0.5]])))
         assert float(out[0]) == pytest.approx(math.tanh(0.5), abs=1e-12)
 
@@ -238,7 +247,7 @@ class TestRecurrentForward:
 
     def test_output_projected_into_ball(self):
         ctrl = self._ctrl(action_ball=BallSet(radius=0.25, dim=1))
-        ctrl.out["b_o"][...] = 50.0
+        ctrl.weights["b_o"][...] = 50.0
         out = ctrl.act(obs(0.0, np.zeros((3, 1))))
         assert abs(float(out[0])) <= 0.25 + 1e-12
 
@@ -358,7 +367,7 @@ def _level(family, i, ball, H=3, k=2):
     )
     ctrl.set_parameter_vector(0.3 * rng.child(1).standard_normal(ctrl.parameter_count()))
     if i == 1:
-        ctrl.out["b_o"][...] = 5.0
+        ctrl.weights["b_o"][...] = 5.0
     if i == 2:
         ctrl.weight_radius = 0.5 * float(np.linalg.norm(ctrl.parameter_vector()))
     return ctrl
@@ -410,57 +419,75 @@ class TestLevelStacks:
                 # be views of the stack the update wrote
                 assert np.array_equal(mine.act(ob), theirs.act(ob))
 
-    def test_one_nonfinite_level_is_skipped_alone(self):
+    @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
+    def test_one_nonfinite_level_is_skipped_alone(self, family):
         H = 3
         ball = BallSet(radius=1.0, dim=2)
-        stacked = [_level("elman", i, ball) for i in range(3)]
-        lone = [_level("elman", i, ball) for i in range(3)]
-        levels = join_levels(stacked)
+        stacked = [_level(family, i, ball) for i in range(3)]
+        lone = [_level(family, i, ball) for i in range(3)]
+        levels = LevelStack.join(stacked)
         rng = RngStream(5)
         hist = rng.child(0).standard_normal((2 * H - 1, 2))
         grads = rng.child(1).standard_normal((3, H, 2))
         grads[1, 0, 0] = np.nan
         anchors = np.zeros((3, H, 2))
-        before = stacked[1].parameter_vector()
+        before = _parameters(stacked[1])
         with pytest.warns(UserWarning, match="non-finite gradient") as caught:
             levels.step(ResidualLoss(grads, anchors), hist)
         assert len(caught) == 1
         assert [c.skipped_updates for c in stacked] == [0, 1, 0]
-        assert np.array_equal(stacked[1].parameter_vector(), before)
+        assert np.array_equal(_parameters(stacked[1]), before)
         for i in (0, 2):
             lone[i].receive_loss(ResidualLoss(grads[i], anchors[i]), hist)
-            assert np.array_equal(stacked[i].parameter_vector(), lone[i].parameter_vector())
-            fresh = _level("elman", i, ball).parameter_vector()
-            assert not np.array_equal(stacked[i].parameter_vector(), fresh)
+            assert np.array_equal(_parameters(stacked[i]), _parameters(lone[i]))
+            fresh = _parameters(_level(family, i, ball))
+            assert not np.array_equal(_parameters(stacked[i]), fresh)
 
     def test_levels_must_share_memory_and_ball(self):
         a = GpcController(1, 2, BallSet(1.0, 1))
         with pytest.raises(ValueError, match="share"):
-            join_levels([a, GpcController(1, 3, BallSet(1.0, 1))])
+            LevelStack.join([a, GpcController(1, 3, BallSet(1.0, 1))])
         with pytest.raises(ValueError, match="share"):
-            join_levels([a, GpcController(1, 2, BallSet(2.0, 1))])
+            LevelStack.join([a, GpcController(1, 2, BallSet(2.0, 1))])
+
+    def test_gpc_levels_must_share_state_dim(self):
+        ball = BallSet(1.0, 1)
+        wide, narrow = GpcController(3, 2, ball), GpcController(1, 2, ball)
+        with pytest.raises(ValueError, match=r"M \(2, 1, 1\); M \(2, 1, 3\)"):
+            LevelStack.join([wide, narrow])
+        assert wide.M.shape == (2, 1, 3) and narrow.M.shape == (2, 1, 1)
+
+    def test_recurrent_levels_must_share_net_shape(self):
+        ball = BallSet(1.0, 1)
+        small, big = (RecurrentController(1, 2, ball, RngStream(1), hidden_dim=h) for h in (3, 4))
+        with pytest.raises(ValueError, match=r"W_h \(3, 3\).*; .*W_h \(4, 4\)"):
+            LevelStack.join([small, big])
+        elman = RecurrentController(1, 2, ball, RngStream(1), cell="elman")
+        lstm = RecurrentController(1, 2, ball, RngStream(1), cell="lstm")
+        with pytest.raises(ValueError, match=r"W \(20, 1\).*; W_x \(5, 1\)"):
+            LevelStack.join([elman, lstm])
 
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)
         rnn = RecurrentController(1, 2, ball, RngStream(1))
-        assert join_levels([GpcController(1, 2, ball), rnn]) is None
-        assert join_levels([ZeroController(ball)]) is None
+        assert LevelStack.join([GpcController(1, 2, ball), rnn]) is None
+        assert LevelStack.join([ZeroController(ball)]) is None
 
 
 class TestElmanCellShapes:
     def test_forward_batch_shapes(self):
-        cell = ElmanCell(input_dim=2, hidden_dim=4, rng=RngStream(1))
-        h, cache = cell.forward(np.zeros((6, 3, 2)))
+        cell = ElmanCell(input_dim=2, hidden_dim=4)
+        h, cache = cell.forward(cell.initial_weights(RngStream(1)), np.zeros((6, 3, 2)))
         assert h.shape == (6, 4)
 
     def test_lstm_forward_batch_shapes(self):
-        cell = LstmCell(input_dim=2, hidden_dim=4, rng=RngStream(1))
-        h, cache = cell.forward(np.zeros((6, 3, 2)))
+        cell = LstmCell(input_dim=2, hidden_dim=4)
+        h, cache = cell.forward(cell.initial_weights(RngStream(1)), np.zeros((6, 3, 2)))
         assert h.shape == (6, 4)
 
     def test_lstm_forget_bias_initialized(self):
-        cell = LstmCell(input_dim=1, hidden_dim=3, rng=RngStream(1))
-        b = cell.weights["b"]
+        cell = LstmCell(input_dim=1, hidden_dim=3)
+        b = cell.initial_weights(RngStream(1))["b"]
         assert np.allclose(b[3:6], 1.0)  # forget-gate slice starts open
 
 

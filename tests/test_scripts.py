@@ -46,3 +46,12 @@ def test_regret_horizon_prints_rate_table():
         # On these streams the hindsight-best fixed policy costs less than the online one.
         assert 0 < best <= boosted
         assert rate == pytest.approx((boosted - best) / T, rel=1e-2)
+
+
+def test_pinned_digest_is_reproducible():
+    first = run_script("pinned_digest.py", "repro")
+    assert len(first) == 1
+    name, digest = first[0].split()
+    assert name == "repro"
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert run_script("pinned_digest.py", "repro") == first
