@@ -2,11 +2,12 @@
 
 Per round: act combines the learners' actions by the step-length
 recursion u^i = (1 - eta_i) u^{i-1} + eta_i A_i, starting from u^0 = 0;
-update builds one ResidualLoss per level from the window-loss gradients
-at the previous level's action window, stacked along a leading level
-axis, and takes one step over all N levels at once. Two variants: linear
-residuals (coefficient 0) with eta_i = 2/(i+1), and proximal quadratic
-residuals (coefficient eta*beta/2) with the constant step eta = alpha/beta.
+update takes the window-loss gradients at all N previous-level action
+windows in one call, builds the levels' ResidualLoss stacked along a
+leading level axis, and takes one step over all N levels at once. Two
+variants: linear residuals (coefficient 0) with eta_i = 2/(i+1), and
+proximal quadratic residuals (coefficient eta*beta/2) with the constant
+step eta = alpha/beta.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ class DynaBoost:
     def update(self, window_loss, w_history) -> None:
         """Build the levels' residual losses from window_loss and step the levels.
 
-        window_loss must expose gradients(actions) over an (H, d) window,
-        called once per level anchor; w_history is the (2H-1, k)
-        disturbance history forwarded to the levels' step.
+        window_loss must expose gradients(actions) over an (N, H, d) stack
+        of windows, called once per round on all N level anchors;
+        w_history is the (2H-1, k) disturbance history forwarded to the
+        levels' step.
         """
         anchors = self.level_windows[: self.N].copy()
-        grads = np.stack([window_loss.gradients(anchor) for anchor in anchors])
+        grads = window_loss.gradients(anchors)
         coefficients = self.coefficients[:, None, None]
         self.levels.step(ResidualLoss(grads, anchors, coefficients), w_history)
 

@@ -92,8 +92,10 @@ class _Learner:
 
     A family supplies its parameters as one array (params, which _bind
     replaces), their named block shapes (_shapes), the radius of their
-    ball, _views and _level_gradients; LevelStack runs the one step over
-    them. A family without clip_norm is not clipped.
+    ball, _views and _level_gradients, which yields None for a level whose
+    gradient has a non-finite entry; LevelStack runs the one step over
+    them. A family without clip_norm is not clipped, so its gradient norm
+    is never taken.
     """
 
     clip_norm = math.inf
@@ -112,7 +114,10 @@ class _Learner:
         self.skipped_updates = 0
 
     def loss_gradients(self, loss, w_history) -> Array:
-        """Unclipped gradient of the residual loss, shaped like params: LevelStack at L = 1."""
+        """Unclipped gradient of the residual loss, shaped like params: LevelStack at L = 1.
+
+        None if the gradient has a non-finite entry.
+        """
         return next(LevelStack([self], self.params[None]).gradients(loss, w_history))
 
     def receive_loss(self, loss, w_history) -> None:
@@ -173,7 +178,8 @@ class GpcController(_Learner):
         replayed at once, before the first level is yielded; the loss
         gradients at the played (projected) actions are chained back
         through the ball projection, so the parameter gradient is exact
-        for the actions the window loss sees.
+        for the actions the window loss sees. A level whose gradient has
+        a non-finite entry yields None instead.
         """
         rev = _slot_windows(w_history, self.H)[:, ::-1, :]
         # rev[j, m] = disturbance m+1 steps before slot j's action
@@ -182,9 +188,18 @@ class GpcController(_Learner):
         actions, norms = project_slots(raws, self.action_ball)
         g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), self.action_ball)
         rev_t = rev.transpose(1, 0, 2)
+        # Each entry of G sums H products of a slot-gradient entry and a
+        # disturbance entry, so it is at most H |g| |w| (norms of the whole
+        # arrays). While that is far below the float64 limit no entry can
+        # overflow; only past it, or on a non-finite input, is each level's
+        # whole gradient checked.
+        g_flat, w_flat = g.ravel(), w_history.ravel()
+        bound = self.H * math.sqrt(g_flat.dot(g_flat)) * math.sqrt(w_flat.dot(w_flat))
+        checked = not bound < 1e300
         for g_level in g:
             # G[m] = sum_j g_j rev[j, m]': one batched matmul over m.
-            yield np.matmul(g_level.T, rev_t, out=out)
+            G = np.matmul(g_level.T, rev_t, out=out)
+            yield None if checked and not np.isfinite(G).all() else G
 
 
 class _Cell:
@@ -368,9 +383,6 @@ class RecurrentController(_Learner):
         self.params = params
         self.weights = self._views(params)
 
-    def parameter_count(self) -> int:
-        return self.params.size
-
     def _raw_batch(self, windows: Array) -> tuple[Array, Array, list]:
         return _raw_outputs(self.cell, self.weights, windows)
 
@@ -400,7 +412,8 @@ class RecurrentController(_Learner):
         grads["W_o"][...] = g.swapaxes(-1, -2) @ h
         grads["b_o"][...] = g.sum(axis=-2)
         self.cell.backward(weights, cache, g @ weights["W_o"], grads)
-        return iter(G)
+        finite = np.isfinite(G).all(axis=-1)
+        return (row if ok else None for row, ok in zip(G, finite))
 
     # Flat views used by finite-difference verification.
 
@@ -456,7 +469,10 @@ class LevelStack:
         return cls(learners, params)
 
     def gradients(self, loss, w_history):
-        """Each level's unclipped gradient of its residual, shaped like its row, in level order."""
+        """Each level's unclipped gradient of its residual, shaped like its row, in level order.
+
+        None for a level whose gradient has a non-finite entry.
+        """
         return self.learners[0]._level_gradients(self.weights, loss, w_history, self._gradient)
 
     def step(self, loss, w_history) -> None:
@@ -464,19 +480,22 @@ class LevelStack:
 
         A level whose gradient has a non-finite entry keeps its parameters
         and update count, warns and counts a skipped update; the others
-        step.
+        step. Only a clipped family pays for the gradient norm.
         """
         for c, row, g in zip(self.learners, self.params, self.gradients(loss, w_history)):
-            flat = g.ravel()
-            norm = math.sqrt(flat.dot(flat))
-            # The norm alone can overflow on a finite gradient; that one steps.
-            if not math.isfinite(norm) and not np.isfinite(flat).all():
+            if g is None:
                 warnings.warn("skipping update: non-finite gradient", stacklevel=3)
                 c.skipped_updates += 1
                 continue
             c._t += 1
             lr = c.lr if c.lr_schedule == "constant" else c.lr / math.sqrt(c._t)
-            g *= lr if norm <= c.clip_norm else lr * (c.clip_norm / norm)
+            if c.clip_norm < math.inf:
+                flat = g.ravel()
+                norm = math.sqrt(flat.dot(flat))
+                # A norm that overflows on a finite gradient clips the step to zero.
+                if norm > c.clip_norm:
+                    lr *= c.clip_norm / norm
+            g *= lr
             row -= g
             flat = row.ravel()
             norm = math.sqrt(flat.dot(flat))

@@ -8,6 +8,7 @@ once. All numerics are float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,16 +127,22 @@ class RngStream:
 
     Backed by numpy's PCG64 generator keyed by (seed, derivation path), so
     the same seed replays the same draws across runs and platforms, and
-    streams derived with distinct child indices never share state. Normal
-    draws use numpy's standard_normal (ziggurat); this choice is fixed so
-    that seeds reproduce.
+    streams derived with distinct child indices never share state. A stream
+    holds only its key until its first draw builds the generator, so
+    deriving a path of substreams costs nothing for the streams that never
+    draw, and a stream's draws do not depend on whether its ancestors or
+    siblings drew first. Normal draws use numpy's standard_normal
+    (ziggurat); this choice is fixed so that seeds reproduce.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._path = tuple(int(p) for p in _path)
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self._path)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        return np.random.Generator(np.random.PCG64(ss))
 
     def child(self, index: int) -> "RngStream":
         """Independent substream identified by (seed, path + (index,))."""

@@ -36,7 +36,9 @@ class QuadraticCost:
     """c(x, u) = x'Qx + u'Ru with Q, R symmetric PSD.
 
     Q and R are validated here; value and the gradients run inside the
-    round loop and take length-k and length-d vectors as given.
+    round loop and take length-k and length-d vectors as given. The
+    gradients also take (..., k) and (..., d) stacks: each row is one
+    matrix-vector product, with the bits of a lone call.
     """
 
     def __init__(self, Q, R):
@@ -57,10 +59,10 @@ class QuadraticCost:
         return float(x @ self.Q @ x + u @ self.R @ u)
 
     def grad_x(self, x) -> Array:
-        return 2.0 * (self.Q @ x)
+        return 2.0 * (self.Q @ np.asarray(x)[..., None])[..., 0]
 
     def grad_u(self, u) -> Array:
-        return 2.0 * (self.R @ u)
+        return 2.0 * (self.R @ np.asarray(u)[..., None])[..., 0]
 
 
 @dataclass
@@ -74,10 +76,10 @@ class ProxyLoss:
 
     On a LinearSystem the replay is affine in the actions: the state is
     c + Phi u with the system's cached window operators and c = Psi w
-    computed once here, so every gradients() call is two products.
-    Other systems replay the window with dynamics.rollout. It is built once
-    per round, so it takes the (H-1, k) float64 disturbances and the (H, d)
-    action windows as given.
+    computed once here, so gradients() is two products for any number of
+    windows. Other systems replay each window with dynamics.rollout. It is
+    built once per round, so it takes the (H-1, k) float64 disturbances and
+    the (H, d) action window, or (..., H, d) stack of windows, as given.
     """
 
     system: object
@@ -99,27 +101,42 @@ class ProxyLoss:
         return self.cost.value(x, U[-1])
 
     def gradients(self, U: Array) -> Array:
-        """(H, d) array of per-slot gradients.
+        """(..., H, d) per-slot gradients of an (..., H, d) stack of windows.
 
         Slot j < H-1 only influences the replayed state; the final slot
         only enters the control cost. On a LinearSystem slot j's gradient
-        is Phi_j' grad_x; otherwise the states of one rollout are chained
-        back through the Jacobians at each step.
+        is Phi_j' grad_x, and every window of the stack goes through the
+        same stacked matrix-vector products, so each row has the bits of a
+        lone (H, d) call. Otherwise each window's rollout is chained back
+        through the Jacobians at each step, one window at a time.
+        """
+        H, d = self.horizon, U.shape[-1]
+        grads = np.empty(U.shape)
+        grads[..., H - 1, :] = self.cost.grad_u(U[..., H - 1, :])
+        if self._markov is None:
+            for window, out in zip(U.reshape(-1, H, d), grads.reshape(-1, H, d)):
+                self._replay_gradients(window, out)
+            return grads
+        lead = U.shape[:-2]
+        # Explicit sizes: at H = 1 the past and Phi have zero columns.
+        past = U[..., : H - 1, :].reshape(*lead, (H - 1) * d)
+        v = self.cost.grad_x(self._free + (self._markov @ past[..., None])[..., 0])
+        rows = (v[..., None, :] @ self._markov)[..., 0, :]
+        grads[..., : H - 1, :] = rows.reshape(*lead, H - 1, d)
+        return grads
+
+    def _replay_gradients(self, U: Array, grads: Array) -> None:
+        """Writes the gradients of one (H, d) window's first H-1 slots into grads.
+
+        The window's rollout is chained back through the Jacobians at each step.
         """
         H = self.horizon
-        grads = np.empty((H, self.system.action_dim))
-        grads[H - 1] = self.cost.grad_u(U[-1])
-        if self._markov is not None:
-            v = self.cost.grad_x(self._free + self._markov @ U[:-1].ravel())
-            grads[: H - 1] = (v @ self._markov).reshape(H - 1, self.system.action_dim)
-            return grads
         X = rollout(self.system, 0.0, U[:-1], self.disturbances)
         v = self.cost.grad_x(X[-1])
         for j in range(H - 2, -1, -1):
             Jx, Ju = self.system.jacobians(X[j], U[j])
             grads[j] = Ju.T @ v
             v = Jx.T @ v
-        return grads
 
 
 @dataclass

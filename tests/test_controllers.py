@@ -198,7 +198,7 @@ class TestRecurrentForward:
 
     def test_zero_weights_zero_action(self):
         ctrl = self._ctrl()
-        ctrl.set_parameter_vector(np.zeros(ctrl.parameter_count()))
+        ctrl.set_parameter_vector(np.zeros(ctrl.params.size))
         out = ctrl.act(obs(0.0, np.array([[1.0], [2.0], [3.0]])))
         assert np.array_equal(out, np.zeros(1))
 
@@ -222,7 +222,7 @@ class TestRecurrentForward:
 
     def test_deterministic_forward(self):
         ctrl = self._ctrl(hidden_dim=4)
-        ctrl.set_parameter_vector(0.3 * RngStream(7).standard_normal(ctrl.parameter_count()))
+        ctrl.set_parameter_vector(0.3 * RngStream(7).standard_normal(ctrl.params.size))
         window = np.array([[0.3], [-0.2], [0.9]])
         a = ctrl.act(obs(0.0, window))
         b = ctrl.act(obs(0.0, window))
@@ -231,7 +231,7 @@ class TestRecurrentForward:
 
     def test_state_input_ignored(self):
         ctrl = self._ctrl(hidden_dim=4)
-        ctrl.set_parameter_vector(0.3 * RngStream(7).standard_normal(ctrl.parameter_count()))
+        ctrl.set_parameter_vector(0.3 * RngStream(7).standard_normal(ctrl.params.size))
         window = np.array([[0.3], [-0.2], [0.9]])
         a = ctrl.act(obs(0.0, window))
         b = ctrl.act(obs(123.0, window))
@@ -240,10 +240,10 @@ class TestRecurrentForward:
     def test_parameter_counts(self):
         elman = self._ctrl(hidden_dim=5)
         # W_x 5 + W_h 25 + b_h 5 + W_o 5 + b_o 1
-        assert elman.parameter_count() == 41
+        assert elman.params.size == 41
         lstm = self._ctrl(hidden_dim=5, cell="lstm")
         # W 20 + U 100 + b 20 + W_o 5 + b_o 1
-        assert lstm.parameter_count() == 146
+        assert lstm.params.size == 146
 
     def test_output_projected_into_ball(self):
         ctrl = self._ctrl(action_ball=BallSet(radius=0.25, dim=1))
@@ -289,7 +289,7 @@ class TestRecurrentUpdate:
         rng = RngStream(29)
         ctrl = self._ctrl(cell=cell, rng=RngStream(5))
         # small weights keep every slot action strictly inside the ball
-        theta = 0.3 * rng.child(0).standard_normal(ctrl.parameter_count())
+        theta = 0.3 * rng.child(0).standard_normal(ctrl.params.size)
         ctrl.set_parameter_vector(theta)
         hist = rng.child(1).standard_normal((5, 2))
         grads = rng.child(2).standard_normal((3, 2))
@@ -365,7 +365,7 @@ def _level(family, i, ball, H=3, k=2):
     ctrl = RecurrentController(
         k, H, ball, rng.child(0), hidden_dim=3, cell=family, lr=0.2, lr_schedule="sqrt"
     )
-    ctrl.set_parameter_vector(0.3 * rng.child(1).standard_normal(ctrl.parameter_count()))
+    ctrl.set_parameter_vector(0.3 * rng.child(1).standard_normal(ctrl.params.size))
     if i == 1:
         ctrl.weights["b_o"][...] = 5.0
     if i == 2:
@@ -442,6 +442,37 @@ class TestLevelStacks:
             assert np.array_equal(_parameters(stacked[i]), _parameters(lone[i]))
             fresh = _parameters(_level(family, i, ball))
             assert not np.array_equal(_parameters(stacked[i]), fresh)
+
+    def test_gpc_gradient_overflow_is_skipped(self):
+        # Finite slot gradients and disturbances whose products overflow:
+        # level 2's (H, d, k) gradient is inf though no input to it is.
+        H = 3
+        ball = BallSet(radius=1.0, dim=2)
+        stacked = [GpcController(2, H, ball, lr=0.5) for _ in range(3)]
+        lone = [GpcController(2, H, ball, lr=0.5) for _ in range(3)]
+        rng = RngStream(9)
+        for i, (mine, theirs) in enumerate(zip(stacked, lone)):
+            mine.M = 1e-200 * rng.child(i).standard_normal((H, 2, 2))
+            theirs.M = mine.M.copy()
+        levels = LevelStack.join(stacked)
+        hist = 1e160 * (1.0 + np.abs(rng.child(3).standard_normal((2 * H - 1, 2))))
+        grads = 1e-150 * rng.child(4).standard_normal((3, H, 2))
+        grads[1] = 1e160 * (1.0 + np.abs(grads[1]))
+        anchors = np.zeros((3, H, 2))
+        assert np.isfinite(hist).all() and np.isfinite(grads).all()
+        before = _parameters(stacked[1])
+        with np.errstate(over="ignore"):
+            with pytest.warns(UserWarning, match="non-finite gradient") as caught:
+                levels.step(ResidualLoss(grads, anchors), hist)
+            for i in (0, 2):
+                lone[i].receive_loss(ResidualLoss(grads[i], anchors[i]), hist)
+        assert len(caught) == 1
+        assert [c.skipped_updates for c in stacked] == [0, 1, 0]
+        assert np.array_equal(_parameters(stacked[1]), before)
+        for i in (0, 2):
+            assert lone[i].skipped_updates == 0
+            assert np.array_equal(_parameters(stacked[i]), _parameters(lone[i]))
+            assert np.linalg.norm(_parameters(stacked[i])) == pytest.approx(stacked[i].R_M)
 
     def test_levels_must_share_memory_and_ball(self):
         a = GpcController(1, 2, BallSet(1.0, 1))

@@ -181,6 +181,18 @@ class TestRngStream:
         b = RngStream(5).child(1).child(2).standard_normal(2)
         assert np.array_equal(a, b)
 
+    def test_draws_do_not_depend_on_ancestors_or_siblings_drawing_first(self):
+        alone = RngStream(11).child(2).child(3).standard_normal(4)
+        root = RngStream(11)
+        root.standard_normal(7)
+        parent = root.child(2)
+        parent.standard_normal(5)
+        parent.child(4).standard_normal(6)
+        derived = parent.child(3)
+        # The generator built on the first draw carries on from it.
+        drawn = np.concatenate([derived.standard_normal(1), derived.standard_normal(3)])
+        assert np.array_equal(drawn, alone)
+
 
 
 def test_gaussian_moments():

@@ -452,7 +452,7 @@ class TestRunner:
             ctrl = RecurrentController(
                 3, 2, BallSet(1.0, 2), RngStream(0), hidden_dim=4, cell=cell
             )
-            assert ctrl.parameter_count() == recurrent_parameter_count(3, 2, 4, cell)
+            assert ctrl.params.size == recurrent_parameter_count(3, 2, 4, cell)
 
     def test_overparam_hidden_reaches_target(self):
         h = overparam_hidden(1, 1, 5, "elman", 5)
@@ -469,7 +469,7 @@ class TestRunner:
         policies = build_policies(cfg, system, cost, 0)
         over = next(p for p in policies if p.name == "overparam")
         small_total = cfg.N * recurrent_parameter_count(1, 1, cfg.weak.hidden, "elman")
-        assert over.ctrl.parameter_count() >= small_total
+        assert over.ctrl.params.size >= small_total
 
 
 class TestRunIndependence:

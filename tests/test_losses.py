@@ -163,6 +163,41 @@ class TestLinearWindowOperators:
         assert system.window_operators(1)[0].shape == (2, 0)
 
 
+class TestStackedWindows:
+    """gradients() on an (N, H, d) stack: each row has the bits of a lone (H, d) call."""
+
+    @pytest.mark.parametrize("d", [1, 10, 100])
+    @pytest.mark.parametrize("H", [1, 2, 5])
+    def test_lds_rows_equal_lone_calls(self, d, H):
+        rng = RngStream(10 * d + H)
+        system = random_lds(rng.child(0), d, d, 0.9)
+        cost = QuadraticCost(np.diag(1.0 + np.arange(d)), 0.5 * np.eye(d))
+        w = rng.child(1).standard_normal((H - 1, d))
+        loss = ProxyLoss(system, cost, H, w)
+        U = rng.child(2).standard_normal((4, H, d))
+        stacked = loss.gradients(U)
+        assert stacked.shape == U.shape
+        Phi, Psi = system.window_operators(H)
+        for row, window in zip(stacked, U):
+            assert np.array_equal(row, loss.gradients(window))
+            # ... and of the plain matrix-vector products.
+            v = 2.0 * (cost.Q @ (Psi @ w.ravel() + Phi @ window[:-1].ravel()))
+            want = np.vstack([(v @ Phi).reshape(H - 1, d), 2.0 * (cost.R @ window[-1])])
+            assert np.array_equal(row, want)
+        two_axes = loss.gradients(U.reshape(2, 2, H, d))
+        assert np.array_equal(two_axes, stacked.reshape(2, 2, H, d))
+
+    def test_pendulum_rows_equal_lone_calls(self):
+        rng = RngStream(8)
+        w = 0.05 * rng.child(0).standard_normal((3, 2))
+        loss = ProxyLoss(PendulumSystem(), QuadraticCost.identity(2, 1), 4, w)
+        U = 0.5 * rng.child(1).standard_normal((5, 4, 1))
+        stacked = loss.gradients(U)
+        assert stacked.shape == U.shape
+        for row, window in zip(stacked, U):
+            assert np.array_equal(row, loss.gradients(window))
+
+
 class TestLinearResidualLoss:
     """ResidualLoss with coefficient 0, the dynaboost1 residual."""
 

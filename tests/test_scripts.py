@@ -1,10 +1,13 @@
 """The analysis scripts run end to end at a small size and print their tables."""
 
+import importlib.util
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +58,37 @@ def test_pinned_digest_is_reproducible():
     assert name == "repro"
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert run_script("pinned_digest.py", "repro") == first
+
+
+def _load_pinned_digest():
+    path = ROOT / "scripts" / "pinned_digest.py"
+    spec = importlib.util.spec_from_file_location("pinned_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pinned_digests_match_golden_file():
+    """Every pinned config emits exactly the bytes recorded in tests/pinned_digests.txt.
+
+    The file starts with the numpy version and the platform it was recorded
+    under, then holds the 15 lines of scripts/pinned_digest.py. The digests
+    are bitwise, so they are only comparable under the same numpy and
+    platform: a mismatch fails and names both. A change that moves numbers
+    on purpose regenerates the file by writing those two lines and the
+    script's output.
+    """
+    lines = (ROOT / "tests" / "pinned_digests.txt").read_text().splitlines()
+    recorded = dict(line.split(maxsplit=1) for line in lines)
+    here = {"numpy": np.__version__, "platform": f"{platform.system()} {platform.machine()}"}
+    for key, value in here.items():
+        then = recorded.pop(key, None)
+        assert then == value, (
+            f"pinned digests were recorded under {key} {then!r}, this is {key} {value!r}: "
+            "the bits are not comparable, so regenerate the file under this one"
+        )
+    module = _load_pinned_digest()
+    configs = module.pinned_configs()
+    assert list(recorded) == list(configs)
+    mismatched = [name for name, cfg in configs.items() if module.digest(cfg) != recorded[name]]
+    assert not mismatched, f"digests differ from tests/pinned_digests.txt: {mismatched}"
