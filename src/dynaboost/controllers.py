@@ -15,8 +15,8 @@ learners of one family with their parameters as the rows of one array. The
 boosted stack joins its N learners into one (LevelStack.join); a lone
 learner's receive_loss is the same step at L = 1.
 
-ZeroController and LqrController are fixed policies that the runner plays
-directly: each has a name and a no-op update(window_loss, w_history).
+ZeroController and LqrController are fixed policies: each has a name and
+an act, and no update, so the runner builds no window loss for them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynaboost.core import (
+# as_vector stays importable from this module: perfbench/spans.py counts
+# its calls per importing module.
+from dynaboost.core import (  # noqa: F401
     Array,
     BallSet,
     RngStream,
@@ -65,9 +67,6 @@ class ZeroController:
     def act(self, obs: Observation) -> Array:
         return np.zeros(self.action_ball.dim)
 
-    def update(self, window_loss, w_history) -> None:
-        pass
-
 
 def _slot_windows(w_history: Array, H: int) -> Array:
     """(H, H, k) stack where entry j is the window behind action slot j.
@@ -92,10 +91,11 @@ class _Learner:
 
     A family supplies its parameters as one array (params, which _bind
     replaces), their named block shapes (_shapes), the radius of their
-    ball, _views and _level_gradients, which yields None for a level whose
-    gradient has a non-finite entry; LevelStack runs the one step over
-    them. A family without clip_norm is not clipped, so its gradient norm
-    is never taken.
+    ball, _views and _level_gradients, which writes every level's gradient
+    into the stack's buffer and returns it with the (L,) mask of the levels
+    whose gradient is finite; LevelStack runs the one step over them. A
+    family without clip_norm is not clipped, so its gradient norm is never
+    taken.
     """
 
     clip_norm = math.inf
@@ -118,7 +118,8 @@ class _Learner:
 
         None if the gradient has a non-finite entry.
         """
-        return next(LevelStack([self], self.params[None]).gradients(loss, w_history))
+        G, finite = LevelStack([self], self.params[None]).gradients(loss, w_history)
+        return G[0] if finite[0] else None
 
     def receive_loss(self, loss, w_history) -> None:
         LevelStack([self], self.params[None]).step(loss, w_history)
@@ -171,15 +172,14 @@ class GpcController(_Learner):
         raw = np.einsum("mdk,mk->d", self.M, obs.disturbances[::-1])
         return project_to_ball(raw, self.action_ball)
 
-    def _level_gradients(self, M: Array, loss, w_history, out: Array):
-        """Yields each level's (H, d, k) gradient of its residual in its M, written into out.
+    def _level_gradients(self, M: Array, loss, w_history, out: Array) -> tuple[Array, Array]:
+        """(out, finite): every level's gradient of its residual in its M, and the finite levels.
 
         All H window slots of all L levels of the (L, H, d, k) M are
-        replayed at once, before the first level is yielded; the loss
-        gradients at the played (projected) actions are chained back
-        through the ball projection, so the parameter gradient is exact
-        for the actions the window loss sees. A level whose gradient has
-        a non-finite entry yields None instead.
+        replayed at once; the loss gradients at the played (projected)
+        actions are chained back through the ball projection, so the
+        parameter gradient is exact for the actions the window loss sees.
+        out, shaped like M, receives the gradients.
         """
         rev = _slot_windows(w_history, self.H)[:, ::-1, :]
         # rev[j, m] = disturbance m+1 steps before slot j's action
@@ -187,19 +187,18 @@ class GpcController(_Learner):
         raws = (M @ rev.transpose(1, 2, 0)).sum(axis=1).swapaxes(-1, -2)
         actions, norms = project_slots(raws, self.action_ball)
         g = project_slots_vjp(raws, norms, loss.slot_gradients(actions), self.action_ball)
-        rev_t = rev.transpose(1, 0, 2)
-        # Each entry of G sums H products of a slot-gradient entry and a
+        # out[l, m] = sum_j g[l, j] rev[j, m]': one batched matmul over levels and lags.
+        np.matmul(g.swapaxes(-1, -2)[:, None], rev.transpose(1, 0, 2), out=out)
+        # Each entry of out sums H products of a slot-gradient entry and a
         # disturbance entry, so it is at most H |g| |w| (norms of the whole
         # arrays). While that is far below the float64 limit no entry can
-        # overflow; only past it, or on a non-finite input, is each level's
-        # whole gradient checked.
+        # overflow; only past it, or on a non-finite input, is the gradient
+        # checked.
         g_flat, w_flat = g.ravel(), w_history.ravel()
         bound = self.H * math.sqrt(g_flat.dot(g_flat)) * math.sqrt(w_flat.dot(w_flat))
-        checked = not bound < 1e300
-        for g_level in g:
-            # G[m] = sum_j g_j rev[j, m]': one batched matmul over m.
-            G = np.matmul(g_level.T, rev_t, out=out)
-            yield None if checked and not np.isfinite(G).all() else G
+        if bound < 1e300:
+            return out, np.ones(len(out), dtype=bool)
+        return out, np.isfinite(out).all(axis=(1, 2, 3))
 
 
 class _Cell:
@@ -327,10 +326,9 @@ class RecurrentController(_Learner):
     fed such losses for long stretches drifts to parameter norms it takes
     thousands of opposite-signed steps to walk back.
 
-    All parameters live in one flat vector theta (params), in
-    parameter_vector order (the cell's weights, then the head's W_o and
-    b_o); weights holds reshaped views into it by name, so write them in
-    place.
+    All parameters live in one flat vector theta (params): the cell's
+    weights, then the head's W_o and b_o; weights holds reshaped views into
+    it by name, so write them in place.
     """
 
     def __init__(
@@ -383,18 +381,17 @@ class RecurrentController(_Learner):
         self.params = params
         self.weights = self._views(params)
 
-    def _raw_batch(self, windows: Array) -> tuple[Array, Array, list]:
-        return _raw_outputs(self.cell, self.weights, windows)
-
     def act(self, obs: Observation) -> Array:
-        raw, _, _ = self._raw_batch(obs.disturbances[None])
+        raw, _, _ = _raw_outputs(self.cell, self.weights, obs.disturbances[None])
         return project_to_ball(raw[0], self.action_ball)
 
-    def _level_gradients(self, weights: dict[str, Array], loss, w_history, out: Array):
-        """Each level's (P,) unclipped gradient of its residual, in parameter_vector order.
+    def _level_gradients(
+        self, weights: dict[str, Array], loss, w_history, out: Array
+    ) -> tuple[Array, Array]:
+        """(out, finite): every level's (P,) gradient of its residual, and the finite levels.
 
         One forward and one backward pass run over all L levels of the
-        stack's weights; out is not needed. The per-slot loss gradients are
+        stack's weights, into the (L, P) out. The per-slot loss gradients are
         taken at the played (projected) actions and backpropagated through
         the raw forward pass. Chaining through the ball projection instead
         would zero the gradient of any saturated slot when the action is
@@ -407,21 +404,12 @@ class RecurrentController(_Learner):
         raws, h, cache = _raw_outputs(self.cell, weights, windows)
         actions, _ = project_slots(raws, self.action_ball)
         g = loss.slot_gradients(actions)
-        G = np.zeros((len(raws), self.params.size))
-        grads = self._views(G)
+        out.fill(0.0)
+        grads = self._views(out)
         grads["W_o"][...] = g.swapaxes(-1, -2) @ h
         grads["b_o"][...] = g.sum(axis=-2)
         self.cell.backward(weights, cache, g @ weights["W_o"], grads)
-        finite = np.isfinite(G).all(axis=-1)
-        return (row if ok else None for row, ok in zip(G, finite))
-
-    # Flat views used by finite-difference verification.
-
-    def parameter_vector(self) -> Array:
-        return self.params.copy()
-
-    def set_parameter_vector(self, vec: Array) -> None:
-        self.params[...] = as_vector(vec, self.params.size)
+        return out, np.isfinite(out).all(axis=-1)
 
 
 class LevelStack:
@@ -442,10 +430,8 @@ class LevelStack:
         self.learners = learners
         self.params = params
         self.weights = learners[0]._views(params)
-        # GPC writes each level's gradient in turn into this one buffer: at
-        # d = k = 100 a whole (L, H, d, k) gradient would add L - 1 levels'
-        # worth of memory.
-        self._gradient = np.empty(params.shape[1:])
+        # Every level's gradient lands in this one buffer, shaped like params.
+        self._gradient = np.empty(params.shape)
 
     @classmethod
     def join(cls, learners: list) -> "LevelStack | None":
@@ -459,19 +445,17 @@ class LevelStack:
         if len(layouts) != 1:
             got = "; ".join(sorted(layouts))
             raise ValueError(f"stacked levels must share one parameter layout, got {got}")
-        params = np.zeros((len(learners), *first.params.shape))
+        params = np.stack([c.params for c in learners])
         for c, row in zip(learners, params):
-            # A fresh GPC learner's M is zero pages never touched; copying
-            # them would fault the whole stack in before the first step.
-            if c.params.any():
-                row[...] = c.params
             c._bind(row)
         return cls(learners, params)
 
-    def gradients(self, loss, w_history):
-        """Each level's unclipped gradient of its residual, shaped like its row, in level order.
+    def gradients(self, loss, w_history) -> tuple[Array, Array]:
+        """(G, finite): every level's unclipped gradient of its residual, and the finite levels.
 
-        None for a level whose gradient has a non-finite entry.
+        G is shaped like params, row i holding level i's gradient; it is the
+        stack's one buffer, so the next call overwrites it. finite is the
+        (L,) mask of the levels whose gradient has no non-finite entry.
         """
         return self.learners[0]._level_gradients(self.weights, loss, w_history, self._gradient)
 
@@ -482,8 +466,9 @@ class LevelStack:
         and update count, warns and counts a skipped update; the others
         step. Only a clipped family pays for the gradient norm.
         """
-        for c, row, g in zip(self.learners, self.params, self.gradients(loss, w_history)):
-            if g is None:
+        G, finite = self.gradients(loss, w_history)
+        for c, row, g, ok in zip(self.learners, self.params, G, finite):
+            if not ok:
                 warnings.warn("skipping update: non-finite gradient", stacklevel=3)
                 c.skipped_updates += 1
                 continue
@@ -552,6 +537,3 @@ class LqrController:
 
     def act(self, obs: Observation) -> Array:
         return project_to_ball(-self.K @ obs.state, self.action_ball)
-
-    def update(self, window_loss, w_history) -> None:
-        pass

@@ -211,8 +211,8 @@ def validate(cfg: ExperimentConfig, fail) -> None:
         fail(("divergence_threshold",), "divergence_threshold must be positive")
 
 
-def _collect_lines(text: str) -> dict:
-    """Line of every key and list item by its path; text is YAML that safe_load accepted."""
+def _collect_lines(node) -> dict:
+    """Line of every key and list item by its path in a composed YAML node."""
     lines: dict = {}
 
     def walk(n, path):
@@ -227,20 +227,26 @@ def _collect_lines(text: str) -> dict:
                 lines[p] = vn.start_mark.line + 1
                 walk(vn, p)
 
-    walk(yaml.compose(text, Loader=yaml.SafeLoader), ())
+    walk(node, ())
     return lines
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
+    # One compose serves both the data and the line map; the lines are read
+    # before construction, which rewrites merge keys in place.
+    loader = yaml.SafeLoader(text)
     try:
-        data = yaml.safe_load(text)
+        node = loader.get_single_node()
+        lines = _collect_lines(node)
+        data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as e:
         raise ConfigError(f"{source}: invalid YAML: {e}") from None
+    finally:
+        loader.dispose()
     if data is None:
         raise ConfigError(f"{source}:1: empty config")
     if not isinstance(data, dict):
         raise ConfigError(f"{source}:1: top level must be a mapping")
-    lines = _collect_lines(text)
 
     def fail(path: tuple, msg: str):
         raise ConfigError(f"{source}:{lines.get(path, 1)}: {msg}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynaboost.controllers import GpcController, RecurrentController, _slot_windows
+from dynaboost.controllers import GpcController, RecurrentController, _raw_outputs, _slot_windows
 from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_quadratic
@@ -122,25 +122,25 @@ def check_rnn_gradient(cell: str, points: int = 100) -> CheckResult:
         )
         # The output head initializes to zero; check at a random small theta
         # so every parameter block sees a nontrivial gradient.
-        ctrl.set_parameter_vector(0.4 * rng.normal(size=ctrl.parameter_vector().size))
+        ctrl.params[...] = 0.4 * rng.normal(size=ctrl.params.size)
         wh = rng.normal(size=(2 * H - 1, k))
         loss = _random_residual(rng, H, d, "linear" if p % 3 else "quadratic")
         analytic = ctrl.loss_gradients(loss, wh)
-        theta0 = ctrl.parameter_vector()
+        theta0 = ctrl.params.copy()
         windows = _slot_windows(wh, H)
         # The update trains the raw outputs against the loss gradients
         # frozen at the played actions, so that is the objective to
         # differentiate here.
-        raw0, _, _ = ctrl._raw_batch(windows)
+        raw0, _, _ = _raw_outputs(ctrl.cell, ctrl.weights, windows)
         g0 = loss.slot_gradients(np.stack([project_to_ball(r, ball) for r in raw0]))
 
         def composed(theta):
-            ctrl.set_parameter_vector(theta)
-            raw, _, _ = ctrl._raw_batch(windows)
+            ctrl.params[...] = theta
+            raw, _, _ = _raw_outputs(ctrl.cell, ctrl.weights, windows)
             return float(np.sum(g0 * raw))
 
         fd = _central_fd(composed, theta0.copy())
-        ctrl.set_parameter_vector(theta0)
+        ctrl.params[...] = theta0
         worst = max(worst, _rel_err(analytic, fd))
     return CheckResult(f"{cell} backprop through time", worst, TOL_RNN)
 

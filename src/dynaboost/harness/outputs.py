@@ -14,7 +14,8 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from dynaboost.harness.config import ConfigError
-from dynaboost.harness.stats import SeriesStats, aggregate
+# aggregate stays importable from this module: perfbench/spans.py wraps it here.
+from dynaboost.harness.stats import SeriesStats, aggregate  # noqa: F401
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
@@ -177,21 +178,12 @@ def write_svg(path, experiment: str, stats_by_alg: dict[str, SeriesStats]) -> No
 def write_outputs(out_dir, config, trajectories, stats_by_alg, w_hashes, diverged) -> dict:
     """Emit raw CSV, aggregate CSV, SVG, and manifest; returns written paths.
 
-    Emission is canonical in run order: statistics for the emitted files are
-    re-reduced over runs sorted by run index, so shuffling the input lists
-    changes no data file.
+    stats_by_alg is written as given: run_experiment reduces the runs in run
+    order. The raw CSV sorts each algorithm's runs by run index, so
+    shuffling the trajectory lists changes no data file.
     """
     out = _ensure_dir(out_dir)
     name = config.name
-    stats_by_alg = {
-        alg: aggregate(
-            [
-                t.running_average()
-                for t in sorted(trajectories[alg], key=lambda t: t.seed)
-            ]
-        )
-        for alg in stats_by_alg
-    }
     paths = {
         "raw": out / f"{name}_raw.csv",
         "aggregate": out / f"{name}_aggregate.csv",

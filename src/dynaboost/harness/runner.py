@@ -196,7 +196,10 @@ def run_episode(
     run_index: int,
     w_hash: str | None = None,
 ) -> Trajectory:
-    """One policy over one disturbance stream; w_hash is disturbance_hash(w_seq) if known."""
+    """One policy over one disturbance stream; w_hash is disturbance_hash(w_seq) if known.
+
+    A policy without an update (zero, LQR) gets no window loss.
+    """
     T = w_seq.shape[0]
     k = system.state_dim
     d = system.action_dim
@@ -208,6 +211,10 @@ def run_episode(
     # disturbance history of round t is the read-only view padded[t : t+2H-1].
     padded = np.vstack([np.zeros((2 * H - 1, k)), w_seq])
     padded.flags.writeable = False
+    # The trajectory records a read-only view of the stream, not a copy.
+    w_seq = w_seq.view()
+    w_seq.flags.writeable = False
+    update = getattr(policy, "update", None)
     x = np.zeros(k)
     diverged = False
     t_end = T
@@ -230,12 +237,13 @@ def run_episode(
                 t_end = t
             break
         states[t + 1] = x_next
-        policy.update(ProxyLoss(system, cost, H, hist[H:]), hist)
+        if update is not None:
+            update(ProxyLoss(system, cost, H, hist[H:]), hist)
         x = x_next
     return Trajectory(
         states=states[: t_end + 1],
         actions=actions[:t_end],
-        disturbances=w_seq[:t_end].copy(),
+        disturbances=w_seq[:t_end],
         costs=costs[:t_end],
         algorithm=policy.name,
         seed=run_index,
@@ -300,12 +308,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentResult
 
     algorithms = list(per_run[0])
     trajectories = {alg: [run[alg] for run in per_run] for alg in algorithms}
-    w_hashes = []
-    for r, run in enumerate(per_run):
-        hashes = {run[alg].w_hash for alg in algorithms}
-        if len(hashes) != 1:
-            raise RuntimeError(f"run {r}: algorithms consumed different disturbance streams")
-        w_hashes.append(hashes.pop())
+    # _run_one passes one hash to every policy of a run.
+    w_hashes = [run[algorithms[0]].w_hash for run in per_run]
     diverged = {
         alg: {t.seed for t in trajs if t.diverged} for alg, trajs in trajectories.items()
     }

@@ -18,6 +18,7 @@ from dynaboost.controllers import (
     RecurrentController,
     LevelStack,
     ZeroController,
+    _raw_outputs,
     solve_dare,
 )
 from dynaboost.core import BallSet, RngStream
@@ -39,12 +40,6 @@ class TestZeroController:
         ctrl = ZeroController(BallSet(radius=1.0, dim=3))
         out = ctrl.act(obs(np.ones(2), np.ones((4, 2))))
         assert np.array_equal(out, np.zeros(3))
-
-    def test_update_is_noop(self):
-        ctrl = ZeroController(BallSet(radius=1.0, dim=1))
-        ctrl.update(None, np.zeros((1, 1)))
-        assert ctrl.name == "zero"
-        assert np.array_equal(ctrl.act(obs(1.0, np.ones((1, 1)))), [0.0])
 
 
 class TestGpcAct:
@@ -198,7 +193,7 @@ class TestRecurrentForward:
 
     def test_zero_weights_zero_action(self):
         ctrl = self._ctrl()
-        ctrl.set_parameter_vector(np.zeros(ctrl.params.size))
+        ctrl.params[...] = 0.0
         out = ctrl.act(obs(0.0, np.array([[1.0], [2.0], [3.0]])))
         assert np.array_equal(out, np.zeros(1))
 
@@ -222,7 +217,7 @@ class TestRecurrentForward:
 
     def test_deterministic_forward(self):
         ctrl = self._ctrl(hidden_dim=4)
-        ctrl.set_parameter_vector(0.3 * RngStream(7).standard_normal(ctrl.params.size))
+        ctrl.params[...] = 0.3 * RngStream(7).standard_normal(ctrl.params.size)
         window = np.array([[0.3], [-0.2], [0.9]])
         a = ctrl.act(obs(0.0, window))
         b = ctrl.act(obs(0.0, window))
@@ -231,7 +226,7 @@ class TestRecurrentForward:
 
     def test_state_input_ignored(self):
         ctrl = self._ctrl(hidden_dim=4)
-        ctrl.set_parameter_vector(0.3 * RngStream(7).standard_normal(ctrl.params.size))
+        ctrl.params[...] = 0.3 * RngStream(7).standard_normal(ctrl.params.size)
         window = np.array([[0.3], [-0.2], [0.9]])
         a = ctrl.act(obs(0.0, window))
         b = ctrl.act(obs(123.0, window))
@@ -274,32 +269,32 @@ class TestRecurrentUpdate:
 
     def test_zero_gradients_leave_weights(self):
         ctrl = self._ctrl()
-        before = ctrl.parameter_vector()
+        before = ctrl.params.copy()
         ctrl.receive_loss(linear_loss(np.zeros((3, 2))), np.zeros((5, 2)))
-        assert np.array_equal(ctrl.parameter_vector(), before)
+        assert np.array_equal(ctrl.params, before)
 
     def test_nonfinite_gradient_skipped_with_warning(self):
         ctrl = self._ctrl()
-        before = ctrl.parameter_vector()
+        before = ctrl.params.copy()
         with pytest.warns(UserWarning, match="non-finite"):
             ctrl.receive_loss(_NanLoss(), np.zeros((5, 2)))
-        assert np.array_equal(ctrl.parameter_vector(), before)
+        assert np.array_equal(ctrl.params, before)
 
     def _fd_check(self, cell, tol):
         rng = RngStream(29)
         ctrl = self._ctrl(cell=cell, rng=RngStream(5))
         # small weights keep every slot action strictly inside the ball
         theta = 0.3 * rng.child(0).standard_normal(ctrl.params.size)
-        ctrl.set_parameter_vector(theta)
+        ctrl.params[...] = theta
         hist = rng.child(1).standard_normal((5, 2))
         grads = rng.child(2).standard_normal((3, 2))
         loss = linear_loss(grads)
         analytic = ctrl.loss_gradients(loss, hist)
 
         def objective(vec):
-            ctrl.set_parameter_vector(vec)
+            ctrl.params[...] = vec
             windows = np.stack([hist[j : j + 3] for j in range(3)])
-            raws, _, _ = ctrl._raw_batch(windows)
+            raws, _, _ = _raw_outputs(ctrl.cell, ctrl.weights, windows)
             return float(np.sum(grads * raws))
 
         h = 1e-5
@@ -309,7 +304,7 @@ class TestRecurrentUpdate:
             up[i] += h
             dn[i] -= h
             fd[i] = (objective(up) - objective(dn)) / (2 * h)
-        ctrl.set_parameter_vector(theta)
+        ctrl.params[...] = theta
         assert np.linalg.norm(analytic - fd) <= tol * max(1.0, np.linalg.norm(fd))
 
     def test_elman_bptt_matches_finite_differences(self):
@@ -320,10 +315,10 @@ class TestRecurrentUpdate:
 
     def test_gradient_clip_bounds_step(self):
         ctrl = self._ctrl(clip_norm=1e-3, lr=1.0)
-        before = ctrl.parameter_vector()
+        before = ctrl.params.copy()
         big = linear_loss(1e4 * np.ones((3, 2)))
         ctrl.receive_loss(big, np.ones((5, 2)))
-        moved = np.linalg.norm(ctrl.parameter_vector() - before)
+        moved = np.linalg.norm(ctrl.params - before)
         assert moved <= 1e-3 + 1e-12
 
     def test_update_moves_against_gradient(self):
@@ -332,9 +327,9 @@ class TestRecurrentUpdate:
         grads = np.ones((3, 2))
         loss = linear_loss(grads)
         direction = ctrl.loss_gradients(loss, hist)
-        before = ctrl.parameter_vector()
+        before = ctrl.params.copy()
         ctrl.receive_loss(loss, hist)
-        delta = ctrl.parameter_vector() - before
+        delta = ctrl.params - before
         assert float(delta @ direction) < 0.0
 
     def test_weight_ball_caps_parameter_norm(self):
@@ -344,8 +339,8 @@ class TestRecurrentUpdate:
         loss = linear_loss(-np.ones((3, 2)))
         for _ in range(200):
             ctrl.receive_loss(loss, hist)
-            assert np.linalg.norm(ctrl.parameter_vector()) <= 4.0 + 1e-9
-        assert np.linalg.norm(ctrl.parameter_vector()) == pytest.approx(4.0)
+            assert np.linalg.norm(ctrl.params) <= 4.0 + 1e-9
+        assert np.linalg.norm(ctrl.params) == pytest.approx(4.0)
 
 
 def _level(family, i, ball, H=3, k=2):
@@ -365,22 +360,22 @@ def _level(family, i, ball, H=3, k=2):
     ctrl = RecurrentController(
         k, H, ball, rng.child(0), hidden_dim=3, cell=family, lr=0.2, lr_schedule="sqrt"
     )
-    ctrl.set_parameter_vector(0.3 * rng.child(1).standard_normal(ctrl.params.size))
+    ctrl.params[...] = 0.3 * rng.child(1).standard_normal(ctrl.params.size)
     if i == 1:
         ctrl.weights["b_o"][...] = 5.0
     if i == 2:
-        ctrl.weight_radius = 0.5 * float(np.linalg.norm(ctrl.parameter_vector()))
+        ctrl.weight_radius = 0.5 * float(np.linalg.norm(ctrl.params))
     return ctrl
 
 
 def _parameters(ctrl):
-    return ctrl.M.copy() if isinstance(ctrl, GpcController) else ctrl.parameter_vector()
+    return ctrl.params.copy()
 
 
 def _raw_action(ctrl, window):
     if isinstance(ctrl, GpcController):
         return np.einsum("mdk,mk->d", ctrl.M, window[::-1])
-    return ctrl._raw_batch(window[None])[0][0]
+    return _raw_outputs(ctrl.cell, ctrl.weights, window[None])[0][0]
 
 
 class TestLevelStacks:
@@ -420,6 +415,23 @@ class TestLevelStacks:
                 assert np.array_equal(mine.act(ob), theirs.act(ob))
 
     @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
+    def test_gradient_rows_equal_lone_learners(self, family):
+        H = 3
+        ball = BallSet(radius=1.0, dim=2)
+        levels = LevelStack.join([_level(family, i, ball) for i in range(3)])
+        rng = RngStream(13)
+        hist = rng.child(0).standard_normal((2 * H - 1, 2))
+        grads = rng.child(1).standard_normal((3, H, 2))
+        anchors = rng.child(2).standard_normal((3, H, 2))
+        G, finite = levels.gradients(ResidualLoss(grads, anchors, 0.5), hist)
+        assert G.shape == levels.params.shape
+        assert finite.tolist() == [True, True, True]
+        for i, row in enumerate(G):
+            lone = _level(family, i, ball)
+            want = lone.loss_gradients(ResidualLoss(grads[i], anchors[i], 0.5), hist)
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
     def test_one_nonfinite_level_is_skipped_alone(self, family):
         H = 3
         ball = BallSet(radius=1.0, dim=2)
@@ -431,6 +443,8 @@ class TestLevelStacks:
         grads = rng.child(1).standard_normal((3, H, 2))
         grads[1, 0, 0] = np.nan
         anchors = np.zeros((3, H, 2))
+        _, finite = levels.gradients(ResidualLoss(grads, anchors), hist)
+        assert finite.tolist() == [True, False, True]
         before = _parameters(stacked[1])
         with pytest.warns(UserWarning, match="non-finite gradient") as caught:
             levels.step(ResidualLoss(grads, anchors), hist)
@@ -601,13 +615,6 @@ class TestLqrController:
         P, K = solve_dare(A, B, np.eye(2), np.eye(1))
         assert max(abs(np.linalg.eigvals(A - B @ K))) < 1.0
         assert np.min(np.linalg.eigvalsh(P)) > 0.0
-
-    def test_update_is_noop(self):
-        ctrl = LqrController(K=[[1.0]], action_ball=BallSet(radius=1.0, dim=1))
-        before = ctrl.K.copy()
-        ctrl.update(None, None)
-        assert ctrl.name == "lqr"
-        assert np.array_equal(ctrl.K, before)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -13,7 +13,6 @@ from dynaboost.controllers import ZeroController, solve_dare
 from dynaboost.core import BallSet
 from dynaboost.dynamics import PendulumSystem, Trajectory, rollout
 from dynaboost.harness.config import (
-    BoosterConfig,
     ConfigError,
     DisturbanceConfig,
     EnvConfig,
@@ -23,6 +22,7 @@ from dynaboost.harness.config import (
     parse_config,
 )
 from dynaboost.harness.experiments import GPC_LR, correlated_suite, overparam_suite, pendulum_config, sanity_suite
+from dynaboost.harness import runner
 from dynaboost.harness.outputs import write_outputs
 from dynaboost.harness.runner import (
     _run_one,
@@ -368,26 +368,24 @@ class TestRunner:
         with pytest.raises(ConfigError, match=match):
             run_experiment(ExperimentConfig(**kw))
 
-    @pytest.mark.parametrize(
-        "kw, boosted",
-        [
-            (
-                dict(booster=BoosterConfig(variant="dynaboost2")),
-                [0.017432021237162823, 0.019203086015345292],
-            ),
-            (
-                dict(weak=WeakConfig(kind="rnn"), booster=BoosterConfig(variant="dynaboost2", alpha=0.5)),
-                [0.01777661514701791, 0.018788725211921244],
-            ),
-        ],
-        ids=["gpc_derived_alpha", "elman_given_alpha"],
-    )
-    def test_dynaboost2_final_averages_pinned(self, kw, boosted):
-        # The proximal-residual path through run_experiment, pinned bit for
-        # bit: GPC levels with (alpha, beta) derived from the system, and
-        # Elman levels with alpha given and beta derived.
-        res = run_experiment(_tiny_cfg(T=60, **kw))
-        assert res.final_averages("boosted").tolist() == boosted
+    def test_window_loss_built_only_for_policies_that_learn(self, monkeypatch):
+        built = []
+
+        class CountedProxyLoss(runner.ProxyLoss):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(runner, "ProxyLoss", CountedProxyLoss)
+        cfg = _tiny_cfg()
+        system, cost = build_system(cfg)
+        w = draw_disturbances(cfg, 1, 0)
+        policies = {p.name: p for p in build_policies(cfg, system, cost, 0)}
+        for name, want in [("zero", 0), ("lqr", 0), ("single", cfg.T)]:
+            built.clear()
+            traj = run_episode(system, cost, cfg, policies[name], w, 0)
+            assert not traj.diverged
+            assert len(built) == want, name
 
     def test_lqr_steady_state_average(self):
         # long-run average cost of LQR under iid noise is sigma^2 * trace(P)
