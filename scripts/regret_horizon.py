@@ -16,21 +16,27 @@ from dynaboost.harness.experiments import correlated_suite
 from dynaboost.harness.runner import build_system, draw_disturbances, run_experiment
 
 
+def totals(T: int, run_index: int = 0) -> tuple[float, float]:
+    """(boosted total cost, best fixed total cost) of the sinusoidal run run_index at horizon T."""
+    base = correlated_suite(runs=run_index + 1)[1]
+    cfg = replace(base, name=f"{base.name}_T{T}", T=T, baselines=("lqr",))
+    res = run_experiment(cfg)
+    boosted_total = res.final_averages("boosted")[run_index] * T
+    system, cost = build_system(cfg)
+    w_seq = draw_disturbances(cfg, system.state_dim, run_index)
+    _, best_total = best_fixed_gpc(w_seq, system, cost, cfg.H, R_M=10.0)
+    return boosted_total, best_total
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--horizons", type=int, nargs="+", default=[250, 500, 1000, 2000])
     ap.add_argument("--run-index", type=int, default=0, help="which seeded run to use")
     args = ap.parse_args()
 
-    base = correlated_suite(runs=args.run_index + 1)[1]
     print("T      boosted_total  best_fixed_total  rate")
     for T in args.horizons:
-        cfg = replace(base, name=f"{base.name}_T{T}", T=T, baselines=("lqr",))
-        res = run_experiment(cfg)
-        boosted_total = res.final_averages("boosted")[args.run_index] * T
-        system, cost = build_system(cfg)
-        w_seq = draw_disturbances(cfg, system.state_dim, args.run_index)
-        _, best_total = best_fixed_gpc(w_seq, system, cost, cfg.H, R_M=10.0)
+        boosted_total, best_total = totals(T, args.run_index)
         rate = (boosted_total - best_total) / T
         print(f"{T:<6d} {boosted_total:13.4f}  {best_total:16.4f}  {rate:.3e}")
 

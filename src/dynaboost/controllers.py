@@ -131,13 +131,11 @@ class GpcController(_Learner):
     The GPC policy class of Agarwal et al. (ICML 2019) without state
     feedback, which needs a stable system. The stacked M parameter lives in
     a Frobenius ball of radius R_M. The step is base/sqrt(t) (or a constant
-    base); lr=None selects the default base. Boosted ensembles need one
-    shared deterministic schedule across their learners: per-learner
-    adaptive scaling feeds the late levels' small residual gradients back
-    as outsized steps and destabilizes the whole stack.
+    base). Boosted ensembles need one shared deterministic schedule across
+    their learners: per-learner adaptive scaling feeds the late levels'
+    small residual gradients back as outsized steps and destabilizes the
+    whole stack.
     """
-
-    default_lr = 0.3
 
     def __init__(
         self,
@@ -145,10 +143,10 @@ class GpcController(_Learner):
         H: int,
         action_ball: BallSet,
         R_M: float = 10.0,
-        lr: float | None = None,
+        lr: float = 0.3,
         lr_schedule: str = "sqrt",
     ):
-        super().__init__(H, action_ball, self.default_lr if lr is None else lr, lr_schedule)
+        super().__init__(H, action_ball, lr, lr_schedule)
         if R_M <= 0:
             raise ValueError("R_M must be positive")
         self.k = state_dim

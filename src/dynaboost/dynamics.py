@@ -13,6 +13,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,9 +62,9 @@ class LinearSystem:
         self.A = as_matrix(A)
         if self.A.shape[0] != self.A.shape[1]:
             raise ValueError(f"A must be square, got {self.A.shape}")
-        self.k = self.A.shape[0]
-        self.B = as_matrix(B, rows=self.k)
-        self.d = self.B.shape[1]
+        self.state_dim = self.A.shape[0]
+        self.B = as_matrix(B, rows=self.state_dim)
+        self.action_dim = self.B.shape[1]
         self._window_ops: dict[int, tuple[Array, Array]] = {}
         rho = spectral_radius_estimate(self.A)
         if not rho < 1.0:
@@ -72,14 +73,6 @@ class LinearSystem:
                 "control without state feedback needs a stable A for bounded memory",
                 stacklevel=2,
             )
-
-    @property
-    def state_dim(self) -> int:
-        return self.k
-
-    @property
-    def action_dim(self) -> int:
-        return self.d
 
     def f(self, x, u) -> Array:
         return self.A @ x + self.B @ u
@@ -106,13 +99,13 @@ class LinearSystem:
         ops = self._window_ops.get(H)
         if ops is None:
             powers = []
-            P = np.eye(self.k)
+            P = np.eye(self.state_dim)
             for _ in range(H - 1):
                 powers.append(P)
                 P = self.A @ P
             powers.reverse()
-            Psi = np.hstack(powers) if powers else np.zeros((self.k, 0))
-            Phi = np.hstack([P @ self.B for P in powers]) if powers else np.zeros((self.k, 0))
+            Psi = np.hstack(powers) if powers else np.zeros((self.state_dim, 0))
+            Phi = np.hstack([P @ self.B for P in powers]) if powers else np.zeros((self.state_dim, 0))
             Phi.flags.writeable = False
             Psi.flags.writeable = False
             ops = self._window_ops[H] = (Phi, Psi)
@@ -141,20 +134,14 @@ class PendulumSystem:
     dt: float = 0.05
     max_torque: float = 2.0
     max_speed: float = 8.0
+    state_dim: ClassVar[int] = 2
+    action_dim: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.max_torque <= 0 or self.max_speed <= 0:
             raise ValueError("torque and speed caps must be positive")
-
-    @property
-    def state_dim(self) -> int:
-        return 2
-
-    @property
-    def action_dim(self) -> int:
-        return 1
 
     def _pre_clip(self, x, u) -> tuple[float, float]:
         """(theta, angular velocity before the speed clip) after one step from (x, u)."""

@@ -2,8 +2,8 @@
 
 Subcommands: run (single config file), sanity / correlated / pendulum /
 overparam (prebuilt suites), gradcheck (finite-difference oracle battery).
-Exit codes: 0 success, 1 configuration problem, 2 the boosted algorithm
-diverged, 3 gradient check failure.
+Exit codes: 0 success, 1 configuration problem or command-line usage error,
+2 the boosted algorithm diverged, 3 gradient check failure.
 """
 
 from __future__ import annotations
@@ -23,12 +23,18 @@ EXIT_DIVERGED = 2
 EXIT_GRADCHECK = 3
 
 
+def _workers(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_run_options(p: argparse.ArgumentParser, with_t: bool = True) -> None:
     p.add_argument("--out", default=None, help="output directory (default: from config)")
     p.add_argument("--runs", type=int, default=None, help="override number of runs")
     p.add_argument("--seed", type=int, default=None, help="override base seed")
     p.add_argument(
-        "--parallel", type=int, default=1, help="number of worker processes for runs"
+        "--parallel", type=_workers, default=1, help="number of worker processes for runs"
     )
     if with_t:
         p.add_argument("--t", type=int, default=None, help="override horizon T")
@@ -73,7 +79,7 @@ def _execute(configs, args) -> int:
     code = EXIT_OK
     for cfg in configs:
         out_dir = _ensure_dir(cfg.out)
-        result = run_experiment(cfg, parallel=max(1, args.parallel))
+        result = run_experiment(cfg, parallel=args.parallel)
         write_outputs(out_dir, cfg, result.trajectories, result.stats, result.w_hashes, result.diverged)
         summary = []
         for alg in result.algorithms:
@@ -89,7 +95,10 @@ def _execute(configs, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse's usage-error code 2 would read as divergence
+        return EXIT_CONFIG if e.code else EXIT_OK
     if args.command == "gradcheck":
         failed = False
         for res in run_all():

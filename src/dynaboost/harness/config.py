@@ -11,14 +11,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import yaml
 
 ENV_KINDS = ("lds", "pendulum")
 DISTURBANCE_KINDS = ("iid_gaussian", "random_walk", "sinusoidal")
 BOOSTER_VARIANTS = ("dynaboost1", "dynaboost2")
-WEAK_KINDS = ("gpc", "rnn")
+# Each weak-learner kind with the lr and lr_schedule that fill what its config leaves unset.
+WEAK_DEFAULTS = {"gpc": (0.3, "sqrt"), "rnn": (0.05, "constant")}
 BASELINES = ("single", "lqr", "zero", "overparam")
 CELLS = ("elman", "lstm")
 LR_SCHEDULES = ("sqrt", "constant")
@@ -55,7 +56,7 @@ class BoosterConfig:
 class WeakConfig:
     kind: str = "gpc"
     lr: float | None = None
-    lr_schedule: str = "sqrt"
+    lr_schedule: str | None = None
     R_M: float = 10.0
     hidden: int = 5
     cell: str = "elman"
@@ -63,11 +64,13 @@ class WeakConfig:
     weight_radius: float = 10.0
 
     def __post_init__(self):
-        # A recurrent learner without a step gets a constant 0.05; an
-        # unknown schedule is kept for validate to report.
-        if self.kind == "rnn" and self.lr is None and self.lr_schedule in LR_SCHEDULES:
-            object.__setattr__(self, "lr", 0.05)
-            object.__setattr__(self, "lr_schedule", "constant")
+        # Only what the config left unset is filled; an unknown kind stays
+        # unset for validate to report.
+        lr, lr_schedule = WEAK_DEFAULTS.get(self.kind, (None, None))
+        if self.lr is None:
+            object.__setattr__(self, "lr", lr)
+        if self.lr_schedule is None:
+            object.__setattr__(self, "lr_schedule", lr_schedule)
 
 
 @dataclass(frozen=True)
@@ -131,10 +134,10 @@ def _value(kind, v, path: tuple, fail):
         if not isinstance(v, list):
             fail(path, f"'{path[-1]}' must be a list")
         return tuple(v)
-    if kind == float | None:
+    if kind in (float | None, str | None):
         if v is None:
             return None
-        kind = float
+        kind = get_args(kind)[0]
     accepted = (int, float) if kind is float else kind
     if isinstance(v, bool) or not isinstance(v, accepted):
         fail(path, f"'{path[-1]}' must be {_TYPE_NAMES[kind]}, got {v!r}")
@@ -170,8 +173,8 @@ def validate(cfg: ExperimentConfig, fail) -> None:
     if None not in (booster.alpha, booster.beta) and booster.alpha > booster.beta:
         fail(("booster",), f"need alpha <= beta, got {booster.alpha} > {booster.beta}")
 
-    one_of(("weak", "kind"), "weak kind", weak.kind, WEAK_KINDS)
-    if weak.lr is not None and weak.lr <= 0:
+    one_of(("weak", "kind"), "weak kind", weak.kind, tuple(WEAK_DEFAULTS))
+    if weak.lr <= 0:
         fail(("weak", "lr"), f"lr must be positive, got {weak.lr}")
     one_of(("weak", "lr_schedule"), "lr_schedule", weak.lr_schedule, LR_SCHEDULES)
     if weak.R_M <= 0:

@@ -86,8 +86,7 @@ def check_gpc_gradient(points: int = 100) -> CheckResult:
         gpc.M = rng.normal(size=(H, d, k))
         wh = rng.normal(size=(2 * H - 1, k))
         loss = _random_residual(rng, H, d, "linear" if p % 3 else "quadratic")
-        # A controller that has not acted has zero offsets, so its slot
-        # actions are the projected M-w sums that composed() rebuilds.
+        # Each slot action is the projected M-w sum that composed() rebuilds.
         G = gpc.loss_gradients(loss, wh).ravel()
         windows = _slot_windows(wh, H)
 

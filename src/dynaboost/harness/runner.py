@@ -82,15 +82,6 @@ def draw_disturbances(cfg: ExperimentConfig, dim: int, run_index: int) -> np.nda
     return W
 
 
-def booster_curvature(cfg: ExperimentConfig, system, cost) -> CurvatureBounds | None:
-    if cfg.booster.variant != "dynaboost2":
-        return None
-    derived = derive_curvature_bounds(*system.linearization(), cost, cfg.H)
-    alpha = cfg.booster.alpha if cfg.booster.alpha is not None else derived.alpha
-    beta = cfg.booster.beta if cfg.booster.beta is not None else derived.beta
-    return CurvatureBounds(alpha=alpha, beta=beta)
-
-
 def make_weak_controller(
     cfg: ExperimentConfig, state_dim: int, ball: BallSet, rng: RngStream
 ) -> GpcController | RecurrentController:
@@ -148,19 +139,35 @@ class _SelfTaughtPolicy:
         self.ctrl.receive_loss(ResidualLoss(grads, self.window), w_history)
 
 
-def lqr_gain(system, cost) -> np.ndarray:
-    """Gain K of the Riccati fixed point for the system's (linearized) (A, B)."""
+def derive_settings(cfg: ExperimentConfig, system, cost) -> tuple:
+    """(LQR gain or None, dynaboost2's curvature or None), from the system's linearization.
+
+    A given alpha or beta is kept and the other one is derived; a given
+    value on the wrong side of the derived one is a ConfigError.
+    """
     A, B = system.linearization()
-    return solve_dare(A, B, cost.Q, cost.R)[1]
+    lqr = solve_dare(A, B, cost.Q, cost.R)[1] if "lqr" in cfg.baselines else None
+    if cfg.booster.variant != "dynaboost2":
+        return lqr, None
+    given, derived = cfg.booster, derive_curvature_bounds(A, B, cost, cfg.H)
+    alpha = derived.alpha if given.alpha is None else given.alpha
+    beta = derived.beta if given.beta is None else given.beta
+    if alpha > beta:  # validate orders two given values, so one of these is derived
+        name, other = ("alpha", "beta") if given.alpha is not None else ("beta", "alpha")
+        raise ConfigError(
+            f"{cfg.source}: booster.{name}: need alpha <= beta, got {name} "
+            f"{getattr(given, name)} and the derived {other} {getattr(derived, other)}"
+        )
+    return lqr, CurvatureBounds(alpha=alpha, beta=beta)
 
 
 def build_policies(
-    cfg: ExperimentConfig, system, cost, run_index: int, lqr: np.ndarray | None = None
+    cfg: ExperimentConfig, system, cost, run_index: int, derived: tuple | None = None
 ) -> list:
-    """Fresh policies for one run; lqr is a precomputed lqr_gain(system, cost)."""
+    """Fresh policies for one run; derived is derive_settings(cfg, system, cost), made here if None."""
+    lqr, curvature = derive_settings(cfg, system, cost) if derived is None else derived
     ball = BallSet(cfg.action_radius, system.action_dim)
     base = RngStream(cfg.seed).child(_CONTROLLER_STREAM).child(run_index)
-    curvature = booster_curvature(cfg, system, cost)
     learners = [
         make_weak_controller(cfg, system.state_dim, ball, base.child(0).child(i))
         for i in range(cfg.N)
@@ -173,8 +180,7 @@ def build_policies(
         elif name == "zero":
             policies.append(ZeroController(ball))
         elif name == "lqr":
-            K = lqr if lqr is not None else lqr_gain(system, cost)
-            policies.append(LqrController(K, ball))
+            policies.append(LqrController(lqr, ball))
         elif name == "overparam":
             hidden = overparam_hidden(
                 system.state_dim, system.action_dim, cfg.weak.hidden, cfg.weak.cell, cfg.N
@@ -194,9 +200,8 @@ def run_episode(
     policy,
     w_seq: np.ndarray,
     run_index: int,
-    w_hash: str | None = None,
 ) -> Trajectory:
-    """One policy over one disturbance stream; w_hash is disturbance_hash(w_seq) if known.
+    """One policy over one disturbance stream.
 
     A policy without an update (zero, LQR) gets no window loss.
     """
@@ -247,26 +252,24 @@ def run_episode(
         costs=costs[:t_end],
         algorithm=policy.name,
         seed=run_index,
-        w_hash=disturbance_hash(w_seq) if w_hash is None else w_hash,
+        w_hash=disturbance_hash(w_seq),
         diverged=diverged,
     )
 
 
 def build_experiment(cfg: ExperimentConfig) -> tuple:
-    """(system, cost, LQR gain or None): what every run of the experiment shares."""
+    """(system, cost, derive_settings of them): what every run of the experiment shares."""
     system, cost = build_system(cfg)
-    lqr = lqr_gain(system, cost) if "lqr" in cfg.baselines else None
-    return system, cost, lqr
+    return system, cost, derive_settings(cfg, system, cost)
 
 
-def _run_one(cfg: ExperimentConfig, run_index: int, built: tuple | None = None) -> dict:
-    """All policies on run run_index; built is build_experiment(cfg), made here if None."""
-    system, cost, lqr = build_experiment(cfg) if built is None else built
+def _run_one(cfg: ExperimentConfig, run_index: int, built: tuple) -> dict:
+    """All policies on run run_index; built is build_experiment(cfg)."""
+    system, cost, derived = built
     w_seq = draw_disturbances(cfg, system.state_dim, run_index)
-    w_hash = disturbance_hash(w_seq)
     out = {}
-    for policy in build_policies(cfg, system, cost, run_index, lqr=lqr):
-        out[policy.name] = run_episode(system, cost, cfg, policy, w_seq, run_index, w_hash)
+    for policy in build_policies(cfg, system, cost, run_index, derived):
+        out[policy.name] = run_episode(system, cost, cfg, policy, w_seq, run_index)
     return out
 
 
@@ -308,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentResult
 
     algorithms = list(per_run[0])
     trajectories = {alg: [run[alg] for run in per_run] for alg in algorithms}
-    # _run_one passes one hash to every policy of a run.
+    # Every policy of a run hashes the same stream.
     w_hashes = [run[algorithms[0]].w_hash for run in per_run]
     diverged = {
         alg: {t.seed for t in trajs if t.diverged} for alg, trajs in trajectories.items()

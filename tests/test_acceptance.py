@@ -6,9 +6,11 @@ definitions the CLI uses; expect a few minutes of wall clock on a
 single core for the 20-run suites.
 """
 
+import importlib.util
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +18,23 @@ import pytest
 from dynaboost.boosting import DynaBoost, combination_weights
 from dynaboost.controllers import Observation, solve_dare
 from dynaboost.core import BallSet, RngStream
-from dynaboost.dynamics import random_lds, rollout
+from dynaboost.dynamics import random_lds
 from dynaboost.harness import gradcheck
 from dynaboost.harness.cli import EXIT_OK, main
-from dynaboost.harness.comparator import best_fixed_gpc
 from dynaboost.harness.experiments import correlated_suite, sanity_suite
-from dynaboost.harness.runner import build_system, draw_disturbances, run_experiment
+from dynaboost.harness.runner import build_system, run_experiment
 from dynaboost.losses import CurvatureBounds
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_script(name: str):
+    """scripts/{name}.py as a module, so a test measures with the script's own code."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -273,23 +285,8 @@ def test_cost_memory_error_decays_with_window_length():
     )
     system, cost = build_system(cfg)
     traj = run_experiment(cfg).trajectories["single"][0]
-    burn = 100
-
-    def eps(H):
-        diffs = []
-        for t in range(burn, len(traj.actions)):
-            xhat = rollout(
-                system,
-                np.zeros(system.state_dim),
-                traj.actions[t - H + 1 : t],
-                traj.disturbances[t - H + 1 : t],
-            )[-1]
-            diffs.append(
-                abs(cost.value(xhat, traj.actions[t]) - cost.value(traj.states[t], traj.actions[t]))
-            )
-        return float(np.mean(diffs))
-
-    e5, e10, e15 = eps(5), eps(10), eps(15)
+    window_error = _load_script("memory_decay").window_error
+    e5, e10, e15 = (window_error(traj, system, cost, H, burn=100) for H in (5, 10, 15))
     r1, r2 = e10 / e5, e15 / e10
     ok = r1 <= 0.65 and r2 <= 0.65
     _report(
@@ -301,15 +298,10 @@ def test_cost_memory_error_decays_with_window_length():
 
 
 def test_average_regret_decreases_with_horizon():
-    base = correlated_suite(runs=1)[1]
+    totals = _load_script("regret_horizon").totals
     rates = []
     for T in (500, 1000, 2000):
-        cfg = replace(base, name=f"{base.name}_T{T}", T=T, baselines=("lqr",), runs=1)
-        res = run_experiment(cfg)
-        boosted_total = res.final_averages("boosted")[0] * T
-        system, cost = build_system(cfg)
-        w_seq = draw_disturbances(cfg, system.state_dim, 0)
-        _, best_total = best_fixed_gpc(w_seq, system, cost, cfg.H, R_M=10.0)
+        boosted_total, best_total = totals(T)
         rates.append((boosted_total - best_total) / T)
     ok = all(rates[i + 1] < rates[i] for i in range(len(rates) - 1))
     _report(

@@ -57,6 +57,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sanity", "--runs", "abc"],
+            ["run"],
+            ["bogus"],
+            ["run", "--config", "x.yaml", "--parallel", "0"],
+            ["sanity", "--parallel", "-3"],
+        ],
+        ids=["unparsable_value", "missing_config", "unknown_command", "parallel_0", "parallel_minus_3"],
+    )
+    def test_usage_error_is_a_config_exit(self, capsys, argv):
+        # Exit code 2 means the boosted algorithm diverged, never a usage error.
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dynaboost") and "error: " in err
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: dynaboost")
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -190,3 +211,22 @@ class TestOverrideChecks:
         assert err.startswith("config error: ") and f"override {field}: " in err
         assert "Traceback" not in err
         assert not out.exists()  # rejected before any experiment ran
+
+
+class TestDerivedCurvatureChecks:
+    """A given alpha or beta on the wrong side of the derived other one stops the run."""
+
+    @pytest.mark.parametrize(
+        "booster, field",
+        [("{variant: dynaboost2, alpha: 100}", "alpha"), ("{variant: dynaboost2, beta: 0.5}", "beta")],
+        ids=["alpha_above_derived_beta", "beta_below_derived_alpha"],
+    )
+    def test_conflict_is_a_config_error(self, tmp_path, capsys, booster, field):
+        cfg = write_cfg(tmp_path, TINY_YAML + f"booster: {booster}\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: booster.{field}: ")
+        assert "derived" in err and "Traceback" not in err
+        assert not any(out.glob("*"))  # no CSV, no manifest

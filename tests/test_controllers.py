@@ -94,12 +94,12 @@ class TestGpcUpdate:
         assert ctrl.M.item() == pytest.approx(0.4, abs=1e-14)
 
     def test_default_lr_used_when_unset(self):
-        ctrl = self._scalar(lr=None)
-        ctrl.lr_schedule = "constant"
+        ctrl = GpcController(
+            state_dim=1, H=1, action_ball=BallSet(radius=10.0, dim=1), lr_schedule="constant"
+        )
         ctrl.M = np.ones((1, 1, 1))
         ctrl.receive_loss(linear_loss(np.array([[2.0]])), np.array([[3.0]]))
-        expected = 1.0 - GpcController.default_lr * 6.0
-        assert ctrl.M.item() == pytest.approx(expected, abs=1e-14)
+        assert ctrl.M.item() == pytest.approx(1.0 - 0.3 * 6.0, abs=1e-14)
 
     def test_sqrt_schedule_decays(self):
         ctrl = self._scalar(lr=0.1, schedule="sqrt")

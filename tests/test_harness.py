@@ -13,6 +13,7 @@ from dynaboost.controllers import ZeroController, solve_dare
 from dynaboost.core import BallSet
 from dynaboost.dynamics import PendulumSystem, Trajectory, rollout
 from dynaboost.harness.config import (
+    BoosterConfig,
     ConfigError,
     DisturbanceConfig,
     EnvConfig,
@@ -26,6 +27,7 @@ from dynaboost.harness import runner
 from dynaboost.harness.outputs import write_outputs
 from dynaboost.harness.runner import (
     _run_one,
+    build_experiment,
     build_policies,
     build_system,
     draw_disturbances,
@@ -35,6 +37,7 @@ from dynaboost.harness.runner import (
     run_experiment,
 )
 from dynaboost.harness.stats import aggregate
+from dynaboost.losses import derive_curvature_bounds
 
 
 MINIMAL_YAML = """\
@@ -55,7 +58,7 @@ class TestConfigParsing:
         assert cfg.name == "demo"
         assert cfg.T == 30 and cfg.H == 5 and cfg.N == 5
         assert cfg.env.rho == pytest.approx(0.9)
-        assert cfg.weak.kind == "gpc" and cfg.weak.lr is None
+        assert (cfg.weak.kind, cfg.weak.lr, cfg.weak.lr_schedule) == ("gpc", 0.3, "sqrt")
         assert cfg.baselines == ("single", "lqr", "zero")
         assert cfg.raw_text == MINIMAL_YAML
         assert cfg.source == "demo.yaml"
@@ -112,6 +115,21 @@ class TestConfigParsing:
         assert (cfg.weak.lr, cfg.weak.lr_schedule) == (0.05, "constant")
         result = run_experiment(cfg)
         assert result.trajectories["boosted"][0].horizon == 10
+
+    @pytest.mark.parametrize(
+        "weak, lr, schedule",
+        [
+            ("{kind: gpc}", 0.3, "sqrt"),
+            ("{kind: rnn, lr_schedule: sqrt}", 0.05, "sqrt"),
+            ("{kind: rnn, lr: 0.2}", 0.2, "constant"),
+            ("{kind: gpc, lr_schedule: constant}", 0.3, "constant"),
+        ],
+        ids=["gpc_unset", "rnn_schedule_given", "rnn_lr_given", "gpc_schedule_given"],
+    )
+    def test_unset_learning_settings_filled_per_kind(self, weak, lr, schedule):
+        # Only what the config leaves unset comes from the kind's defaults.
+        cfg = parse_config(f"weak: {weak}\n", source="c.yaml")
+        assert (cfg.weak.lr, cfg.weak.lr_schedule) == (lr, schedule)
 
     def test_rnn_without_lr_still_rejects_unknown_schedule(self):
         with pytest.raises(ConfigError, match=r":3: lr_schedule must be one of .*, got 'cosine'"):
@@ -332,6 +350,18 @@ class TestRunner:
         s3, _ = build_system(cfg.override(seed=999))
         assert not np.array_equal(s1.B, s3.B)
 
+    def test_curvature_derived_once_per_experiment(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return derive_curvature_bounds(*args)
+
+        monkeypatch.setattr(runner, "derive_curvature_bounds", counted)
+        cfg = _tiny_cfg(runs=3, T=10, booster=BoosterConfig(variant="dynaboost2"))
+        run_experiment(cfg)
+        assert len(calls) == 1
+
     def test_build_system_pendulum(self):
         cfg = _tiny_cfg(env=EnvConfig(kind="pendulum"))
         system, cost = build_system(cfg)
@@ -491,7 +521,7 @@ class TestRunIndependence:
         cfg = _tiny_cfg(runs=3, T=25, **overrides)
         result = run_experiment(cfg)
         for r in reversed(range(cfg.runs)):
-            alone = _run_one(cfg, r)
+            alone = _run_one(cfg, r, build_experiment(cfg))
             assert sorted(alone) == result.algorithms
             for alg in result.algorithms:
                 a, b = alone[alg], result.trajectories[alg][r]

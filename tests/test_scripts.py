@@ -51,6 +51,15 @@ def test_regret_horizon_prints_rate_table():
         assert rate == pytest.approx((boosted - best) / T, rel=1e-2)
 
 
+def test_lr_sweep_prints_one_line_per_rate():
+    lines = run_script(
+        "lr_sweep.py", "--name", "walk_gpc", "--lrs", "0.015", "--schedule", "sqrt", "--runs", "1"
+    )
+    assert len(lines) == 1
+    assert lines[0].startswith("lr=0.015 sched=sqrt: boosted=")
+    assert "single=" in lines[0] and "wins=" in lines[0] and "DIVERGED" not in lines[0]
+
+
 def test_pinned_digest_is_reproducible():
     # One run of the script in a fresh process prints the recorded digest.
     golden = (ROOT / "tests" / "pinned_digests.txt").read_text().splitlines()
