@@ -14,19 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from dynaboost.harness.experiments import (
-    correlated_suite,
-    overparam_suite,
-    pendulum_config,
-    sanity_suite,
-)
+from dynaboost.harness.cli import _workers
+from dynaboost.harness.experiments import SUITES
 from dynaboost.harness.runner import run_experiment
 
 
 def all_configs(runs: int):
-    cfgs = sanity_suite(runs=runs) + correlated_suite(runs=runs)
-    cfgs += [pendulum_config(runs=runs)] + overparam_suite(runs=runs)
-    return {c.name: c for c in cfgs}
+    return {c.name: c for _, configs in SUITES.values() for c in configs(runs=runs)}
 
 
 def main() -> int:
@@ -35,7 +29,7 @@ def main() -> int:
     ap.add_argument("--lrs", type=float, nargs="+", required=True)
     ap.add_argument("--runs", type=int, default=6)
     ap.add_argument("--schedule", choices=["sqrt", "constant"], default=None)
-    ap.add_argument("--parallel", type=int, default=1)
+    ap.add_argument("--parallel", type=_workers, default=1)
     args = ap.parse_args()
 
     configs = all_configs(args.runs)
@@ -56,7 +50,7 @@ def main() -> int:
                 line += f" {alg}={res.final_averages(alg).mean():.4f}"
         if "single" in res.trajectories:
             wins = int(np.sum(res.final_averages("single") - boosted > 0))
-            line += f" wins={wins}/{base.runs if args.runs is None else args.runs}"
+            line += f" wins={wins}/{base.runs}"
         if res.boosted_diverged():
             line += f" DIVERGED({len(res.diverged['boosted'])})"
         print(line, flush=True)

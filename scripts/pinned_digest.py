@@ -18,12 +18,7 @@ import tempfile
 from dataclasses import replace
 
 from dynaboost.harness.config import BoosterConfig, parse_config
-from dynaboost.harness.experiments import (
-    correlated_suite,
-    overparam_suite,
-    pendulum_config,
-    sanity_suite,
-)
+from dynaboost.harness.experiments import SUITES
 from dynaboost.harness.outputs import write_outputs
 from dynaboost.harness.runner import run_experiment
 
@@ -48,16 +43,10 @@ baselines: [single, lqr, zero]
 
 def pinned_configs() -> dict:
     """Config name -> ExperimentConfig, in the order the digests print."""
-    small = dict(runs=3, T=300)
-    suites = [
-        *sanity_suite(**small, t_large=300),
-        *correlated_suite(**small),
-        pendulum_config(**small),
-        *overparam_suite(**small),
-    ]
     configs = {"repro": parse_config(REPRO_YAML)}
-    for cfg in suites:
-        configs[cfg.name] = replace(cfg, runs=2, T=40) if cfg.name == "sanity_d100" else cfg
+    for _, suite in SUITES.values():
+        for cfg in suite(runs=3, T=300):
+            configs[cfg.name] = replace(cfg, runs=2, T=40) if cfg.name == "sanity_d100" else cfg
 
     def variant(name: str, base: str, booster: BoosterConfig, **weak) -> None:
         cfg = configs[base]

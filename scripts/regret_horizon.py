@@ -24,7 +24,7 @@ def totals(T: int, run_index: int = 0) -> tuple[float, float]:
     boosted_total = res.final_averages("boosted")[run_index] * T
     system, cost = build_system(cfg)
     w_seq = draw_disturbances(cfg, system.state_dim, run_index)
-    _, best_total = best_fixed_gpc(w_seq, system, cost, cfg.H, R_M=10.0)
+    _, best_total = best_fixed_gpc(w_seq, system, cost, cfg.H, R_M=cfg.weak.R_M)
     return boosted_total, best_total
 
 

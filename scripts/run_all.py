@@ -9,9 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from dynaboost.harness.cli import EXIT_OK, main as cli_main
-
-SUITES = ("sanity", "correlated", "pendulum", "overparam")
+from dynaboost.harness.cli import EXIT_OK, _workers, main as cli_main
+from dynaboost.harness.experiments import SUITES
 
 
 def main() -> int:
@@ -19,7 +18,7 @@ def main() -> int:
     ap.add_argument("--out", default="results", help="root output directory")
     ap.add_argument("--runs", type=int, default=None, help="override runs per experiment")
     ap.add_argument("--seed", type=int, default=None, help="override base seed")
-    ap.add_argument("--parallel", type=int, default=1, help="worker processes per suite")
+    ap.add_argument("--parallel", type=_workers, default=1, help="worker processes per suite")
     args = ap.parse_args()
 
     code = cli_main(["gradcheck"])

@@ -201,12 +201,12 @@ def rollout(system, x_start, actions, disturbances) -> Array:
     """(n+1, k) states of the fold x_{j+1} = f(x_j, u_j) + w_j from x_0 = x_start.
 
     The one replay of an action window: actions (n, d) and disturbances
-    (n, k) are aligned and taken as given, since the window loss calls this
-    inside the round loop.
+    (n, k) are taken as given, since the window loss calls this inside the
+    round loop; only unequal lengths raise a ValueError.
     """
     X = np.empty((len(actions) + 1, system.state_dim))
     X[0] = x_start
-    for j, (u, w) in enumerate(zip(actions, disturbances)):
+    for j, (u, w) in enumerate(zip(actions, disturbances, strict=True)):
         X[j + 1] = system.f(X[j], u) + w
     return X
 

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: run (single config file), sanity / correlated / pendulum /
-overparam (prebuilt suites), gradcheck (finite-difference oracle battery).
+Subcommands: run (single config file), one per prebuilt suite of
+experiments.SUITES, gradcheck (finite-difference oracle battery).
 Exit codes: 0 success, 1 configuration problem or command-line usage error,
 2 the boosted algorithm diverged, 3 gradient check failure.
 """
@@ -9,13 +9,14 @@ Exit codes: 0 success, 1 configuration problem or command-line usage error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from dynaboost.harness import experiments
 from dynaboost.harness.config import ConfigError, load_config
 from dynaboost.harness.gradcheck import run_all
 from dynaboost.harness.outputs import _ensure_dir, write_outputs
-from dynaboost.harness.runner import run_experiment
+from dynaboost.harness.runner import build_experiment, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,25 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a YAML experiment config")
     _add_run_options(p_run, with_t=False)
 
-    p_sanity = sub.add_parser("sanity", help="iid-Gaussian suite at dimensions 1, 10, 100")
-    _add_run_options(p_sanity)
-    p_sanity.add_argument(
-        "--t-large",
-        type=int,
-        default=1000,
-        help="horizon for the d=100 run (default 1000; smaller than T to keep desk scale)",
-    )
-
-    p_corr = sub.add_parser("correlated", help="random-walk and sinusoidal suites")
-    _add_run_options(p_corr)
-
-    p_pend = sub.add_parser("pendulum", help="inverted pendulum with random-walk noise")
-    _add_run_options(p_pend)
-
-    p_over = sub.add_parser(
-        "overparam", help="boosted small nets vs one parameter-matched large net"
-    )
-    _add_run_options(p_over)
+    for name, (help_line, configs) in experiments.SUITES.items():
+        p_suite = sub.add_parser(name, help=help_line)
+        _add_run_options(p_suite)
+        if "t_large" in inspect.signature(configs).parameters:
+            p_suite.add_argument(
+                "--t-large",
+                type=int,
+                help="horizon for the d=100 run (default 1000; smaller than T to keep desk scale)",
+            )
 
     sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
     return parser
@@ -78,8 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _execute(configs, args) -> int:
     code = EXIT_OK
     for cfg in configs:
+        # The experiment is resolved before its output directory is made,
+        # so a config rejected there leaves nothing behind.
+        built = build_experiment(cfg)
         out_dir = _ensure_dir(cfg.out)
-        result = run_experiment(cfg, parallel=args.parallel)
+        result = run_experiment(cfg, parallel=args.parallel, built=built)
         write_outputs(out_dir, cfg, result.trajectories, result.stats, result.w_hashes, result.diverged)
         summary = []
         for alg in result.algorithms:
@@ -108,16 +102,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             configs = [load_config(args.config).override(seed=args.seed, runs=args.runs)]
-        elif args.command == "sanity":
-            configs = experiments.sanity_suite(
-                t_large=args.t_large, **_suite_kwargs(args)
-            )
-        elif args.command == "correlated":
-            configs = experiments.correlated_suite(**_suite_kwargs(args))
-        elif args.command == "pendulum":
-            configs = [experiments.pendulum_config(**_suite_kwargs(args))]
         else:
-            configs = experiments.overparam_suite(**_suite_kwargs(args))
+            configs = experiments.SUITES[args.command][1](**_suite_kwargs(args))
         # override range-checks every config, so a bad CLI value stops the
         # command before any experiment runs.
         return _execute([cfg.override(out=args.out) for cfg in configs], args)
@@ -127,14 +113,9 @@ def main(argv=None) -> int:
 
 
 def _suite_kwargs(args) -> dict:
-    kw = {}
-    if args.runs is not None:
-        kw["runs"] = args.runs
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "t", None) is not None:
-        kw["T"] = args.t
-    return kw
+    given = {"runs": args.runs, "seed": args.seed, "T": args.t}
+    given["t_large"] = getattr(args, "t_large", None)
+    return {k: v for k, v in given.items() if v is not None}
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Prebuilt experiment families at desk scale.
 
 Shared defaults across families: memory H=5, N=5 weak learners, 20 runs,
-quadratic cost with identity weights, and a fixed system per experiment.
+quadratic cost with identity weights, a fixed system per experiment, and
+the single, LQR and zero baselines. `SUITES`, at the end, is the one list
+of the suites the CLI ships.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import math
 
 from dynaboost.harness.config import (
-    BoosterConfig,
     DisturbanceConfig,
     EnvConfig,
     ExperimentConfig,
@@ -23,21 +24,11 @@ BASE_SEED = 31704
 WALK_STD_LDS = 0.3
 WALK_STD_PENDULUM = math.sqrt(5e-3)
 
-
-# Calibrated shared base step for every linear learner in a boosted stack.
-# Sweep over {0.2, 0.3, 0.5, 0.7}/sqrt(t) on the suite systems: 0.5 and up
-# destabilize the d=10 ensemble (late levels see tiny residual gradients, so
-# any base large enough to move level 1 overdrives them), 0.2 parks all
-# ratios at 1.13-1.15x LQR. 0.3 gives 1.09-1.11x everywhere.
-GPC_LR = 0.3
-
-
-def _gpc_weak() -> WeakConfig:
-    return WeakConfig(kind="gpc", lr=GPC_LR, lr_schedule="sqrt", R_M=10.0)
-
-
-def _rnn_weak(lr: float = 0.05) -> WeakConfig:
-    return WeakConfig(kind="rnn", lr=lr, lr_schedule="constant", hidden=5, cell="elman")
+# The scalar system and the two correlated disturbances that the
+# correlated and overparam suites share.
+_SCALAR = EnvConfig(kind="lds", k=1, d=1, rho=0.7)
+_WALK = DisturbanceConfig(kind="random_walk", std=WALK_STD_LDS, clip_lo=-1.0, clip_hi=1.0)
+_SINE = DisturbanceConfig(kind="sinusoidal")
 
 
 def sanity_suite(
@@ -52,31 +43,28 @@ def sanity_suite(
     At 0.7 the bias floor is ~2% while the zero controller still pays
     ~1.3-1.6x LQR, which keeps the baselines separated.
     """
-    configs = []
-    for offset, dim in enumerate((1, 10, 100)):
-        configs.append(
-            ExperimentConfig(
-                name=f"sanity_d{dim}",
-                env=EnvConfig(kind="lds", k=dim, d=dim, rho=0.7),
-                disturbance=DisturbanceConfig(kind="iid_gaussian", std=0.1),
-                T=t_large if dim >= 100 else T,
-                weak=_gpc_weak(),
-                baselines=("single", "lqr", "zero"),
-                runs=runs,
-                seed=seed + 1 + offset,
-            )
+    return [
+        ExperimentConfig(
+            name=f"sanity_d{dim}",
+            env=EnvConfig(kind="lds", k=dim, d=dim, rho=0.7),
+            disturbance=DisturbanceConfig(kind="iid_gaussian", std=0.1),
+            T=t_large if dim >= 100 else T,
+            runs=runs,
+            seed=seed + 1 + offset,
         )
-    return configs
+        for offset, dim in enumerate((1, 10, 100))
+    ]
 
 
 # The walk wanders over most of [-1, 1], roughly 6x the rms of the iid
 # setting, and gradient magnitudes scale with the square of the disturbance
-# amplitude, so these experiments need cooler steps than GPC_LR. WALK_GPC_LR
-# was frozen from a sweep at the suite seeds and keeps the boosted walk_gpc
-# stack ahead of its single learner. WALK_RNN_LR has no such value: no swept
-# RNN step (0.1, 0.01, 0.003, 0.001) lets the boosted walk_rnn stack beat its
-# single learner. Under dynaboost1 the recurrent levels saturate on the rim
-# of the action ball, and steps small enough to avoid that barely move them.
+# amplitude, so these experiments need cooler steps than the gpc default in
+# config.WEAK_DEFAULTS. WALK_GPC_LR was frozen from a sweep at the suite
+# seeds and keeps the boosted walk_gpc stack ahead of its single learner.
+# WALK_RNN_LR has no such value: no swept RNN step (0.1, 0.01, 0.003, 0.001)
+# lets the boosted walk_rnn stack beat its single learner. Under dynaboost1
+# the recurrent levels saturate on the rim of the action ball, and steps
+# small enough to avoid that barely move them.
 WALK_GPC_LR = 0.015
 WALK_RNN_LR = 0.01
 
@@ -88,37 +76,30 @@ def correlated_suite(runs: int = 20, seed: int = BASE_SEED, T: int = 2000) -> li
     policy class competitive with LQR, so cost differences reflect the
     learners rather than the truncation floor.
     """
-    walk = DisturbanceConfig(kind="random_walk", std=WALK_STD_LDS, clip_lo=-1.0, clip_hi=1.0)
-    sine = DisturbanceConfig(kind="sinusoidal")
-    scalar = EnvConfig(kind="lds", k=1, d=1, rho=0.7)
     return [
         ExperimentConfig(
             name="walk_gpc",
-            env=scalar,
-            disturbance=walk,
+            env=_SCALAR,
+            disturbance=_WALK,
             T=T,
-            weak=WeakConfig(kind="gpc", lr=WALK_GPC_LR, lr_schedule="sqrt", R_M=10.0),
-            baselines=("single", "lqr", "zero"),
+            weak=WeakConfig(lr=WALK_GPC_LR),
             runs=runs,
             seed=seed + 11,
         ),
         ExperimentConfig(
             name="sine_gpc",
-            env=scalar,
-            disturbance=sine,
+            env=_SCALAR,
+            disturbance=_SINE,
             T=T,
-            weak=_gpc_weak(),
-            baselines=("single", "lqr", "zero"),
             runs=runs,
             seed=seed + 12,
         ),
         ExperimentConfig(
             name="walk_rnn",
-            env=scalar,
-            disturbance=walk,
+            env=_SCALAR,
+            disturbance=_WALK,
             T=T,
-            weak=_rnn_weak(lr=WALK_RNN_LR),
-            baselines=("single", "lqr", "zero"),
+            weak=WeakConfig(kind="rnn", lr=WALK_RNN_LR),
             runs=runs,
             seed=seed + 13,
         ),
@@ -134,8 +115,6 @@ def pendulum_config(runs: int = 20, seed: int = BASE_SEED, T: int = 2000) -> Exp
             kind="random_walk", std=WALK_STD_PENDULUM, clip_lo=-0.5, clip_hi=0.5
         ),
         T=T,
-        weak=_gpc_weak(),
-        baselines=("single", "lqr", "zero"),
         runs=runs,
         seed=seed + 21,
         action_radius=2.0,
@@ -144,28 +123,42 @@ def pendulum_config(runs: int = 20, seed: int = BASE_SEED, T: int = 2000) -> Exp
 
 def overparam_suite(runs: int = 20, seed: int = BASE_SEED, T: int = 2000) -> list[ExperimentConfig]:
     """Boosted small recurrent nets against one big net of equal parameter count."""
-    scalar = EnvConfig(kind="lds", k=1, d=1, rho=0.7)
-    walk = DisturbanceConfig(kind="random_walk", std=WALK_STD_LDS, clip_lo=-1.0, clip_hi=1.0)
-    sine = DisturbanceConfig(kind="sinusoidal")
+    baselines = ("single", "overparam", "lqr", "zero")
     return [
         ExperimentConfig(
             name="overparam_walk",
-            env=scalar,
-            disturbance=walk,
+            env=_SCALAR,
+            disturbance=_WALK,
             T=T,
-            weak=_rnn_weak(lr=WALK_RNN_LR),
-            baselines=("single", "overparam", "lqr", "zero"),
+            weak=WeakConfig(kind="rnn", lr=WALK_RNN_LR),
+            baselines=baselines,
             runs=runs,
             seed=seed + 31,
         ),
         ExperimentConfig(
             name="overparam_sine",
-            env=scalar,
-            disturbance=sine,
+            env=_SCALAR,
+            disturbance=_SINE,
             T=T,
-            weak=_rnn_weak(),
-            baselines=("single", "overparam", "lqr", "zero"),
+            weak=WeakConfig(kind="rnn"),
+            baselines=baselines,
             runs=runs,
             seed=seed + 32,
         ),
     ]
+
+
+# Subcommand -> (CLI help line, configs function), in the order
+# scripts/run_all.py runs them. A configs function takes runs, seed and T
+# and returns a list of ExperimentConfig; the CLI gives --t-large to one
+# that also takes t_large. The CLI, the scripts and the tests take the
+# list of shipped suites from here.
+SUITES = {
+    "sanity": ("iid-Gaussian suite at dimensions 1, 10, 100", sanity_suite),
+    "correlated": ("random-walk and sinusoidal suites", correlated_suite),
+    "pendulum": (
+        "inverted pendulum with random-walk noise",
+        lambda **kw: [pendulum_config(**kw)],
+    ),
+    "overparam": ("boosted small nets vs one parameter-matched large net", overparam_suite),
+}

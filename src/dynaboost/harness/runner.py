@@ -105,11 +105,9 @@ def make_weak_controller(
 
 
 def recurrent_parameter_count(k: int, d: int, hidden: int, cell: str) -> int:
-    if cell == "lstm":
-        core = 4 * hidden * (k + hidden + 1)
-    else:
-        core = hidden * (k + hidden + 1)
-    return core + d * hidden + d
+    """Parameter count of a recurrent learner of these sizes, read off a built one."""
+    net = RecurrentController(k, 1, BallSet(1.0, d), RngStream(0), hidden_dim=hidden, cell=cell)
+    return net.params.size
 
 
 def overparam_hidden(k: int, d: int, hidden: int, cell: str, N: int) -> int:
@@ -295,13 +293,17 @@ class ExperimentResult:
         )
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> ExperimentResult:
+def run_experiment(
+    cfg: ExperimentConfig, parallel: int = 1, built: tuple | None = None
+) -> ExperimentResult:
+    """Every run of cfg; built is build_experiment(cfg), made here if None."""
     # A config built in code has passed no loader, so check it here, once.
     def fail(path: tuple, msg: str):
         raise ConfigError(f"{cfg.source}: {'.'.join(map(str, path))}: {msg}")
 
     validate(cfg, fail)
-    built = build_experiment(cfg)
+    if built is None:
+        built = build_experiment(cfg)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as ex:
             futures = [ex.submit(_run_one, cfg, r, built) for r in range(cfg.runs)]

@@ -71,15 +71,17 @@ class ProxyLoss:
 
     Holds the system, the stage cost, and the H-1 disturbances that pair
     with the first H-1 window actions. value() replays those pairs from
-    the zero state and charges the stage cost at the resulting state with
-    the final window action as the control.
+    the zero state with dynamics.rollout and charges the stage cost at the
+    resulting state with the final window action as the control. It never
+    runs in the round loop, so it stays the plain replay that the gradient
+    check holds gradients() against.
 
-    On a LinearSystem the replay is affine in the actions: the state is
-    c + Phi u with the system's cached window operators and c = Psi w
-    computed once here, so gradients() is two products for any number of
-    windows. Other systems replay each window with dynamics.rollout. It is
-    built once per round, so it takes the (H-1, k) float64 disturbances and
-    the (H, d) action window, or (..., H, d) stack of windows, as given.
+    On a LinearSystem the replay is affine in the actions: gradients() uses
+    the state c + Phi u with the system's cached window operators and
+    c = Psi w computed once here, two products for any number of windows.
+    Other systems replay each window with dynamics.rollout. It is built
+    once per round, so it takes the (H-1, k) float64 disturbances and the
+    (H, d) action window, or (..., H, d) stack of windows, as given.
     """
 
     system: object
@@ -94,10 +96,7 @@ class ProxyLoss:
             self._free = psi @ self.disturbances.ravel()
 
     def value(self, U: Array) -> float:
-        if self._markov is not None:
-            x = self._free + self._markov @ U[:-1].ravel()
-        else:
-            x = rollout(self.system, 0.0, U[:-1], self.disturbances)[-1]
+        x = rollout(self.system, 0.0, U[:-1], self.disturbances)[-1]
         return self.cost.value(x, U[-1])
 
     def gradients(self, U: Array) -> Array:

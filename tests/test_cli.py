@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 
+import argparse
+
 import pytest
 
 from dynaboost.harness.cli import (
@@ -9,6 +11,7 @@ from dynaboost.harness.cli import (
     build_parser,
     main,
 )
+from dynaboost.harness.experiments import SUITES
 
 TINY_YAML = """\
 name: tiny
@@ -38,14 +41,9 @@ def write_cfg(tmp_path, text=TINY_YAML, name="exp.yaml"):
 class TestParser:
     def test_subcommands_present(self):
         parser = build_parser()
-        for argv in (
-            ["run", "--config", "x.yaml"],
-            ["sanity"],
-            ["correlated"],
-            ["pendulum"],
-            ["overparam"],
-            ["gradcheck"],
-        ):
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["run", *SUITES, "gradcheck"]
+        for argv in (["run", "--config", "x.yaml"], *([name] for name in SUITES), ["gradcheck"]):
             args = parser.parse_args(argv)
             assert args.command == argv[0]
 
@@ -229,4 +227,4 @@ class TestDerivedCurvatureChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}: booster.{field}: ")
         assert "derived" in err and "Traceback" not in err
-        assert not any(out.glob("*"))  # no CSV, no manifest
+        assert not out.exists()  # rejected before the output directory was made

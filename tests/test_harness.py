@@ -18,11 +18,18 @@ from dynaboost.harness.config import (
     DisturbanceConfig,
     EnvConfig,
     ExperimentConfig,
+    WEAK_DEFAULTS,
     WeakConfig,
     load_config,
     parse_config,
 )
-from dynaboost.harness.experiments import GPC_LR, correlated_suite, overparam_suite, pendulum_config, sanity_suite
+from dynaboost.harness.experiments import (
+    SUITES,
+    correlated_suite,
+    overparam_suite,
+    pendulum_config,
+    sanity_suite,
+)
 from dynaboost.harness import runner
 from dynaboost.harness.outputs import write_outputs
 from dynaboost.harness.runner import (
@@ -536,7 +543,7 @@ class TestSuiteDefinitions:
         assert [c.env.k for c in suite] == [1, 10, 100]
         assert all(c.env.rho == pytest.approx(0.7) for c in suite)
         assert suite[0].T == 2000 and suite[2].T == 1000
-        assert all(c.weak.lr == pytest.approx(GPC_LR) for c in suite)
+        assert all(c.weak.lr == WEAK_DEFAULTS["gpc"][0] for c in suite)
 
     def test_correlated_kinds(self):
         suite = correlated_suite(runs=3)
@@ -558,13 +565,5 @@ class TestSuiteDefinitions:
             assert cfg.weak.kind == "rnn"
 
     def test_all_suite_seeds_distinct(self):
-        seeds = [
-            c.seed
-            for c in (
-                *sanity_suite(),
-                *correlated_suite(),
-                pendulum_config(),
-                *overparam_suite(),
-            )
-        ]
+        seeds = [c.seed for _, configs in SUITES.values() for c in configs()]
         assert len(seeds) == len(set(seeds))

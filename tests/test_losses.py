@@ -126,8 +126,9 @@ def _replay_window_loss(A, B, Q, R, w, U):
 
 
 class TestLinearWindowOperators:
-    """ProxyLoss on a LinearSystem uses the cached Markov operators; it must
-    agree with a step-by-step sensitivity replay."""
+    """ProxyLoss's gradients on a LinearSystem use the cached Markov operators
+    and its value the rollout; both must agree with a step-by-step
+    sensitivity replay."""
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("d", [1, 3])

@@ -13,16 +13,20 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> list[str]:
+def call_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    proc = call_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -58,6 +62,13 @@ def test_lr_sweep_prints_one_line_per_rate():
     assert len(lines) == 1
     assert lines[0].startswith("lr=0.015 sched=sqrt: boosted=")
     assert "single=" in lines[0] and "wins=" in lines[0] and "DIVERGED" not in lines[0]
+
+
+def test_lr_sweep_rejects_zero_workers():
+    proc = call_script("lr_sweep.py", "--name", "walk_gpc", "--lrs", "0.015", "--parallel", "0")
+    assert proc.returncode != 0
+    assert "--parallel: must be an integer >= 1" in proc.stderr
+    assert proc.stdout == ""  # nothing ran
 
 
 def test_pinned_digest_is_reproducible():
