@@ -8,13 +8,12 @@ that calibrated the frozen constants in dynaboost.harness.experiments.
     python3 scripts/lr_sweep.py --name walk_gpc --lrs 0.1 0.03 0.01 --runs 6
 """
 
-import argparse
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from dynaboost.harness.cli import _workers
+from dynaboost.harness.cli import ArgumentParser, _workers
 from dynaboost.harness.experiments import SUITES
 from dynaboost.harness.runner import run_experiment
 
@@ -24,7 +23,7 @@ def all_configs(runs: int):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--name", required=True, help="experiment name within the suites")
     ap.add_argument("--lrs", type=float, nargs="+", required=True)
     ap.add_argument("--runs", type=int, default=6)

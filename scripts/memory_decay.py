@@ -9,12 +9,12 @@ fixed-size window.
     python3 scripts/memory_decay.py --rhos 0.5 0.7 0.9 --windows 2 5 10 15
 """
 
-import argparse
 from dataclasses import replace
 
 import numpy as np
 
 from dynaboost.dynamics import rollout
+from dynaboost.harness.cli import ArgumentParser
 from dynaboost.harness.experiments import sanity_suite
 from dynaboost.harness.runner import build_system, run_experiment
 
@@ -35,7 +35,7 @@ def window_error(traj, system, cost, H: int, burn: int) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--rhos", type=float, nargs="+", default=[0.5, 0.7, 0.9])
     ap.add_argument("--windows", type=int, nargs="+", default=[2, 5, 10, 15])
     ap.add_argument("--t", type=int, default=2000)

@@ -11,12 +11,12 @@ checked by running this script on both sides and diffing the output.
     python3 scripts/pinned_digest.py repro walk_rnn  # some of them
 """
 
-import argparse
 import hashlib
 import sys
 import tempfile
 from dataclasses import replace
 
+from dynaboost.harness.cli import ArgumentParser
 from dynaboost.harness.config import BoosterConfig, parse_config
 from dynaboost.harness.experiments import SUITES
 from dynaboost.harness.outputs import write_outputs
@@ -83,7 +83,7 @@ def digest(cfg) -> str:
 
 def main() -> int:
     configs = pinned_configs()
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("names", nargs="*", help=f"configs to digest (default all): {', '.join(configs)}")
     args = ap.parse_args()
     unknown = [n for n in args.names if n not in configs]

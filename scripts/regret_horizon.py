@@ -8,9 +8,9 @@ rate is the finite-sample face of sublinear regret.
     python3 scripts/regret_horizon.py --horizons 250 500 1000 2000 4000
 """
 
-import argparse
 from dataclasses import replace
 
+from dynaboost.harness.cli import ArgumentParser
 from dynaboost.harness.comparator import best_fixed_gpc
 from dynaboost.harness.experiments import correlated_suite
 from dynaboost.harness.runner import build_system, draw_disturbances, run_experiment
@@ -29,7 +29,7 @@ def totals(T: int, run_index: int = 0) -> tuple[float, float]:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--horizons", type=int, nargs="+", default=[250, 500, 1000, 2000])
     ap.add_argument("--run-index", type=int, default=0, help="which seeded run to use")
     args = ap.parse_args()

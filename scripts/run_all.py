@@ -5,16 +5,15 @@ Reproduces all figure data in one shot:
     python3 scripts/run_all.py --out results --runs 20
 """
 
-import argparse
 import sys
 from pathlib import Path
 
-from dynaboost.harness.cli import EXIT_OK, _workers, main as cli_main
+from dynaboost.harness.cli import EXIT_OK, ArgumentParser, _workers, main as cli_main
 from dynaboost.harness.experiments import SUITES
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results", help="root output directory")
     ap.add_argument("--runs", type=int, default=None, help="override runs per experiment")
     ap.add_argument("--seed", type=int, default=None, help="override base seed")

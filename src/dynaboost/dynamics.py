@@ -1,9 +1,11 @@
-"""Dynamical systems, the window replay, and per-episode records.
+"""Dynamical systems, the two window folds, and per-episode records.
 
 Systems expose the deterministic part f of x' = f(x, u) + w together with
-its Jacobians, so the loss module can propagate forward sensitivities
-through short rollouts without knowing the system family. `rollout` is the
-one place that folds f over a window. Disturbance streams are drawn whole
+its Jacobians. Two folds replay an action window. `rollout` folds f and
+gives the states: the window loss's value, the regret comparator and
+replays of recorded runs read it. The window loss's gradients come from
+the system's own fold, `LinearSystem.window_operators` or
+`PendulumSystem.window_jacobians`. Disturbance streams are drawn whole
 before round 1, in `harness.runner.draw_disturbances`.
 """
 
@@ -117,7 +119,7 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % (2.0 * math.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PendulumSystem:
     """Torque-controlled inverted pendulum, fixed-step discrete dynamics.
 
@@ -142,39 +144,65 @@ class PendulumSystem:
             raise ValueError("dt must be positive")
         if self.max_torque <= 0 or self.max_speed <= 0:
             raise ValueError("torque and speed caps must be positive")
+        # The coefficients of sin(theta) and of the torque in the angular
+        # acceleration; frozen, so they cannot go stale.
+        object.__setattr__(self, "_gravity", 3.0 * self.g / (2.0 * self.l))
+        object.__setattr__(self, "_inertia", 3.0 / (self.m * self.l**2))
 
-    def _pre_clip(self, x, u) -> tuple[float, float]:
-        """(theta, angular velocity before the speed clip) after one step from (x, u)."""
-        theta, theta_dot = float(x[0]), float(x[1])
-        torque = min(max(float(u[0]), -self.max_torque), self.max_torque)
-        accel = 3.0 * self.g / (2.0 * self.l) * math.sin(theta) + 3.0 / (self.m * self.l**2) * torque
-        return theta, theta_dot + accel * self.dt
+    def _transition(self, theta: float, theta_dot: float, u: float) -> tuple[float, float, float]:
+        """(theta', angular velocity', angular velocity before its clip) of one step.
+
+        The one statement of the step physics, on floats: f, jacobians and
+        window_jacobians all call it, and it computes no sensitivity.
+        """
+        torque = min(max(u, -self.max_torque), self.max_torque)
+        accel = self._gravity * math.sin(theta) + self._inertia * torque
+        pre_dot = theta_dot + accel * self.dt
+        new_dot = min(max(pre_dot, -self.max_speed), self.max_speed)
+        return wrap_angle(theta + new_dot * self.dt), new_dot, pre_dot
+
+    def _sensitivities(self, theta: float, u: float, pre_dot: float) -> tuple[float, ...]:
+        """The six entries of [Jx | Ju], row by row, of the step from angle
+        theta under action u whose speed before its clip is pre_dot.
+
+        Clip saturation zeroes the corresponding sensitivity; the angle
+        wrap has unit derivative almost everywhere.
+        """
+        if not abs(pre_dot) <= self.max_speed:
+            return 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+        dt = self.dt
+        d_dot_d_theta = self._gravity * math.cos(theta) * dt
+        d_dot_d_u = self._inertia * dt if abs(u) <= self.max_torque else 0.0
+        return 1.0 + dt * d_dot_d_theta, dt, dt * d_dot_d_u, d_dot_d_theta, 1.0, d_dot_d_u
 
     def f(self, x, u) -> Array:
-        theta, pre_dot = self._pre_clip(x, u)
-        new_dot = min(max(pre_dot, -self.max_speed), self.max_speed)
-        new_theta = wrap_angle(theta + new_dot * self.dt)
+        new_theta, new_dot, _ = self._transition(float(x[0]), float(x[1]), float(u[0]))
         return np.array([new_theta, new_dot])
 
     def jacobians(self, x, u) -> tuple[Array, Array]:
-        # Clip saturation zeroes the corresponding sensitivity; the angle
-        # wrap has unit derivative almost everywhere.
-        theta, pre_dot = self._pre_clip(x, u)
-        torque_active = abs(float(u[0])) <= self.max_torque
-        speed_active = abs(pre_dot) <= self.max_speed
-        d_dot_d_theta = 3.0 * self.g / (2.0 * self.l) * math.cos(theta) * self.dt if speed_active else 0.0
-        d_dot_d_dot = 1.0 if speed_active else 0.0
-        d_dot_d_u = (
-            3.0 / (self.m * self.l**2) * self.dt if (speed_active and torque_active) else 0.0
-        )
-        Jx = np.array(
-            [
-                [1.0 + self.dt * d_dot_d_theta, self.dt * d_dot_d_dot],
-                [d_dot_d_theta, d_dot_d_dot],
-            ]
-        )
-        Ju = np.array([[self.dt * d_dot_d_u], [d_dot_d_u]])
-        return Jx, Ju
+        theta, u0 = float(x[0]), float(u[0])
+        J = self._sensitivities(theta, u0, self._transition(theta, float(x[1]), u0)[2])
+        return np.array([J[0:2], J[3:5]]), np.array([J[2:3], J[5:6]])
+
+    def window_jacobians(self, actions: Array, disturbances: Array) -> tuple[Array, Array]:
+        """End states and step Jacobians of S windows replayed from the zero state.
+
+        actions is an (S, n, 1) stack of windows and disturbances the (n, 2)
+        disturbances that every window shares. Each window is the fold of
+        rollout, on floats: the (S, 2) end states have the bits of
+        rollout's last rows, and the (S, n, 2, 3) stack holds [Jx | Ju] of
+        jacobians at each step's state and action.
+        """
+        W = disturbances.tolist()
+        ends, entries = [], []
+        for window in actions[..., 0].tolist():
+            theta = theta_dot = 0.0
+            for u, (w_theta, w_dot) in zip(window, W, strict=True):
+                new_theta, new_dot, pre_dot = self._transition(theta, theta_dot, u)
+                entries += self._sensitivities(theta, u, pre_dot)
+                theta, theta_dot = new_theta + w_theta, new_dot + w_dot
+            ends.append((theta, theta_dot))
+        return np.array(ends), np.array(entries).reshape(len(ends), len(W), 2, 3)
 
     def step(self, x, u, w) -> Array:
         return self.f(x, u) + w
@@ -200,9 +228,11 @@ def random_lds(rng: RngStream, k: int, d: int, rho_target: float) -> LinearSyste
 def rollout(system, x_start, actions, disturbances) -> Array:
     """(n+1, k) states of the fold x_{j+1} = f(x_j, u_j) + w_j from x_0 = x_start.
 
-    The one replay of an action window: actions (n, d) and disturbances
-    (n, k) are taken as given, since the window loss calls this inside the
-    round loop; only unequal lengths raise a ValueError.
+    The state fold of an action window, which the window loss's value
+    replays; its gradients come from the sensitivity fold,
+    PendulumSystem.window_jacobians (or a LinearSystem's window
+    operators). Actions (n, d) and disturbances (n, k) are taken as given;
+    only unequal lengths raise a ValueError.
     """
     X = np.empty((len(actions) + 1, system.state_dim))
     X[0] = x_start

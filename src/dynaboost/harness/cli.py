@@ -24,6 +24,18 @@ EXIT_DIVERGED = 2
 EXIT_GRADCHECK = 3
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser with usage errors exiting EXIT_CONFIG, not 2.
+
+    2 would read as EXIT_DIVERGED. The CLI and the scripts build their
+    parsers from it; subparsers inherit it.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _workers(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -42,7 +54,7 @@ def _add_run_options(p: argparse.ArgumentParser, with_t: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="dynaboost",
         description="Boosting weak controllers on simulated dynamical systems.",
     )
@@ -91,8 +103,8 @@ def _execute(configs, args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:  # argparse's usage-error code 2 would read as divergence
-        return EXIT_CONFIG if e.code else EXIT_OK
+    except SystemExit as e:  # --help, or a usage error
+        return e.code or EXIT_OK
     if args.command == "gradcheck":
         failed = False
         for res in run_all():

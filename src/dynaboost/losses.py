@@ -79,9 +79,11 @@ class ProxyLoss:
     On a LinearSystem the replay is affine in the actions: gradients() uses
     the state c + Phi u with the system's cached window operators and
     c = Psi w computed once here, two products for any number of windows.
-    Other systems replay each window with dynamics.rollout. It is built
-    once per round, so it takes the (H-1, k) float64 disturbances and the
-    (H, d) action window, or (..., H, d) stack of windows, as given.
+    On the pendulum, gradients() takes the end states and step Jacobians
+    of every window from one PendulumSystem.window_jacobians call. A
+    ProxyLoss is built once per round, so it takes the (H-1, k) float64
+    disturbances and the (H, d) action window, or (..., H, d) stack of
+    windows, as given.
     """
 
     system: object
@@ -104,17 +106,25 @@ class ProxyLoss:
 
         Slot j < H-1 only influences the replayed state; the final slot
         only enters the control cost. On a LinearSystem slot j's gradient
-        is Phi_j' grad_x, and every window of the stack goes through the
-        same stacked matrix-vector products, so each row has the bits of a
-        lone (H, d) call. Otherwise each window's rollout is chained back
-        through the Jacobians at each step, one window at a time.
+        is Phi_j' grad_x. On the pendulum grad_x is chained back through
+        the step Jacobians of all windows at once, one stacked product per
+        step. Either way every window of the stack goes through the same
+        stacked matrix-vector products, so each row has the bits of a lone
+        (H, d) call.
         """
         H, d = self.horizon, U.shape[-1]
         grads = np.empty(U.shape)
         grads[..., H - 1, :] = self.cost.grad_u(U[..., H - 1, :])
         if self._markov is None:
-            for window, out in zip(U.reshape(-1, H, d), grads.reshape(-1, H, d)):
-                self._replay_gradients(window, out)
+            ends, J = self.system.window_jacobians(U.reshape(-1, H, d)[:, :-1], self.disturbances)
+            rows = grads.reshape(-1, H, d)
+            # Jx' and Ju' as transposed views: each product then has the
+            # bits of a lone Jx.T @ v.
+            Jt = J.swapaxes(-1, -2)
+            v = self.cost.grad_x(ends)[..., None]
+            for j in range(H - 2, -1, -1):
+                rows[:, j] = (Jt[:, j, 2:] @ v)[..., 0]
+                v = Jt[:, j, :2] @ v
             return grads
         lead = U.shape[:-2]
         # Explicit sizes: at H = 1 the past and Phi have zero columns.
@@ -123,19 +133,6 @@ class ProxyLoss:
         rows = (v[..., None, :] @ self._markov)[..., 0, :]
         grads[..., : H - 1, :] = rows.reshape(*lead, H - 1, d)
         return grads
-
-    def _replay_gradients(self, U: Array, grads: Array) -> None:
-        """Writes the gradients of one (H, d) window's first H-1 slots into grads.
-
-        The window's rollout is chained back through the Jacobians at each step.
-        """
-        H = self.horizon
-        X = rollout(self.system, 0.0, U[:-1], self.disturbances)
-        v = self.cost.grad_x(X[-1])
-        for j in range(H - 2, -1, -1):
-            Jx, Ju = self.system.jacobians(X[j], U[j])
-            grads[j] = Ju.T @ v
-            v = Jx.T @ v
 
 
 @dataclass

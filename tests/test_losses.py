@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynaboost.core import RngStream
-from dynaboost.dynamics import LinearSystem, PendulumSystem, random_lds
+from dynaboost.dynamics import LinearSystem, PendulumSystem, random_lds, rollout
 from dynaboost.losses import (
     CurvatureBounds,
     ProxyLoss,
@@ -164,6 +164,28 @@ class TestLinearWindowOperators:
         assert system.window_operators(1)[0].shape == (2, 0)
 
 
+def _pendulum_chain(system, cost, w, U, regimes):
+    """Slot gradients of one (H, 1) pendulum window: rollout's states, then
+    grad_x chained back through jacobians with plain Jx.T @ v products.
+    Adds to regimes the clips and wraps that the window's steps hit."""
+    H = U.shape[0]
+    X = rollout(system, 0.0, U[:-1], w)
+    grads = np.empty(U.shape)
+    grads[-1] = cost.grad_u(U[-1])
+    v = cost.grad_x(X[-1])
+    for j in range(H - 2, -1, -1):
+        Jx, Ju = system.jacobians(X[j], U[j])
+        grads[j] = Ju.T @ v
+        v = Jx.T @ v
+        if abs(U[j, 0]) > system.max_torque:
+            regimes.add("torque clip")
+        if Jx[1, 1] == 0.0:
+            regimes.add("speed clip")
+        if abs(X[j + 1, 0] - w[j, 0] - X[j, 0]) > np.pi:
+            regimes.add("angle wrap")
+    return grads
+
+
 class TestStackedWindows:
     """gradients() on an (N, H, d) stack: each row has the bits of a lone (H, d) call."""
 
@@ -188,15 +210,26 @@ class TestStackedWindows:
         two_axes = loss.gradients(U.reshape(2, 2, H, d))
         assert np.array_equal(two_axes, stacked.reshape(2, 2, H, d))
 
-    def test_pendulum_rows_equal_lone_calls(self):
-        rng = RngStream(8)
-        w = 0.05 * rng.child(0).standard_normal((3, 2))
-        loss = ProxyLoss(PendulumSystem(), QuadraticCost.identity(2, 1), 4, w)
-        U = 0.5 * rng.child(1).standard_normal((5, 4, 1))
-        stacked = loss.gradients(U)
-        assert stacked.shape == U.shape
-        for row, window in zip(stacked, U):
-            assert np.array_equal(row, loss.gradients(window))
+    def test_pendulum_rows_equal_an_independent_chain(self):
+        # The windows clip the torque, reach a pre-clip speed above 8 and
+        # wrap the angle past pi; rows must match the chain bit for bit.
+        system = PendulumSystem()
+        cost = QuadraticCost([[2.0, 0.3], [0.3, 0.5]], [[0.7]])
+        big_w = np.array([[3.0, 8.5], [0.2, -0.5], [-0.1, 0.3], [0.05, -0.2]])
+        regimes = set()
+        for H in (1, 2, 5):
+            w = big_w[: H - 1]
+            loss = ProxyLoss(system, cost, H, w)
+            U = 3.0 * RngStream(H).standard_normal((4, H, 1))
+            stacked = loss.gradients(U)
+            assert stacked.shape == U.shape
+            for row, window in zip(stacked, U):
+                want = _pendulum_chain(system, cost, w, window, regimes)
+                assert np.array_equal(row, want)
+                assert np.array_equal(loss.gradients(window), want)
+            two_axes = loss.gradients(U.reshape(2, 2, H, 1))
+            assert np.array_equal(two_axes, stacked.reshape(2, 2, H, 1))
+        assert regimes == {"torque clip", "speed clip", "angle wrap"}
 
 
 class TestLinearResidualLoss:

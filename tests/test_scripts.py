@@ -66,9 +66,27 @@ def test_lr_sweep_prints_one_line_per_rate():
 
 def test_lr_sweep_rejects_zero_workers():
     proc = call_script("lr_sweep.py", "--name", "walk_gpc", "--lrs", "0.015", "--parallel", "0")
-    assert proc.returncode != 0
+    assert proc.returncode == 1
     assert "--parallel: must be an integer >= 1" in proc.stderr
     assert proc.stdout == ""  # nothing ran
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run_all.py", "--parallel", "0"],
+        ["regret_horizon.py", "--bogus"],
+        ["memory_decay.py", "--bogus"],
+        ["pinned_digest.py", "nosuch"],
+    ],
+    ids=["run_all_parallel_0", "regret_horizon_bogus", "memory_decay_bogus", "pinned_digest_nosuch"],
+)
+def test_usage_error_exits_1(argv):
+    # The CLI's configuration exit code: 2 would read as a diverged boosted run.
+    proc = call_script(*argv)
+    assert proc.returncode == 1
+    assert f"{argv[0]}: error: " in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_pinned_digest_is_reproducible():
