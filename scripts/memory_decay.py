@@ -3,8 +3,8 @@
 For each spectral radius, runs one online-GPC episode on a scalar LDS and
 reports eps(H): the mean absolute gap between the cost at the true state
 and at the state rebuilt from zero using only the last H-1 action and
-disturbance pairs. Geometric decay in H is what licenses learning from a
-fixed-size window.
+disturbance pairs, which is the learners' window loss, `losses.ProxyLoss`.
+Geometric decay in H is what licenses learning from a fixed-size window.
 
     python3 scripts/memory_decay.py --rhos 0.5 0.7 0.9 --windows 2 5 10 15
 """
@@ -13,25 +13,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from dynaboost.dynamics import rollout
 from dynaboost.harness.cli import ArgumentParser
 from dynaboost.harness.experiments import sanity_suite
 from dynaboost.harness.runner import build_system, run_experiment
+from dynaboost.losses import ProxyLoss
 
 
 def window_error(traj, system, cost, H: int, burn: int) -> float:
-    diffs = []
+    """Mean |window loss - stage cost at the true state| over rounds t >= burn >= H - 1."""
+    gaps = []
     for t in range(burn, len(traj.actions)):
-        xhat = rollout(
-            system,
-            np.zeros(system.state_dim),
-            traj.actions[t - H + 1 : t],
-            traj.disturbances[t - H + 1 : t],
-        )[-1]
-        diffs.append(
-            abs(cost.value(xhat, traj.actions[t]) - cost.value(traj.states[t], traj.actions[t]))
-        )
-    return float(np.mean(diffs))
+        proxy = ProxyLoss(system, cost, H, traj.disturbances[t - H + 1 : t])
+        true = cost.value(traj.states[t], traj.actions[t])
+        gaps.append(abs(proxy.value(traj.actions[t - H + 1 : t + 1]) - true))
+    return float(np.mean(gaps))
 
 
 def main() -> None:
@@ -42,6 +37,13 @@ def main() -> None:
     ap.add_argument("--burn", type=int, default=100, help="rounds dropped before measuring")
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args()
+    windows = args.windows
+    if len(windows) < 2 or windows[0] < 1 or any(a >= b for a, b in zip(windows, windows[1:])):
+        ap.error("--windows: need at least two strictly increasing lengths, each >= 1")
+    if args.burn < windows[-1] - 1:
+        ap.error(f"--burn: must be >= max(--windows) - 1 = {windows[-1] - 1}, got {args.burn}")
+    if args.t <= args.burn:
+        ap.error(f"--t: must exceed --burn ({args.burn}), got {args.t}")
 
     base = sanity_suite(runs=1)[0]
     header = "rho    " + "".join(f"eps(H={H})  " for H in args.windows) + "per-step ratio"

@@ -33,6 +33,11 @@ def main() -> None:
     ap.add_argument("--horizons", type=int, nargs="+", default=[250, 500, 1000, 2000])
     ap.add_argument("--run-index", type=int, default=0, help="which seeded run to use")
     args = ap.parse_args()
+    H = correlated_suite(runs=1)[1].H
+    if min(args.horizons) < H:
+        ap.error(f"--horizons: each must be >= the memory H = {H}, got {min(args.horizons)}")
+    if args.run_index < 0:
+        ap.error(f"--run-index: must be >= 0, got {args.run_index}")
 
     print("T      boosted_total  best_fixed_total  rate")
     for T in args.horizons:

@@ -1,10 +1,11 @@
 """Dynamical systems, the two window folds, and per-episode records.
 
-Systems expose the deterministic part f of x' = f(x, u) + w together with
-its Jacobians. Two folds replay an action window. `rollout` folds f and
-gives the states: the window loss's value, the regret comparator and
-replays of recorded runs read it. The window loss's gradients come from
-the system's own fold, `LinearSystem.window_operators` or
+Systems expose the deterministic part f of x' = f(x, u) + w and its
+linearization (A, B); the pendulum also gives its step Jacobians. Two
+folds replay an action window. `rollout` folds f and gives the states:
+the window loss's value, the regret comparator and replays of recorded
+runs read it. The window loss's gradients come from the system's own
+fold, `LinearSystem.window_operators` or
 `PendulumSystem.window_jacobians`. Disturbance streams are drawn whole
 before round 1, in `harness.runner.draw_disturbances`.
 """
@@ -78,9 +79,6 @@ class LinearSystem:
 
     def f(self, x, u) -> Array:
         return self.A @ x + self.B @ u
-
-    def jacobians(self, x, u) -> tuple[Array, Array]:
-        return self.A, self.B
 
     def step(self, x, u, w) -> Array:
         return self.A @ x + self.B @ u + w
@@ -261,7 +259,6 @@ class Trajectory:
     costs: Array  # (T,)
     algorithm: str = ""
     seed: int = 0
-    w_hash: str = ""
     diverged: bool = False
     extra: dict = field(default_factory=dict)
 

@@ -1,17 +1,1 @@
 """Experiment orchestration: configs, runs, statistics, outputs, CLI."""
-
-from dynaboost.harness.config import ConfigError, ExperimentConfig, load_config, parse_config
-from dynaboost.harness.runner import ExperimentResult, run_episode, run_experiment
-from dynaboost.harness.stats import SeriesStats, aggregate
-
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "SeriesStats",
-    "aggregate",
-    "load_config",
-    "parse_config",
-    "run_episode",
-    "run_experiment",
-]

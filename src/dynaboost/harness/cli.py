@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_suite.add_argument(
                 "--t-large",
                 type=int,
-                help="horizon for the d=100 run (default 1000; smaller than T to keep desk scale)",
+                help="cap on the d=100 run's horizon, which is min(T, cap) (default 1000)",
             )
 
     sub.add_parser("gradcheck", help="finite-difference verification of all gradients")

@@ -250,7 +250,6 @@ def run_episode(
         costs=costs[:t_end],
         algorithm=policy.name,
         seed=run_index,
-        w_hash=disturbance_hash(w_seq),
         diverged=diverged,
     )
 
@@ -261,14 +260,14 @@ def build_experiment(cfg: ExperimentConfig) -> tuple:
     return system, cost, derive_settings(cfg, system, cost)
 
 
-def _run_one(cfg: ExperimentConfig, run_index: int, built: tuple) -> dict:
-    """All policies on run run_index; built is build_experiment(cfg)."""
+def _run_one(cfg: ExperimentConfig, run_index: int, built: tuple) -> tuple[str, dict]:
+    """(stream hash, policy name -> trajectory) of run run_index; built is build_experiment(cfg)."""
     system, cost, derived = built
     w_seq = draw_disturbances(cfg, system.state_dim, run_index)
     out = {}
     for policy in build_policies(cfg, system, cost, run_index, derived):
         out[policy.name] = run_episode(system, cost, cfg, policy, w_seq, run_index)
-    return out
+    return disturbance_hash(w_seq), out
 
 
 @dataclass
@@ -311,10 +310,9 @@ def run_experiment(
     else:
         per_run = [_run_one(cfg, r, built) for r in range(cfg.runs)]
 
-    algorithms = list(per_run[0])
-    trajectories = {alg: [run[alg] for run in per_run] for alg in algorithms}
-    # Every policy of a run hashes the same stream.
-    w_hashes = [run[algorithms[0]].w_hash for run in per_run]
+    w_hashes = [w_hash for w_hash, _ in per_run]
+    algorithms = list(per_run[0][1])
+    trajectories = {alg: [run[alg] for _, run in per_run] for alg in algorithms}
     diverged = {
         alg: {t.seed for t in trajs if t.diverged} for alg, trajs in trajectories.items()
     }

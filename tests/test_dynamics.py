@@ -71,14 +71,6 @@ class TestLinearSystem:
         with pytest.raises(ValueError):
             sys.step([1.0, 2.0], [0.0], [0.0])
 
-    def test_jacobians_are_system_matrices(self):
-        A = [[0.2, 0.1], [0.0, 0.3]]
-        B = [[1.0], [0.5]]
-        sys = LinearSystem(A, B)
-        Jx, Ju = sys.jacobians(np.ones(2), np.ones(1))
-        assert np.array_equal(Jx, A)
-        assert np.array_equal(Ju, B)
-
 
 def test_wrap_angle_branch_points():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)

@@ -254,7 +254,6 @@ def _fake_traj(alg, seed, T=10, scale=1.0):
         costs=costs,
         algorithm=alg,
         seed=seed,
-        w_hash=f"hash{seed}",
     )
 
 
@@ -445,13 +444,14 @@ class TestRunner:
             assert np.array_equal(r1.final_averages(alg), r2.final_averages(alg))
             for t1, t2 in zip(r1.trajectories[alg], r2.trajectories[alg]):
                 assert np.array_equal(t1.states, t2.states)
-                assert t1.w_hash == t2.w_hash
+        assert r1.w_hashes == r2.w_hashes
 
     def test_paired_disturbances_across_algorithms(self):
         res = run_experiment(_tiny_cfg())
         for r in range(2):
-            hashes = {res.trajectories[alg][r].w_hash for alg in res.algorithms}
-            assert len(hashes) == 1
+            ref = res.trajectories["boosted"][r].disturbances
+            for alg in res.algorithms:
+                assert np.array_equal(res.trajectories[alg][r].disturbances, ref), (alg, r)
 
     def test_trajectories_replay_exactly(self):
         cfg = _tiny_cfg()
@@ -528,13 +528,14 @@ class TestRunIndependence:
         cfg = _tiny_cfg(runs=3, T=25, **overrides)
         result = run_experiment(cfg)
         for r in reversed(range(cfg.runs)):
-            alone = _run_one(cfg, r, build_experiment(cfg))
+            w_hash, alone = _run_one(cfg, r, build_experiment(cfg))
+            assert w_hash == result.w_hashes[r]
             assert sorted(alone) == result.algorithms
             for alg in result.algorithms:
                 a, b = alone[alg], result.trajectories[alg][r]
                 for name in ("states", "actions", "disturbances", "costs"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), (alg, r, name)
-                assert (a.w_hash, a.diverged, a.seed) == (b.w_hash, b.diverged, b.seed)
+                assert (a.diverged, a.seed) == (b.diverged, b.seed)
 
 
 class TestSuiteDefinitions:
@@ -544,6 +545,11 @@ class TestSuiteDefinitions:
         assert all(c.env.rho == pytest.approx(0.7) for c in suite)
         assert suite[0].T == 2000 and suite[2].T == 1000
         assert all(c.weak.lr == WEAK_DEFAULTS["gpc"][0] for c in suite)
+
+    def test_t_large_caps_the_d100_horizon(self):
+        # `dynaboost sanity --t 300` must not run d=100 for the longer default cap.
+        assert [c.T for c in sanity_suite(T=300)] == [300, 300, 300]
+        assert sanity_suite(T=300, t_large=50)[2].T == 50
 
     def test_correlated_kinds(self):
         suite = correlated_suite(runs=3)

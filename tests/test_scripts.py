@@ -1,6 +1,5 @@
 """The analysis scripts run end to end at a small size and print their tables."""
 
-import importlib.util
 import os
 import platform
 import subprocess
@@ -71,16 +70,24 @@ def test_lr_sweep_rejects_zero_workers():
     assert proc.stdout == ""  # nothing ran
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run_all.py", "--parallel", "0"],
-        ["regret_horizon.py", "--bogus"],
-        ["memory_decay.py", "--bogus"],
-        ["pinned_digest.py", "nosuch"],
-    ],
-    ids=["run_all_parallel_0", "regret_horizon_bogus", "memory_decay_bogus", "pinned_digest_nosuch"],
-)
+USAGE_ERRORS = {
+    "run_all_parallel_0": ["run_all.py", "--parallel", "0"],
+    "regret_horizon_bogus": ["regret_horizon.py", "--bogus"],
+    "regret_horizon_t_below_h": ["regret_horizon.py", "--horizons", "3"],
+    "regret_horizon_negative_run": ["regret_horizon.py", "--run-index", "-1"],
+    "memory_decay_bogus": ["memory_decay.py", "--bogus"],
+    # A burn below max(windows) - 1 would slice windows off the end of the stream.
+    "memory_decay_short_burn": ["memory_decay.py", "--burn", "2"],
+    "memory_decay_one_window": ["memory_decay.py", "--windows", "5"],
+    "memory_decay_repeated_window": ["memory_decay.py", "--windows", "5", "5"],
+    "memory_decay_decreasing_windows": ["memory_decay.py", "--windows", "5", "2"],
+    "memory_decay_zero_window": ["memory_decay.py", "--windows", "0", "5"],
+    "memory_decay_t_not_above_burn": ["memory_decay.py", "--t", "100", "--burn", "100"],
+    "pinned_digest_nosuch": ["pinned_digest.py", "nosuch"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_error_exits_1(argv):
     # The CLI's configuration exit code: 2 would read as a diverged boosted run.
     proc = call_script(*argv)
@@ -89,30 +96,16 @@ def test_usage_error_exits_1(argv):
     assert proc.stdout == ""
 
 
-def test_pinned_digest_is_reproducible():
-    # One run of the script in a fresh process prints the recorded digest.
-    golden = (ROOT / "tests" / "pinned_digests.txt").read_text().splitlines()
-    recorded = next(line for line in golden if line.startswith("repro "))
-    assert run_script("pinned_digest.py", "repro") == [recorded]
-
-
-def _load_pinned_digest():
-    path = ROOT / "scripts" / "pinned_digest.py"
-    spec = importlib.util.spec_from_file_location("pinned_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_pinned_digests_match_golden_file():
     """Every pinned config emits exactly the bytes recorded in tests/pinned_digests.txt.
 
     The file starts with the numpy version and the platform it was recorded
     under, then holds the 15 lines of scripts/pinned_digest.py. The digests
     are bitwise, so they are only comparable under the same numpy and
-    platform: a mismatch fails and names both. A change that moves numbers
-    on purpose regenerates the file by writing those two lines and the
-    script's output.
+    platform: a mismatch fails and names both. The script runs in a fresh
+    process, so its one-thread BLAS pin holds whatever this process loaded.
+    A change that moves numbers on purpose regenerates the file by writing
+    those two lines and the script's output.
     """
     lines = (ROOT / "tests" / "pinned_digests.txt").read_text().splitlines()
     recorded = dict(line.split(maxsplit=1) for line in lines)
@@ -123,8 +116,7 @@ def test_pinned_digests_match_golden_file():
             f"pinned digests were recorded under {key} {then!r}, this is {key} {value!r}: "
             "the bits are not comparable, so regenerate the file under this one"
         )
-    module = _load_pinned_digest()
-    configs = module.pinned_configs()
-    assert list(recorded) == list(configs)
-    mismatched = [name for name, cfg in configs.items() if module.digest(cfg) != recorded[name]]
+    printed = dict(line.split() for line in run_script("pinned_digest.py"))
+    assert list(printed) == list(recorded)
+    mismatched = [name for name in recorded if printed[name] != recorded[name]]
     assert not mismatched, f"digests differ from tests/pinned_digests.txt: {mismatched}"
