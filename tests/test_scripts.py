@@ -96,6 +96,13 @@ def test_usage_error_exits_1(argv):
     assert proc.stdout == ""
 
 
+def test_pinned_digest_is_reproducible():
+    # One run of the script in a fresh process prints the recorded digest.
+    golden = (ROOT / "tests" / "pinned_digests.txt").read_text().splitlines()
+    recorded = next(line for line in golden if line.startswith("repro "))
+    assert run_script("pinned_digest.py", "repro") == [recorded]
+
+
 def test_pinned_digests_match_golden_file():
     """Every pinned config emits exactly the bytes recorded in tests/pinned_digests.txt.
 
