@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from dynaboost.harness.cli import ArgumentParser
+from dynaboost.harness.config import ConfigError
 from dynaboost.harness.experiments import sanity_suite
 from dynaboost.harness.runner import build_system, run_experiment
 from dynaboost.losses import ProxyLoss
@@ -45,19 +46,18 @@ def main() -> None:
     if args.t <= args.burn:
         ap.error(f"--t: must exceed --burn ({args.burn}), got {args.t}")
 
-    base = sanity_suite(runs=1)[0]
-    header = "rho    " + "".join(f"eps(H={H})  " for H in args.windows) + "per-step ratio"
-    print(header)
-    for rho in args.rhos:
-        cfg = replace(
-            base,
-            env=replace(base.env, rho=rho),
-            T=args.t,
-            runs=1,
-            baselines=("single",),
-        )
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+    base = replace(sanity_suite(runs=1)[0], baselines=("single",))
+    # override range-checks each config, so a bad value stops the script before it prints.
+    try:
+        configs = [
+            base.override(env=replace(base.env, rho=rho), T=args.t, seed=args.seed)
+            for rho in args.rhos
+        ]
+    except ConfigError as e:
+        ap.error(str(e))
+
+    print("rho    " + "".join(f"eps(H={H})  " for H in windows) + "per-step ratio")
+    for cfg in configs:
         system, cost = build_system(cfg)
         traj = run_experiment(cfg).trajectories["single"][0]
         eps = [window_error(traj, system, cost, H, args.burn) for H in args.windows]
@@ -67,7 +67,7 @@ def main() -> None:
             (eps[i + 1] / eps[i]) ** (1.0 / steps[i]) for i in range(len(steps)) if eps[i] > 0
         ]
         cells = "".join(f"{e:10.3e} " for e in eps)
-        print(f"{rho:4.2f}  {cells}  {np.mean(ratios):6.3f}")
+        print(f"{cfg.env.rho:4.2f}  {cells}  {np.mean(ratios):6.3f}")
 
 
 if __name__ == "__main__":

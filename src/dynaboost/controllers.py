@@ -90,12 +90,12 @@ class _Learner:
     """What the GPC and recurrent learners share: step settings, counts, the lone-learner path.
 
     A family supplies its parameters as one array (params, which _bind
-    replaces), their named block shapes (_shapes), the radius of their
-    ball, _views and _level_gradients, which writes every level's gradient
-    into the stack's buffer and returns it with the (L,) mask of the levels
-    whose gradient is finite; LevelStack runs the one step over them. A
-    family without clip_norm is not clipped, so its gradient norm is never
-    taken.
+    sets with their named views, weights), their named block shapes
+    (_shapes), the radius of their ball, _views and _level_gradients, which
+    writes every level's gradient into the stack's buffer and returns it
+    with the (L,) mask of the levels whose gradient is finite; LevelStack
+    runs the one step over them. A family without clip_norm is not clipped,
+    so its gradient norm is never taken.
     """
 
     clip_norm = math.inf
@@ -112,6 +112,11 @@ class _Learner:
         self.lr_schedule = lr_schedule
         self._t = 0
         self.skipped_updates = 0
+
+    def _bind(self, params: Array) -> None:
+        """Make params this learner's parameters; its named weights become views into it."""
+        self.params = params
+        self.weights = self._views(params)
 
     def loss_gradients(self, loss, w_history) -> Array:
         """Unclipped gradient of the residual loss, shaped like params: LevelStack at L = 1.
@@ -150,16 +155,15 @@ class GpcController(_Learner):
         if R_M <= 0:
             raise ValueError("R_M must be positive")
         self.k = state_dim
-        # M[m] multiplies w_{t-1-m}: index 0 is the most recent disturbance.
-        self.M = np.zeros((H, self.d, self.k))
         self.R_M = R_M
+        self._bind(np.zeros((H, self.d, self.k)))
 
-    params = property(lambda self: self.M)
+    # M[m] multiplies w_{t-1-m}: index 0 is the most recent disturbance. M is
+    # a read-only name for params; write it in place, since a joined level's
+    # params is its row of the stack.
+    M = property(lambda self: self.params)
     radius = property(lambda self: self.R_M)
-    _shapes = property(lambda self: {"M": self.M.shape})
-
-    def _bind(self, M: Array) -> None:
-        self.M = M
+    _shapes = property(lambda self: {"M": self.params.shape})
 
     @staticmethod
     def _views(M: Array) -> Array:
@@ -167,7 +171,7 @@ class GpcController(_Learner):
 
     def act(self, obs: Observation) -> Array:
         # M[m] pairs with the (m+1)-th most recent disturbance.
-        raw = np.einsum("mdk,mk->d", self.M, obs.disturbances[::-1])
+        raw = np.einsum("mdk,mk->d", self.params, obs.disturbances[::-1])
         return project_to_ball(raw, self.action_ball)
 
     def _level_gradients(self, M: Array, loss, w_history, out: Array) -> tuple[Array, Array]:
@@ -373,11 +377,6 @@ class RecurrentController(_Learner):
             views[name] = params[..., pos : pos + size].reshape(*params.shape[:-1], *shape)
             pos += size
         return views
-
-    def _bind(self, params: Array) -> None:
-        """Make params this learner's parameters; its named weights become views into it."""
-        self.params = params
-        self.weights = self._views(params)
 
     def act(self, obs: Observation) -> Array:
         raw, _, _ = _raw_outputs(self.cell, self.weights, obs.disturbances[None])

@@ -1,8 +1,8 @@
 """Dynamical systems, the two window folds, and per-episode records.
 
-Systems expose the deterministic part f of x' = f(x, u) + w and its
-linearization (A, B); the pendulum also gives its step Jacobians. Two
-folds replay an action window. `rollout` folds f and gives the states:
+Systems expose their step x' = f(x, u) + w and its linearization
+(A, B); the pendulum also gives its step Jacobians. Two folds replay an
+action window. `rollout` folds step and gives the states:
 the window loss's value, the regret comparator and replays of recorded
 runs read it. The window loss's gradients come from the system's own
 fold, `LinearSystem.window_operators` or
@@ -56,7 +56,7 @@ def spectral_radius_estimate(A, tol: float = 1e-9, max_iter: int = 200) -> float
 class LinearSystem:
     """x' = A x + B u (+ w).
 
-    A and B are validated here and fixed afterwards: f and step take
+    A and B are validated here and fixed afterwards: step takes
     length-k and length-d vectors as given, since they run inside the
     round loop, and the window operators are cached from A and B.
     """
@@ -76,9 +76,6 @@ class LinearSystem:
                 "control without state feedback needs a stable A for bounded memory",
                 stacklevel=2,
             )
-
-    def f(self, x, u) -> Array:
-        return self.A @ x + self.B @ u
 
     def step(self, x, u, w) -> Array:
         return self.A @ x + self.B @ u + w
@@ -150,8 +147,8 @@ class PendulumSystem:
     def _transition(self, theta: float, theta_dot: float, u: float) -> tuple[float, float, float]:
         """(theta', angular velocity', angular velocity before its clip) of one step.
 
-        The one statement of the step physics, on floats: f, jacobians and
-        window_jacobians all call it, and it computes no sensitivity.
+        The one statement of the step physics, on floats: step, jacobians
+        and window_jacobians all call it, and it computes no sensitivity.
         """
         torque = min(max(u, -self.max_torque), self.max_torque)
         accel = self._gravity * math.sin(theta) + self._inertia * torque
@@ -172,10 +169,6 @@ class PendulumSystem:
         d_dot_d_theta = self._gravity * math.cos(theta) * dt
         d_dot_d_u = self._inertia * dt if abs(u) <= self.max_torque else 0.0
         return 1.0 + dt * d_dot_d_theta, dt, dt * d_dot_d_u, d_dot_d_theta, 1.0, d_dot_d_u
-
-    def f(self, x, u) -> Array:
-        new_theta, new_dot, _ = self._transition(float(x[0]), float(x[1]), float(u[0]))
-        return np.array([new_theta, new_dot])
 
     def jacobians(self, x, u) -> tuple[Array, Array]:
         theta, u0 = float(x[0]), float(u[0])
@@ -203,7 +196,8 @@ class PendulumSystem:
         return np.array(ends), np.array(entries).reshape(len(ends), len(W), 2, 3)
 
     def step(self, x, u, w) -> Array:
-        return self.f(x, u) + w
+        new_theta, new_dot, _ = self._transition(float(x[0]), float(x[1]), float(u[0]))
+        return np.array([new_theta, new_dot]) + w
 
     def linearization(self) -> tuple[Array, Array]:
         """(A, B) of the discrete map at the upright equilibrium."""
@@ -224,7 +218,7 @@ def random_lds(rng: RngStream, k: int, d: int, rho_target: float) -> LinearSyste
 
 
 def rollout(system, x_start, actions, disturbances) -> Array:
-    """(n+1, k) states of the fold x_{j+1} = f(x_j, u_j) + w_j from x_0 = x_start.
+    """(n+1, k) states of the fold x_{j+1} = step(x_j, u_j, w_j) from x_0 = x_start.
 
     The state fold of an action window, which the window loss's value
     replays; its gradients come from the sensitivity fold,
@@ -235,7 +229,7 @@ def rollout(system, x_start, actions, disturbances) -> Array:
     X = np.empty((len(actions) + 1, system.state_dim))
     X[0] = x_start
     for j, (u, w) in enumerate(zip(actions, disturbances, strict=True)):
-        X[j + 1] = system.f(X[j], u) + w
+        X[j + 1] = system.step(X[j], u, w)
     return X
 
 

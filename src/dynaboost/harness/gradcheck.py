@@ -1,9 +1,10 @@
 """Finite-difference verification of every analytic gradient in the package.
 
 Central differences with h = 1e-5 against: window-loss slot gradients
-(linear and pendulum rollouts), the GPC parameter gradient, recurrent
-backpropagation through time (both cells), and the gradient 2(Pm + q) of
-the comparator's exact quadratic. Used by the CLI and by the test suite.
+(linear and pendulum rollouts), the GPC parameter gradient of the loss of
+its own act, recurrent backpropagation through time (both cells), and the
+gradient 2(Pm + q) of the comparator's exact quadratic. Used by the CLI
+and by the test suite.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynaboost.controllers import GpcController, RecurrentController, _raw_outputs, _slot_windows
+from dynaboost.controllers import (
+    GpcController, Observation, RecurrentController, _raw_outputs, _slot_windows
+)
 from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_quadratic
@@ -83,24 +86,16 @@ def check_gpc_gradient(points: int = 100) -> CheckResult:
         radius = 0.6 if p % 2 else 50.0  # exercise both projection regimes
         ball = BallSet(radius, d)
         gpc = GpcController(k, H, ball, lr=0.0, lr_schedule="constant")
-        gpc.M = rng.normal(size=(H, d, k))
+        gpc.M[...] = rng.normal(size=(H, d, k))
         wh = rng.normal(size=(2 * H - 1, k))
         loss = _random_residual(rng, H, d, "linear" if p % 3 else "quadratic")
-        # Each slot action is the projected M-w sum that composed() rebuilds.
         G = gpc.loss_gradients(loss, wh).ravel()
-        windows = _slot_windows(wh, H)
+        slots = [Observation(np.zeros(k), window) for window in _slot_windows(wh, H)]
 
+        # Each slot's action is the one act plays on that slot's window.
         def composed(vec):
-            M = vec.reshape(H, d, k)
-            U = np.stack(
-                [
-                    project_to_ball(
-                        np.einsum("mdk,mk->d", M, windows[j][::-1]), ball
-                    )
-                    for j in range(H)
-                ]
-            )
-            return loss.value(U)
+            gpc.M[...] = vec.reshape(H, d, k)
+            return loss.value(np.stack([gpc.act(ob) for ob in slots]))
 
         fd = _central_fd(composed, gpc.M.ravel().copy())
         worst = max(worst, _rel_err(G, fd))

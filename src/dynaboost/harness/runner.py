@@ -272,7 +272,6 @@ def _run_one(cfg: ExperimentConfig, run_index: int, built: tuple) -> tuple[str, 
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     trajectories: dict[str, list[Trajectory]]
     stats: dict[str, SeriesStats]
     w_hashes: list[str]
@@ -322,7 +321,6 @@ def run_experiment(
             continue
         stats[alg] = aggregate([t.running_average() for t in trajectories[alg]])
     return ExperimentResult(
-        config=cfg,
         trajectories=trajectories,
         stats=stats,
         w_hashes=w_hashes,

@@ -22,7 +22,6 @@ class SeriesStats:
     std: Array | None
     ci_lo: Array | None
     ci_hi: Array | None
-    runs: int
 
     @property
     def has_ci(self) -> bool:
@@ -41,7 +40,7 @@ def aggregate(series: list[Array] | Array) -> SeriesStats:
     M = np.vstack(rows)
     mean = M.mean(axis=0)
     if len(rows) < 2:
-        return SeriesStats(mean=mean, std=None, ci_lo=None, ci_hi=None, runs=1)
+        return SeriesStats(mean=mean, std=None, ci_lo=None, ci_hi=None)
     std = M.std(axis=0, ddof=1)
     half = CI_Z * std / np.sqrt(len(rows))
-    return SeriesStats(mean=mean, std=std, ci_lo=mean - half, ci_hi=mean + half, runs=len(rows))
+    return SeriesStats(mean=mean, std=std, ci_lo=mean - half, ci_hi=mean + half)

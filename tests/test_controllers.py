@@ -51,7 +51,7 @@ class TestGpcAct:
     def test_scalar_two_tap_evaluation(self):
         # M^1 pairs with the most recent disturbance, M^2 with the one before.
         ctrl = GpcController(state_dim=1, H=2, action_ball=BallSet(radius=5.0, dim=1))
-        ctrl.M = np.array([0.5, 0.25]).reshape(2, 1, 1)
+        ctrl.M[...] = np.array([0.5, 0.25]).reshape(2, 1, 1)
         window = np.array([[-2.0], [1.0]])  # oldest first: w_{t-2}, w_{t-1}
         out = ctrl.act(obs(0.0, window))
         assert out == pytest.approx(0.5 * 1.0 + 0.25 * (-2.0), abs=1e-15)
@@ -63,7 +63,7 @@ class TestGpcAct:
 
     def test_output_projected_into_ball(self):
         ctrl = GpcController(state_dim=1, H=1, action_ball=BallSet(radius=0.5, dim=1))
-        ctrl.M = np.full((1, 1, 1), 10.0)
+        ctrl.M[...] = np.full((1, 1, 1), 10.0)
         out = ctrl.act(obs(0.0, np.array([[1.0]])))
         assert abs(float(out[0])) == pytest.approx(0.5)
 
@@ -81,7 +81,7 @@ class TestGpcUpdate:
 
     def test_zero_gradient_leaves_m(self):
         ctrl = GpcController(state_dim=1, H=3, action_ball=BallSet(radius=1.0, dim=1))
-        ctrl.M = np.arange(3.0).reshape(3, 1, 1)
+        ctrl.M[...] = np.arange(3.0).reshape(3, 1, 1)
         before = ctrl.M.copy()
         ctrl.receive_loss(linear_loss(np.zeros((3, 1))), np.zeros((5, 1)))
         assert np.array_equal(ctrl.M, before)
@@ -89,7 +89,7 @@ class TestGpcUpdate:
     def test_hand_update_single_tap(self):
         # grad 2, disturbance 3, step 0.1: M goes from 1 to 1 - 0.1*6 = 0.4.
         ctrl = self._scalar(lr=0.1)
-        ctrl.M = np.ones((1, 1, 1))
+        ctrl.M[...] = np.ones((1, 1, 1))
         ctrl.receive_loss(linear_loss(np.array([[2.0]])), np.array([[3.0]]))
         assert ctrl.M.item() == pytest.approx(0.4, abs=1e-14)
 
@@ -97,13 +97,13 @@ class TestGpcUpdate:
         ctrl = GpcController(
             state_dim=1, H=1, action_ball=BallSet(radius=10.0, dim=1), lr_schedule="constant"
         )
-        ctrl.M = np.ones((1, 1, 1))
+        ctrl.M[...] = np.ones((1, 1, 1))
         ctrl.receive_loss(linear_loss(np.array([[2.0]])), np.array([[3.0]]))
         assert ctrl.M.item() == pytest.approx(1.0 - 0.3 * 6.0, abs=1e-14)
 
     def test_sqrt_schedule_decays(self):
         ctrl = self._scalar(lr=0.1, schedule="sqrt")
-        ctrl.M = np.ones((1, 1, 1))
+        ctrl.M[...] = np.ones((1, 1, 1))
         loss = linear_loss(np.array([[2.0]]))
         hist = np.array([[3.0]])
         ctrl.receive_loss(loss, hist)  # step 0.1
@@ -124,7 +124,7 @@ class TestGpcUpdate:
         ball = BallSet(radius=1.0, dim=d)
         ctrl = GpcController(state_dim=k, H=H, action_ball=ball, lr=1.0, R_M=1e6)
         ctrl.lr_schedule = "constant"
-        ctrl.M = 0.8 * rng.child(0).standard_normal((H, d, k))
+        ctrl.M[...] = 0.8 * rng.child(0).standard_normal((H, d, k))
         hist = rng.child(1).standard_normal((2 * H - 1, k))
         grads = rng.child(2).standard_normal((H, d))
         loss = linear_loss(grads)
@@ -171,7 +171,7 @@ class TestGpcUpdate:
 
     def test_nonfinite_gradient_skipped_and_counted(self):
         ctrl = GpcController(state_dim=2, H=3, action_ball=BallSet(radius=1.0, dim=2), lr=0.5)
-        ctrl.M = RngStream(3).standard_normal((3, 2, 2))
+        ctrl.M[...] = RngStream(3).standard_normal((3, 2, 2))
         before = ctrl.M.copy()
         with pytest.warns(UserWarning, match="non-finite gradient"):
             ctrl.receive_loss(_NanLoss(), np.ones((5, 2)))
@@ -353,7 +353,7 @@ def _level(family, i, ball, H=3, k=2):
     rng = RngStream(60 + i)
     if family == "gpc":
         ctrl = GpcController(k, H, ball, R_M=10.0, lr=0.5, lr_schedule="sqrt")
-        ctrl.M = (0.2, 4.0, 1.0)[i] * rng.standard_normal((H, ball.dim, k))
+        ctrl.M[...] = (0.2, 4.0, 1.0)[i] * rng.standard_normal((H, ball.dim, k))
         if i == 2:
             ctrl.R_M = 0.5 * float(np.linalg.norm(ctrl.M))
         return ctrl
@@ -466,8 +466,8 @@ class TestLevelStacks:
         lone = [GpcController(2, H, ball, lr=0.5) for _ in range(3)]
         rng = RngStream(9)
         for i, (mine, theirs) in enumerate(zip(stacked, lone)):
-            mine.M = 1e-200 * rng.child(i).standard_normal((H, 2, 2))
-            theirs.M = mine.M.copy()
+            mine.M[...] = 1e-200 * rng.child(i).standard_normal((H, 2, 2))
+            theirs.M[...] = mine.M
         levels = LevelStack.join(stacked)
         hist = 1e160 * (1.0 + np.abs(rng.child(3).standard_normal((2 * H - 1, 2))))
         grads = 1e-150 * rng.child(4).standard_normal((3, H, 2))
@@ -511,6 +511,20 @@ class TestLevelStacks:
         lstm = RecurrentController(1, 2, ball, RngStream(1), cell="lstm")
         with pytest.raises(ValueError, match=r"W \(20, 1\).*; W_x \(5, 1\)"):
             LevelStack.join([elman, lstm])
+
+    def test_joined_gpc_level_m_is_its_stack_row(self):
+        # Rebinding M would detach the learner: the stack would step its row
+        # while act read the new array. So M is read-only, written in place.
+        ball = BallSet(5.0, 1)
+        levels = [GpcController(1, 2, ball) for _ in range(2)]
+        stack = LevelStack.join(levels)
+        with pytest.raises(AttributeError):
+            levels[0].M = np.ones((2, 1, 1))
+        levels[0].M[...] = [[[1.0]], [[0.5]]]
+        assert stack.params[0].tolist() == [[[1.0]], [[0.5]]]
+        assert not stack.params[1].any()
+        stack.params[0] *= 2.0
+        assert levels[0].act(obs(0.0, np.array([[1.0], [1.0]]))).item() == 3.0
 
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)
@@ -625,7 +639,7 @@ def test_all_controllers_respect_action_ball(seed):
     window = 3.0 * rng.child(0).standard_normal((3, 2))
     state = 3.0 * rng.child(1).standard_normal(2)
     gpc = GpcController(state_dim=2, H=3, action_ball=ball)
-    gpc.M = rng.child(2).standard_normal((3, 2, 2))
+    gpc.M[...] = rng.child(2).standard_normal((3, 2, 2))
     rnn = RecurrentController(
         input_dim=2, H=3, action_ball=ball, rng=rng.child(3), hidden_dim=3
     )

@@ -121,14 +121,15 @@ class TestPendulum:
         p = PendulumSystem()
         x0 = np.array([0.3, 1.2])
         u0 = np.array([0.5])
+        no_w = np.zeros(2)
         Jx, Ju = p.jacobians(x0, u0)
         h = 1e-7
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (p.f(x0 + e, u0) - p.f(x0 - e, u0)) / (2 * h)
+            fd = (p.step(x0 + e, u0, no_w) - p.step(x0 - e, u0, no_w)) / (2 * h)
             assert np.allclose(Jx[:, i], fd, atol=1e-5)
-        fd = (p.f(x0, u0 + h) - p.f(x0, u0 - h)) / (2 * h)
+        fd = (p.step(x0, u0 + h, no_w) - p.step(x0, u0 - h, no_w)) / (2 * h)
         assert np.allclose(Ju[:, 0], fd, atol=1e-5)
 
     def test_jacobian_zero_under_saturation(self):
@@ -245,16 +246,15 @@ class TestDisturbances:
 
 
 class TestInferDisturbance:
-    """A transition's disturbance is x_next - f(x, u), as the window replay assumes."""
+    """A transition's disturbance is x_next - step(x, u, 0), as the window replay assumes."""
 
     def test_zero_noise(self):
         sys = LinearSystem([[0.5]], [[1.0]])
-        x_next = sys.step([2.0], [1.0], [0.0])
-        assert np.allclose(x_next - sys.f([2.0], [1.0]), 0.0)
+        assert np.allclose(sys.step([2.0], [1.0], [0.0]), [2.0])
 
     def test_known_example(self):
         sys = LinearSystem([[0.5]], [[1.0]])
-        assert np.allclose(np.array([2.5]) - sys.f([2.0], [1.0]), [0.5])
+        assert np.allclose(np.array([2.5]) - sys.step([2.0], [1.0], [0.0]), [0.5])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -265,7 +265,7 @@ class TestInferDisturbance:
         u = rng.child(2).standard_normal(2)
         w = rng.child(3).standard_normal(3)
         x_next = sys.step(x, u, w)
-        assert np.max(np.abs(x_next - sys.f(x, u) - w)) < 1e-12
+        assert np.max(np.abs(x_next - sys.step(x, u, np.zeros(3)) - w)) < 1e-12
 
 
 @pytest.mark.parametrize(

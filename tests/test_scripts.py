@@ -74,7 +74,6 @@ USAGE_ERRORS = {
     "run_all_parallel_0": ["run_all.py", "--parallel", "0"],
     "regret_horizon_bogus": ["regret_horizon.py", "--bogus"],
     "regret_horizon_t_below_h": ["regret_horizon.py", "--horizons", "3"],
-    "regret_horizon_negative_run": ["regret_horizon.py", "--run-index", "-1"],
     "memory_decay_bogus": ["memory_decay.py", "--bogus"],
     # A burn below max(windows) - 1 would slice windows off the end of the stream.
     "memory_decay_short_burn": ["memory_decay.py", "--burn", "2"],
@@ -84,6 +83,12 @@ USAGE_ERRORS = {
     "memory_decay_zero_window": ["memory_decay.py", "--windows", "0", "5"],
     "memory_decay_t_not_above_burn": ["memory_decay.py", "--t", "100", "--burn", "100"],
     "pinned_digest_nosuch": ["pinned_digest.py", "nosuch"],
+    # Values the config rejects stop a script before it prints, not with a traceback.
+    "lr_sweep_zero_runs": ["lr_sweep.py", "--name", "walk_gpc", "--lrs", "0.015", "--runs", "0"],
+    "lr_sweep_zero_lr": ["lr_sweep.py", "--name", "walk_gpc", "--lrs", "0.015", "0"],
+    "lr_sweep_unknown_name": ["lr_sweep.py", "--name", "nosuch", "--lrs", "0.015"],
+    "memory_decay_rho_above_1": ["memory_decay.py", "--rhos", "0.5", "1.5"],
+    "memory_decay_negative_seed": ["memory_decay.py", "--seed", "-1"],
 }
 
 
