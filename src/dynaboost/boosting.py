@@ -8,6 +8,9 @@ leading level axis, and takes one step over all N levels at once. Two
 variants: linear residuals (coefficient 0) with eta_i = 2/(i+1), and
 proximal quadratic residuals (coefficient eta*beta/2) with the constant
 step eta = alpha/beta.
+
+SharedStep is that update for several learning policies at once: the
+runner takes one per round for every policy of a run that learns.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ class DynaBoost:
 
     level_windows is one (N+1, H, d) array: row i holds the last H partial
     actions u^i, oldest first and zero-padded at the start. Level 0 is
-    identically zero and anchors the recursion. act must precede update
+    identically zero and anchors the recursion; anchors is the (N, H, d)
+    view of rows 0..N-1, level i's residual anchor. act must precede update
     within each round; the runner keeps that order, so it is not checked.
     coefficients holds each level's residual curvature: 0 under dynaboost1,
-    eta_i*beta/2 under dynaboost2. GPC and recurrent learners of one family
-    are joined into one controllers.LevelStack, whose step updates every
-    level at once; other learners take their residuals one by one through
-    receive_loss.
+    eta_i*beta/2 under dynaboost2. update is SharedStep of this booster
+    alone: GPC and recurrent learners of one family step as one
+    controllers.LevelStack, formed from their rows at each call, so a run
+    that joined them with other learners cannot leave it stale; other
+    learners take their residuals one by one through receive_loss.
     """
 
     name = "boosted"
@@ -79,7 +84,9 @@ class DynaBoost:
         )
         self.action_dim = self.learners[0].action_ball.dim
         self.level_windows = zero_window(H, self.action_dim, self.N + 1)
-        self.levels = LevelStack.join(self.learners) or _EachLevel(self.learners)
+        self.anchors = self.level_windows[: self.N]
+        # Learners that cannot share one stack fail here, not at the first update.
+        LevelStack.joinable(self.learners)
 
     def act(self, obs) -> Array:
         partials = np.zeros((self.N + 1, self.action_dim))
@@ -98,10 +105,44 @@ class DynaBoost:
         w_history is the (2H-1, k) disturbance history forwarded to the
         levels' step.
         """
-        anchors = self.level_windows[: self.N].copy()
+        SharedStep([self]).step(window_loss, w_history)
+
+
+class SharedStep:
+    """One round's learning step for several learning policies, taken together.
+
+    A learning policy exposes learners, anchors (an (L, H, d) view whose
+    row i anchors learner i's residual) and coefficients ((L,) residual
+    curvatures). The policies' learners are grouped by parameter layout, in
+    policy order, and each group is joined into one controllers.LevelStack;
+    learners that are already its rows are not copied. step asks the window
+    loss for gradients once, at every policy's anchors concatenated, and
+    takes one LevelStack.step per layout. Each row's arithmetic is that of
+    its policy stepping alone.
+    """
+
+    def __init__(self, policies: list):
+        groups: dict = {}
+        for p in policies:
+            # Learners outside the level stacks stay with their own policy.
+            groups.setdefault(getattr(p.learners[0], "layout", p), []).append(p)
+        self.policies = [p for group in groups.values() for p in group]
+        self.coefficients = np.concatenate([p.coefficients for p in self.policies])[:, None, None]
+        self.stacks = []
+        start = 0
+        for group in groups.values():
+            learners = [c for p in group for c in p.learners]
+            levels = LevelStack.join(learners) or _EachLevel(learners)
+            self.stacks.append((levels, slice(start, start + len(learners))))
+            start += len(learners)
+
+    def step(self, window_loss, w_history) -> None:
+        """window_loss.gradients takes an (L, H, d) stack; w_history as in DynaBoost.update."""
+        anchors = np.concatenate([p.anchors for p in self.policies])
         grads = window_loss.gradients(anchors)
-        coefficients = self.coefficients[:, None, None]
-        self.levels.step(ResidualLoss(grads, anchors, coefficients), w_history)
+        for levels, rows in self.stacks:
+            loss = ResidualLoss(grads[rows], anchors[rows], self.coefficients[rows])
+            levels.step(loss, w_history)
 
 
 class _EachLevel:

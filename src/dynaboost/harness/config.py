@@ -150,7 +150,10 @@ def _value(kind, v, path: tuple, fail):
 
 
 def validate(cfg: ExperimentConfig, fail) -> None:
-    """Range checks of a whole config; fail(path, message) raises at the first."""
+    """Range checks of a whole config; fail(path, message) raises at the first.
+
+    Each check is written so that NaN fails it: not x > 0, never x <= 0.
+    """
     env, dist, booster, weak = cfg.env, cfg.disturbance, cfg.booster, cfg.weak
 
     def one_of(path: tuple, what: str, value, allowed: tuple):
@@ -165,31 +168,31 @@ def validate(cfg: ExperimentConfig, fail) -> None:
             fail(("env", "rho"), f"rho must lie in (0, 1), got {env.rho}")
 
     one_of(("disturbance", "kind"), "disturbance kind", dist.kind, DISTURBANCE_KINDS)
-    if dist.std < 0:
+    if not dist.std >= 0:
         fail(("disturbance", "std"), f"std must be >= 0, got {dist.std}")
     if dist.kind == "random_walk" and not dist.clip_lo < dist.clip_hi:
         fail(("disturbance",), f"need clip_lo < clip_hi, got [{dist.clip_lo}, {dist.clip_hi}]")
 
     one_of(("booster", "variant"), "booster variant", booster.variant, BOOSTER_VARIANTS)
-    if booster.alpha is not None and booster.alpha <= 0:
+    if booster.alpha is not None and not booster.alpha > 0:
         fail(("booster", "alpha"), f"alpha must be positive, got {booster.alpha}")
-    if booster.beta is not None and booster.beta <= 0:
+    if booster.beta is not None and not booster.beta > 0:
         fail(("booster", "beta"), f"beta must be positive, got {booster.beta}")
     if None not in (booster.alpha, booster.beta) and booster.alpha > booster.beta:
         fail(("booster",), f"need alpha <= beta, got {booster.alpha} > {booster.beta}")
 
     one_of(("weak", "kind"), "weak kind", weak.kind, tuple(WEAK_DEFAULTS))
-    if weak.lr <= 0:
+    if not weak.lr > 0:
         fail(("weak", "lr"), f"lr must be positive, got {weak.lr}")
     one_of(("weak", "lr_schedule"), "lr_schedule", weak.lr_schedule, LR_SCHEDULES)
-    if weak.R_M <= 0:
+    if not weak.R_M > 0:
         fail(("weak", "R_M"), f"R_M must be positive, got {weak.R_M}")
     if weak.hidden < 1:
         fail(("weak", "hidden"), f"hidden must be >= 1, got {weak.hidden}")
     one_of(("weak", "cell"), "cell", weak.cell, CELLS)
-    if weak.clip_norm <= 0:
+    if not weak.clip_norm > 0:
         fail(("weak", "clip_norm"), f"clip_norm must be positive, got {weak.clip_norm}")
-    if weak.weight_radius <= 0:
+    if not weak.weight_radius > 0:
         fail(("weak", "weight_radius"), f"weight_radius must be positive, got {weak.weight_radius}")
 
     for i, b in enumerate(cfg.baselines):
@@ -213,9 +216,9 @@ def validate(cfg: ExperimentConfig, fail) -> None:
         fail(("runs",), f"runs must be >= 1, got {cfg.runs}")
     if not 0 <= cfg.seed < 2**64:
         fail(("seed",), f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
-    if cfg.action_radius <= 0:
+    if not cfg.action_radius > 0:
         fail(("action_radius",), f"action_radius must be positive, got {cfg.action_radius}")
-    if cfg.divergence_threshold <= 0:
+    if not cfg.divergence_threshold > 0:
         fail(("divergence_threshold",), "divergence_threshold must be positive")
 
 

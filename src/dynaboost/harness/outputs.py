@@ -195,7 +195,8 @@ def write_outputs(out_dir, config, trajectories, stats_by_alg, w_hashes, diverge
     if stats_by_alg:
         write_svg(paths["plot"], name, stats_by_alg)
     else:
-        paths.pop("plot")
+        # No plot, so an earlier run's must not stay beside these files.
+        paths.pop("plot").unlink(missing_ok=True)
     cfg_dict = asdict(config)
     cfg_dict.pop("raw_text", None)
     manifest = {

@@ -3,9 +3,13 @@
 One experiment = one system (drawn once from the base seed), `runs`
 disturbance realizations, and a fixed set of algorithms that all consume
 the identical per-run disturbance stream, so cross-algorithm comparisons
-are paired. Within a round the order is: observe state, act, suffer the
-stage cost, transition, then learn from information available through
-the previous round.
+are paired. A run plays all its policies in lockstep, round by round,
+each with its own state, cost and divergence truncation. Within a round
+each running policy observes its state, acts, suffers the stage cost and
+transitions; then every policy that learns takes one shared step from
+information available through the previous round: one window loss, one
+gradients call over all their anchors, and one level-stack step per
+parameter layout (boosting.SharedStep).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from dynaboost.boosting import DynaBoost
+from dynaboost.boosting import DynaBoost, SharedStep
 from dynaboost.controllers import (
     GpcController,
     LqrController,
@@ -33,7 +37,6 @@ from dynaboost.losses import (
     CurvatureBounds,
     ProxyLoss,
     QuadraticCost,
-    ResidualLoss,
     derive_curvature_bounds,
 )
 
@@ -120,21 +123,25 @@ def overparam_hidden(k: int, d: int, hidden: int, cell: str, N: int) -> int:
 
 
 class _SelfTaughtPolicy:
-    """One weak controller doing plain gradient steps on its own window."""
+    """One weak controller doing plain gradient steps on its own window.
+
+    A learning policy of one learner (see boosting.SharedStep): its anchor
+    is the (1, H, d) window of its last H actions, oldest first, and its
+    residual is linear (coefficient 0).
+    """
+
+    coefficients = np.zeros(1)
 
     def __init__(self, name: str, ctrl: GpcController | RecurrentController, H: int):
         self.name = name
         self.ctrl = ctrl
-        self.window = zero_window(H, ctrl.action_ball.dim)  # last H actions, oldest first
+        self.learners = [ctrl]
+        self.anchors = zero_window(H, ctrl.action_ball.dim, 1)
 
     def act(self, obs: Observation):
         u = self.ctrl.act(obs)
-        push_window(self.window, u)
+        push_window(self.anchors, u)
         return u
-
-    def update(self, window_loss, w_history):
-        grads = window_loss.gradients(self.window)
-        self.ctrl.receive_loss(ResidualLoss(grads, self.window), w_history)
 
 
 def derive_settings(cfg: ExperimentConfig, system, cost) -> tuple:
@@ -162,7 +169,11 @@ def derive_settings(cfg: ExperimentConfig, system, cost) -> tuple:
 def build_policies(
     cfg: ExperimentConfig, system, cost, run_index: int, derived: tuple | None = None
 ) -> list:
-    """Fresh policies for one run; derived is derive_settings(cfg, system, cost), made here if None."""
+    """Fresh policies for one run; derived is derive_settings(cfg, system, cost), made here if None.
+
+    The learners of every policy that learns are joined once, one array
+    per parameter layout, so the run's shared step reuses their rows.
+    """
     lqr, curvature = derive_settings(cfg, system, cost) if derived is None else derived
     ball = BallSet(cfg.action_radius, system.action_dim)
     base = RngStream(cfg.seed).child(_CONTROLLER_STREAM).child(run_index)
@@ -188,70 +199,93 @@ def build_policies(
             policies.append(_SelfTaughtPolicy("overparam", ctrl, cfg.H))
         else:
             raise ValueError(f"unknown baseline {name!r}")
+    _shared_step(policies)  # joins the layouts; each run_episode forms its own step
     return policies
+
+
+def _shared_step(policies: list) -> SharedStep | None:
+    """The shared step of the policies that learn (those with learners); None if none does."""
+    learning = [p for p in policies if hasattr(p, "learners")]
+    return SharedStep(learning) if learning else None
 
 
 def run_episode(
     system,
     cost,
     cfg: ExperimentConfig,
-    policy,
+    policies: list,
     w_seq: np.ndarray,
     run_index: int,
-) -> Trajectory:
-    """One policy over one disturbance stream.
+) -> list[Trajectory]:
+    """Every policy of one run over one disturbance stream, in lockstep; one trajectory each.
 
-    A policy without an update (zero, LQR) gets no window loss.
+    A policy whose state diverges in round t leaves at round t, before that
+    round's shared step, and the remaining learners' stacks are re-formed
+    from their rows. A round in which no running policy learns builds no
+    window loss.
     """
     T = w_seq.shape[0]
     k = system.state_dim
     d = system.action_dim
     H = cfg.H
-    states = np.zeros((T + 1, k))
-    actions = np.zeros((T, d))
-    costs = np.zeros(T)
+    n = len(policies)
+    states = np.zeros((n, T + 1, k))
+    actions = np.zeros((n, T, d))
+    costs = np.zeros((n, T))
     # Row t + i of the zero-padded stream is w_{t-2H+1+i}, so the
     # disturbance history of round t is the read-only view padded[t : t+2H-1].
     padded = np.vstack([np.zeros((2 * H - 1, k)), w_seq])
     padded.flags.writeable = False
-    # The trajectory records a read-only view of the stream, not a copy.
+    # The trajectories record read-only views of the stream, not copies.
     w_seq = w_seq.view()
     w_seq.flags.writeable = False
-    update = getattr(policy, "update", None)
-    x = np.zeros(k)
-    diverged = False
-    t_end = T
+    xs = [np.zeros(k) for _ in policies]
+    ends = [T] * n
+    diverged = [False] * n
+    running = list(range(n))
+    shared = _shared_step(policies)
     for t in range(T):
         hist = padded[t : t + 2 * H - 1]
-        obs = Observation(x, hist[H - 1 :])
-        u = policy.act(obs)
-        c = cost.value(x, u)
-        x_next = system.step(x, u, w_seq[t])
-        actions[t] = u
-        costs[t] = c
-        # A non-finite state has a NaN or infinite norm, so one dot product
-        # covers both the finiteness and the divergence check.
-        if not (math.sqrt(x_next.dot(x_next)) <= cfg.divergence_threshold and math.isfinite(c)):
-            diverged = True
-            if bool(np.all(np.isfinite(x_next))) and math.isfinite(c):
-                states[t + 1] = x_next
-                t_end = t + 1
-            else:
-                t_end = t
+        recent, w = hist[H - 1 :], w_seq[t]
+        left = False
+        for i in running:
+            x = xs[i]
+            u = policies[i].act(Observation(x, recent))
+            c = cost.value(x, u)
+            x_next = system.step(x, u, w)
+            actions[i, t] = u
+            costs[i, t] = c
+            # A non-finite state has a NaN or infinite norm, so one dot product
+            # covers both the finiteness and the divergence check.
+            if not (math.sqrt(x_next.dot(x_next)) <= cfg.divergence_threshold and math.isfinite(c)):
+                diverged[i] = left = True
+                if bool(np.all(np.isfinite(x_next))) and math.isfinite(c):
+                    states[i, t + 1] = x_next
+                    ends[i] = t + 1
+                else:
+                    ends[i] = t
+                continue
+            states[i, t + 1] = x_next
+            xs[i] = x_next
+        if left:
+            running = [i for i in running if not diverged[i]]
+            shared = _shared_step([policies[i] for i in running])
+        if shared is not None:
+            shared.step(ProxyLoss(system, cost, H, hist[H:]), hist)
+        if not running:
             break
-        states[t + 1] = x_next
-        if update is not None:
-            update(ProxyLoss(system, cost, H, hist[H:]), hist)
-        x = x_next
-    return Trajectory(
-        states=states[: t_end + 1],
-        actions=actions[:t_end],
-        disturbances=w_seq[:t_end],
-        costs=costs[:t_end],
-        algorithm=policy.name,
-        seed=run_index,
-        diverged=diverged,
-    )
+    return [
+        Trajectory(
+            states=states[i, : ends[i] + 1],
+            actions=actions[i, : ends[i]],
+            disturbances=w_seq[: ends[i]],
+            costs=costs[i, : ends[i]],
+            algorithm=policy.name,
+            seed=run_index,
+            diverged=diverged[i],
+        )
+        for i, policy in enumerate(policies)
+    ]
 
 
 def build_experiment(cfg: ExperimentConfig) -> tuple:
@@ -264,10 +298,9 @@ def _run_one(cfg: ExperimentConfig, run_index: int, built: tuple) -> tuple[str, 
     """(stream hash, policy name -> trajectory) of run run_index; built is build_experiment(cfg)."""
     system, cost, derived = built
     w_seq = draw_disturbances(cfg, system.state_dim, run_index)
-    out = {}
-    for policy in build_policies(cfg, system, cost, run_index, derived):
-        out[policy.name] = run_episode(system, cost, cfg, policy, w_seq, run_index)
-    return disturbance_hash(w_seq), out
+    policies = build_policies(cfg, system, cost, run_index, derived)
+    trajectories = run_episode(system, cost, cfg, policies, w_seq, run_index)
+    return disturbance_hash(w_seq), {t.algorithm: t for t in trajectories}
 
 
 @dataclass

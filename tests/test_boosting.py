@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynaboost.boosting import DynaBoost, combination_weights, step_lengths
-from dynaboost.controllers import Observation
+from dynaboost.controllers import GpcController, Observation
 from dynaboost.core import BallSet
 from dynaboost.dynamics import LinearSystem
 from dynaboost.losses import (
@@ -284,6 +284,11 @@ class TestConstruction:
     def test_empty_learner_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             DynaBoost([], H=2)
+
+    def test_learners_that_cannot_share_a_stack_rejected(self):
+        ball = BallSet(1.0, 1)
+        with pytest.raises(ValueError, match="share"):
+            DynaBoost([GpcController(1, 2, ball), GpcController(1, 3, ball)], H=2)
 
     def test_bad_memory_rejected(self):
         with pytest.raises(ValueError, match="memory"):

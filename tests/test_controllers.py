@@ -526,6 +526,21 @@ class TestLevelStacks:
         stack.params[0] *= 2.0
         assert levels[0].act(obs(0.0, np.array([[1.0], [1.0]]))).item() == 3.0
 
+    @pytest.mark.parametrize("family", ["gpc", "elman"])
+    def test_join_reuses_consecutive_rows(self, family):
+        ball = BallSet(1.0, 2)
+        levels = [_level(family, i, ball) for i in range(3)]
+        whole = LevelStack.join(levels)
+        rows = [c.params for c in levels]
+        # Consecutive rows of the joined array: a view of them, nothing rebound.
+        tail = LevelStack.join(levels[1:])
+        assert tail.params.base is whole.params and np.shares_memory(tail.params, whole.params[1:])
+        assert all(c.params is row for c, row in zip(levels, rows))
+        # Rows with a gap between them are copied into a new array.
+        ends = LevelStack.join([levels[0], levels[2]])
+        assert not np.shares_memory(ends.params, whole.params)
+        assert levels[0].params.base is ends.params and levels[1].params is rows[1]
+
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)
         rnn = RecurrentController(1, 2, ball, RngStream(1))

@@ -1,6 +1,7 @@
 """Config parsing, statistics, file emission, and the experiment runner."""
 
 import json
+import math
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dynaboost.controllers import ZeroController, solve_dare
+from dynaboost.controllers import Observation, ZeroController, solve_dare
 from dynaboost.core import BallSet
 from dynaboost.dynamics import PendulumSystem, Trajectory, rollout
 from dynaboost.harness.config import (
@@ -44,7 +45,7 @@ from dynaboost.harness.runner import (
     run_experiment,
 )
 from dynaboost.harness.stats import aggregate
-from dynaboost.losses import derive_curvature_bounds
+from dynaboost.losses import ProxyLoss, derive_curvature_bounds
 
 
 MINIMAL_YAML = """\
@@ -177,6 +178,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig().override(**kw)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("weak:\n  lr: .nan\n", r":2: lr must be positive"),
+            ("weak:\n  R_M: .nan\n", r":2: R_M must be positive"),
+            ("weak:\n  kind: rnn\n  clip_norm: .nan\n", r":3: clip_norm must be positive"),
+            ("weak:\n  weight_radius: .nan\n", r":2: weight_radius must be positive"),
+            ("disturbance:\n  std: .nan\n", r":2: std must be >= 0"),
+            ("booster:\n  variant: dynaboost2\n  alpha: .nan\n", r":3: alpha must be positive"),
+            ("booster:\n  variant: dynaboost2\n  beta: .nan\n", r":3: beta must be positive"),
+            ("action_radius: .nan\n", r":1: action_radius must be positive"),
+            ("divergence_threshold: .nan\n", r":1: divergence_threshold must be positive"),
+        ],
+        ids=[
+            "lr",
+            "R_M",
+            "clip_norm",
+            "weight_radius",
+            "std",
+            "alpha",
+            "beta",
+            "action_radius",
+            "divergence_threshold",
+        ],
+    )
+    def test_nan_fails_the_range_check(self, text, match):
+        with pytest.raises(ConfigError, match=r"^c\.yaml" + match):
+            parse_config(text, source="c.yaml")
+
     def test_bad_lr_schedule_names_value(self):
         with pytest.raises(ConfigError, match=r":2: lr_schedule must be one of .*, got 'cosine'"):
             parse_config("weak:\n  lr_schedule: cosine\n", source="c.yaml")
@@ -298,6 +328,17 @@ class TestOutputs:
         assert "plot" not in paths
         assert not (tmp_path / "demo.svg").exists()
 
+    def test_rerun_without_a_plot_removes_the_old_one(self, tmp_path):
+        cfg, trajs, stats, hashes = _fake_payload()
+        assert write_outputs(tmp_path, cfg, trajs, stats, hashes, {})["plot"].exists()
+        diverged = {alg: {0, 1} for alg in trajs}
+        paths = write_outputs(tmp_path, cfg, trajs, {}, hashes, diverged)
+        assert "plot" not in paths
+        assert not (tmp_path / "demo.svg").exists()
+        manifest = json.loads(paths["manifest"].read_text())
+        assert manifest["files"] == sorted(p.name for p in paths.values())
+        assert sorted(p.name for p in tmp_path.iterdir()) == manifest["files"]
+
     def test_emission_is_deterministic(self, tmp_path):
         cfg, trajs, stats, hashes = _fake_payload()
         a = write_outputs(tmp_path / "a", cfg, trajs, stats, hashes, {})
@@ -385,7 +426,7 @@ class TestRunner:
         cfg = _tiny_cfg(T=5)
         system, cost = build_system(cfg)
         policy = ZeroController(BallSet(cfg.action_radius, 1))
-        traj = run_episode(system, cost, cfg, policy, np.zeros((5, 1)), 0)
+        [traj] = run_episode(system, cost, cfg, [policy], np.zeros((5, 1)), 0)
         assert traj.costs.sum() == 0.0
         assert np.array_equal(rollout(system, traj.states[0], traj.actions, traj.disturbances), traj.states)
 
@@ -405,6 +446,8 @@ class TestRunner:
             run_experiment(ExperimentConfig(**kw))
 
     def test_window_loss_built_only_for_policies_that_learn(self, monkeypatch):
+        # One window loss per round while any policy of the run learns, shared
+        # by all of them; none for a run of fixed policies.
         built = []
 
         class CountedProxyLoss(runner.ProxyLoss):
@@ -417,11 +460,15 @@ class TestRunner:
         system, cost = build_system(cfg)
         w = draw_disturbances(cfg, 1, 0)
         policies = {p.name: p for p in build_policies(cfg, system, cost, 0)}
-        for name, want in [("zero", 0), ("lqr", 0), ("single", cfg.T)]:
+        for names, want in [
+            (("boosted", "single", "lqr", "zero"), cfg.T),
+            (("single",), cfg.T),
+            (("zero", "lqr"), 0),
+        ]:
             built.clear()
-            traj = run_episode(system, cost, cfg, policies[name], w, 0)
-            assert not traj.diverged
-            assert len(built) == want, name
+            trajs = run_episode(system, cost, cfg, [policies[n] for n in names], w, 0)
+            assert not any(t.diverged for t in trajs)
+            assert len(built) == want, names
 
     def test_lqr_steady_state_average(self):
         # long-run average cost of LQR under iid noise is sigma^2 * trace(P)
@@ -431,7 +478,7 @@ class TestRunner:
         policies = build_policies(cfg.override(baselines=("lqr",)), system, cost, 0)
         lqr = next(p for p in policies if p.name == "lqr")
         w = draw_disturbances(cfg, 1, 0)
-        traj = run_episode(system, cost, cfg, lqr, w, 0)
+        [traj] = run_episode(system, cost, cfg, [lqr], w, 0)
         expected = P.item() * 0.1**2
         assert traj.running_average()[-1] == pytest.approx(expected, rel=0.15)
 
@@ -505,6 +552,104 @@ class TestRunner:
         over = next(p for p in policies if p.name == "overparam")
         small_total = cfg.N * recurrent_parameter_count(1, 1, cfg.weak.hidden, "elman")
         assert over.ctrl.params.size >= small_total
+
+
+def _assert_same_trajectory(a, b, label=None):
+    for name in ("states", "actions", "disturbances", "costs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), (label, name)
+    assert (a.algorithm, a.seed, a.diverged) == (b.algorithm, b.seed, b.diverged), label
+
+
+_RNN = parse_config("weak:\n  kind: rnn\n", source="c.yaml").weak
+_WALK = DisturbanceConfig(kind="random_walk", std=0.1)
+_LOCKSTEP_CASES = {
+    "lds_gpc": dict(env=EnvConfig(kind="lds", k=3, d=2, rho=0.8)),
+    "pendulum_gpc": dict(env=EnvConfig(kind="pendulum")),
+    "elman_overparam": dict(
+        weak=_RNN, disturbance=_WALK, baselines=("single", "lqr", "zero", "overparam")
+    ),
+    "lstm_overparam": dict(
+        weak=replace(_RNN, cell="lstm"),
+        disturbance=_WALK,
+        baselines=("single", "lqr", "zero", "overparam"),
+    ),
+}
+
+
+class TestLockstep:
+    """A run plays its policies round by round, with one shared learning step
+    per round; no policy's trajectory may depend on the others beside it."""
+
+    @pytest.mark.parametrize("overrides", _LOCKSTEP_CASES.values(), ids=_LOCKSTEP_CASES.keys())
+    def test_trajectory_does_not_depend_on_the_other_policies(self, overrides):
+        cfg = _tiny_cfg(runs=1, T=30, **overrides)
+        built = build_experiment(cfg)
+        _, full = _run_one(cfg, 0, built)
+        fewer = cfg.override(baselines=("lqr",))
+        _, beside_lqr = _run_one(fewer, 0, build_experiment(fewer))
+        assert sorted(beside_lqr) == ["boosted", "lqr"]
+        for name in beside_lqr:
+            _assert_same_trajectory(beside_lqr[name], full[name], name)
+        # Each policy that learns, alone in its run.
+        system, cost, derived = built
+        w = draw_disturbances(cfg, system.state_dim, 0)
+        for policy in build_policies(cfg, system, cost, 0, derived):
+            if hasattr(policy, "learners"):
+                [alone] = run_episode(system, cost, cfg, [policy], w, 0)
+                _assert_same_trajectory(alone, full[policy.name], policy.name)
+
+    def test_policy_that_diverges_leaves_the_others_unchanged(self, monkeypatch):
+        anchors = []
+
+        class CountedProxyLoss(runner.ProxyLoss):
+            def gradients(self, U):
+                anchors.append(len(U))
+                return super().gradients(U)
+
+        monkeypatch.setattr(runner, "ProxyLoss", CountedProxyLoss)
+        cases = _LOCKSTEP_CASES["elman_overparam"]
+        cfg = _tiny_cfg(runs=1, T=60, divergence_threshold=math.inf, **cases)
+        _, unbounded = _run_one(cfg, 0, build_experiment(cfg))
+        threshold = 2.0
+        norms = {a: np.linalg.norm(t.states, axis=1) for a, t in unbounded.items()}
+        crossed = np.flatnonzero(norms.pop("boosted") > threshold)
+        assert 0 < crossed[0] < cfg.T - 1  # boosted leaves mid-run
+        assert max(n.max() for n in norms.values()) < threshold  # no other policy does
+        bounded = cfg.override(divergence_threshold=threshold)
+        anchors.clear()
+        _, out = _run_one(bounded, 0, build_experiment(bounded))
+        # The boosted levels leave the shared step in the round they diverge.
+        end = crossed[0]
+        assert anchors == [cfg.N + 2] * (end - 1) + [2] * (cfg.T - end + 1)
+        for name in norms:
+            _assert_same_trajectory(out[name], unbounded[name], name)
+        boosted, whole = out["boosted"], unbounded["boosted"]
+        assert boosted.diverged and boosted.horizon == end
+        assert np.array_equal(boosted.states, whole.states[: end + 1])
+        for name in ("actions", "disturbances", "costs"):
+            assert np.array_equal(getattr(boosted, name), getattr(whole, name)[:end]), name
+
+    def test_booster_update_moves_what_its_act_reads_after_the_run_joins_it(self):
+        cfg = _tiny_cfg(T=10)
+        system, cost = build_system(cfg)
+        policies = build_policies(cfg, system, cost, 0)
+        booster, single = policies[0], policies[1]
+        # One array holds the booster's levels and the single learner.
+        shared = single.ctrl.params.base
+        assert shared.shape[0] == cfg.N + 1
+        assert all(c.params.base is shared for c in booster.learners)
+        w = draw_disturbances(cfg, 1, 0)
+        run_episode(system, cost, cfg, policies, w, 0)
+        H = cfg.H
+        hist = np.linspace(-0.5, 0.5, 2 * H - 1)[:, None]
+        ob = Observation(np.zeros(1), hist[H - 1 :])
+        u = booster.act(ob)
+        before = shared.copy()
+        booster.update(ProxyLoss(system, cost, H, hist[H:]), hist)
+        assert not np.array_equal(shared[: cfg.N], before[: cfg.N])
+        assert np.array_equal(shared[cfg.N], before[cfg.N])
+        assert all(c.params.base is shared for c in booster.learners)
+        assert not np.array_equal(booster.act(ob), u)
 
 
 class TestRunIndependence:
