@@ -14,16 +14,17 @@ from dataclasses import replace
 from dynaboost.harness.cli import ArgumentParser
 from dynaboost.harness.comparator import best_fixed_gpc
 from dynaboost.harness.experiments import correlated_suite
-from dynaboost.harness.runner import build_system, draw_disturbances, run_experiment
+from dynaboost.harness.runner import build_experiment, draw_disturbances, run_experiment
 
 
 def totals(T: int) -> tuple[float, float]:
     """(boosted total cost, best fixed total cost) of one sinusoidal run at horizon T."""
     base = correlated_suite(runs=1)[1]
     cfg = replace(base, name=f"{base.name}_T{T}", T=T, baselines=("lqr",))
-    res = run_experiment(cfg)
+    built = build_experiment(cfg)
+    res = run_experiment(cfg, built=built)
     boosted_total = res.final_averages("boosted")[0] * T
-    system, cost = build_system(cfg)
+    system, cost, _ = built
     w_seq = draw_disturbances(cfg, system.state_dim, 0)
     _, best_total = best_fixed_gpc(w_seq, system, cost, cfg.H, R_M=cfg.weak.R_M)
     return boosted_total, best_total

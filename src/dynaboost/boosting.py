@@ -55,10 +55,9 @@ class DynaBoost:
     within each round; the runner keeps that order, so it is not checked.
     coefficients holds each level's residual curvature: 0 under dynaboost1,
     eta_i*beta/2 under dynaboost2. update is SharedStep of this booster
-    alone: GPC and recurrent learners of one family step as one
-    controllers.LevelStack, formed from their rows at each call, so a run
-    that joined them with other learners cannot leave it stale; other
-    learners take their residuals one by one through receive_loss.
+    alone, joined at each call (see controllers.LevelStack.join): GPC and
+    recurrent learners of one family step as one LevelStack; other learners
+    take their residuals one by one through receive_loss.
     """
 
     name = "boosted"
@@ -114,11 +113,10 @@ class SharedStep:
     A learning policy exposes learners, anchors (an (L, H, d) view whose
     row i anchors learner i's residual) and coefficients ((L,) residual
     curvatures). The policies' learners are grouped by parameter layout, in
-    policy order, and each group is joined into one controllers.LevelStack;
-    learners that are already its rows are not copied. step asks the window
-    loss for gradients once, at every policy's anchors concatenated, and
-    takes one LevelStack.step per layout. Each row's arithmetic is that of
-    its policy stepping alone.
+    policy order, and each group is joined into one controllers.LevelStack
+    (see LevelStack.join). step asks the window loss for gradients once, at
+    every policy's anchors concatenated, and takes one LevelStack.step per
+    layout. Each row's arithmetic is that of its policy stepping alone.
     """
 
     def __init__(self, policies: list):

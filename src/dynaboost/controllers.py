@@ -11,10 +11,9 @@ treating all H window actions as produced by the current parameters.
 
 Both families keep their parameters in one array and share one projected
 online step, written once in LevelStack, over a leading level axis: L
-learners of one layout with their parameters as the rows of one array. A
-run joins the boosted stack's N learners and the lone learner it is judged
-against into one (LevelStack.join), so one step per round trains them all;
-a lone learner's receive_loss is the same step at L = 1.
+learners of one layout with their parameters as the rows of one array
+(LevelStack.join says what a join does to its learners). A lone learner's
+receive_loss is the same step at L = 1.
 
 ZeroController and LqrController are fixed policies: each has a name and
 an act, and no learners, so they take no part in a round's shared step; a
@@ -421,15 +420,11 @@ class LevelStack:
 
     params is (L, H, d, k) for GPC and (L, P) for the recurrent nets;
     weights is the family's view of it (GPC reads M as is, a recurrent net
-    reads its named blocks). Learners are joined once, and each learner's
-    params is a view of its row, so its act sees every step; a later join
-    of learners that are consecutive rows of one array is a view of those
-    rows, so every stack over a learner steps the same memory. A lone
+    reads its named blocks). join makes a stack over learners; a lone
     learner steps as the stack of its own params at L = 1. The loss
     holds one residual per level along a leading axis; a lone (H, d)
-    residual broadcasts to L = 1. The learners share H, the action ball and
-    the parameter layout; each keeps its own step settings, radius and
-    counts.
+    residual broadcasts to L = 1. The learners share one layout
+    (_Learner.layout); each keeps its own step settings, radius and counts.
     """
 
     def __init__(self, learners: list, params: Array):
@@ -441,32 +436,32 @@ class LevelStack:
 
     @classmethod
     def join(cls, learners: list) -> "LevelStack | None":
-        """The stack of learners of one family, their params as its rows; None for others.
+        """The stack of learners of one family, their params copied into its rows; None for others.
 
-        Learners that are already consecutive rows of one array keep them;
-        others are copied into a new array and rebound to views of its rows.
+        A join rebinds its learners' params to views of the new array's
+        rows, so their act sees every step of this stack, and any stack
+        made earlier over them no longer backs their act.
         """
         if not cls.joinable(learners):
             return None
-        params = _shared_rows(learners)
-        if params is None:
-            params = np.stack([c.params for c in learners])
-            for c, row in zip(learners, params):
-                c._bind(row)
+        params = np.stack([c.params for c in learners])
+        for c, row in zip(learners, params):
+            c._bind(row)
         return cls(learners, params)
 
     @staticmethod
     def joinable(learners: list) -> bool:
-        """Whether the learners are of one family; raises if they differ in H, ball or layout."""
+        """Whether the learners are of one family; raises if they differ in layout."""
         first = learners[0]
         if not isinstance(first, _Learner) or {type(c) for c in learners} != {type(first)}:
             return False
-        if len({(c.H, c.action_ball) for c in learners}) != 1:
-            raise ValueError("stacked levels must share the memory length and the action ball")
-        layouts = {", ".join(f"{k} {s}" for k, s in c._shapes.items()) for c in learners}
+        layouts = {c.layout for c in learners}
         if len(layouts) != 1:
-            got = "; ".join(sorted(layouts))
-            raise ValueError(f"stacked levels must share one parameter layout, got {got}")
+            shapes = {", ".join(f"{k} {s}" for k, s in blocks) for *_, blocks in layouts}
+            raise ValueError(
+                "stacked levels must share the memory length, the action ball and one "
+                f"parameter layout, got {'; '.join(sorted(shapes))}"
+            )
         return True
 
     def gradients(self, loss, w_history) -> tuple[Array, Array]:
@@ -505,23 +500,6 @@ class LevelStack:
             norm = math.sqrt(flat.dot(flat))
             if norm > c.radius:
                 row *= c.radius / norm
-
-
-def _shared_rows(learners: list) -> Array | None:
-    """The slice of one array whose rows are the learners' params, in order; None if none is."""
-    first = learners[0].params
-    base = first.base
-    if base is None or base.shape[1:] != first.shape or base.strides[0] <= 0:
-        return None
-    start, offset = divmod(first.ctypes.data - base.ctypes.data, base.strides[0])
-    rows = base[start : start + len(learners)]
-    if offset or start < 0 or len(rows) != len(learners):
-        return None
-    for c, row in zip(learners, rows):
-        p = c.params
-        if p.base is not base or p.ctypes.data != row.ctypes.data or p.strides != row.strides:
-            return None
-    return rows
 
 
 def solve_dare(

@@ -219,7 +219,8 @@ def validate(cfg: ExperimentConfig, fail) -> None:
     if not cfg.action_radius > 0:
         fail(("action_radius",), f"action_radius must be positive, got {cfg.action_radius}")
     if not cfg.divergence_threshold > 0:
-        fail(("divergence_threshold",), "divergence_threshold must be positive")
+        value = cfg.divergence_threshold
+        fail(("divergence_threshold",), f"divergence_threshold must be positive, got {value}")
 
 
 def _collect_lines(node) -> dict:

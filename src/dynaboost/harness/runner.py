@@ -9,7 +9,8 @@ each running policy observes its state, acts, suffers the stage cost and
 transitions; then every policy that learns takes one shared step from
 information available through the previous round: one window loss, one
 gradients call over all their anchors, and one level-stack step per
-parameter layout (boosting.SharedStep).
+parameter layout (boosting.SharedStep), whose learners the run joins once
+(see controllers.LevelStack.join).
 """
 
 from __future__ import annotations
@@ -169,11 +170,7 @@ def derive_settings(cfg: ExperimentConfig, system, cost) -> tuple:
 def build_policies(
     cfg: ExperimentConfig, system, cost, run_index: int, derived: tuple | None = None
 ) -> list:
-    """Fresh policies for one run; derived is derive_settings(cfg, system, cost), made here if None.
-
-    The learners of every policy that learns are joined once, one array
-    per parameter layout, so the run's shared step reuses their rows.
-    """
+    """Fresh policies for one run; derived is derive_settings(cfg, system, cost), made here if None."""
     lqr, curvature = derive_settings(cfg, system, cost) if derived is None else derived
     ball = BallSet(cfg.action_radius, system.action_dim)
     base = RngStream(cfg.seed).child(_CONTROLLER_STREAM).child(run_index)
@@ -199,7 +196,6 @@ def build_policies(
             policies.append(_SelfTaughtPolicy("overparam", ctrl, cfg.H))
         else:
             raise ValueError(f"unknown baseline {name!r}")
-    _shared_step(policies)  # joins the layouts; each run_episode forms its own step
     return policies
 
 
@@ -219,11 +215,12 @@ def run_episode(
 ) -> list[Trajectory]:
     """Every policy of one run over one disturbance stream, in lockstep; one trajectory each.
 
-    A policy whose state diverges in round t leaves at round t, before that
-    round's shared step, and the remaining learners' stacks are re-formed
-    from their rows. A round in which no running policy learns builds no
-    window loss.
+    The run joins its learners here (see controllers.LevelStack.join). A
+    policy whose state diverges in round t leaves at round t, before that
+    round's shared step, and the learners still running are joined again.
+    A round in which no running policy learns builds no window loss.
     """
+    shared = _shared_step(policies)
     T = w_seq.shape[0]
     k = system.state_dim
     d = system.action_dim
@@ -243,7 +240,6 @@ def run_episode(
     ends = [T] * n
     diverged = [False] * n
     running = list(range(n))
-    shared = _shared_step(policies)
     for t in range(T):
         hist = padded[t : t + 2 * H - 1]
         recent, w = hist[H - 1 :], w_seq[t]

@@ -527,19 +527,31 @@ class TestLevelStacks:
         assert levels[0].act(obs(0.0, np.array([[1.0], [1.0]]))).item() == 3.0
 
     @pytest.mark.parametrize("family", ["gpc", "elman"])
-    def test_join_reuses_consecutive_rows(self, family):
+    def test_later_join_of_a_subset_rebinds_those_learners(self, family):
+        H = 3
         ball = BallSet(1.0, 2)
         levels = [_level(family, i, ball) for i in range(3)]
         whole = LevelStack.join(levels)
-        rows = [c.params for c in levels]
-        # Consecutive rows of the joined array: a view of them, nothing rebound.
-        tail = LevelStack.join(levels[1:])
-        assert tail.params.base is whole.params and np.shares_memory(tail.params, whole.params[1:])
-        assert all(c.params is row for c, row in zip(levels, rows))
-        # Rows with a gap between them are copied into a new array.
         ends = LevelStack.join([levels[0], levels[2]])
-        assert not np.shares_memory(ends.params, whole.params)
-        assert levels[0].params.base is ends.params and levels[1].params is rows[1]
+        rng = RngStream(21)
+        hist = rng.child(0).standard_normal((2 * H - 1, 2))
+        grads = rng.child(1).standard_normal((2, H, 2))
+        ob = obs(0.0, hist[H - 1 :])
+        acts = [c.act(ob) for c in levels]
+        left_out = _parameters(levels[1])
+        ends.step(ResidualLoss(grads, np.zeros((2, H, 2))), hist)
+        # Stepping the new stack moves the act of the learners it joined.
+        for i in (0, 2):
+            assert np.array_equal(levels[i].params, ends.params[i // 2])
+            assert not np.array_equal(levels[i].act(ob), acts[i])
+        assert np.array_equal(_parameters(levels[1]), left_out)
+        # The earlier stack no longer backs their act.
+        moved = [c.act(ob) for c in levels]
+        grads = rng.child(2).standard_normal((3, H, 2))
+        whole.step(ResidualLoss(grads, np.zeros((3, H, 2))), hist)
+        for i in (0, 2):
+            assert np.array_equal(levels[i].act(ob), moved[i])
+        assert not np.array_equal(levels[1].act(ob), moved[1])
 
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)

@@ -189,7 +189,7 @@ class TestConfigParsing:
             ("booster:\n  variant: dynaboost2\n  alpha: .nan\n", r":3: alpha must be positive"),
             ("booster:\n  variant: dynaboost2\n  beta: .nan\n", r":3: beta must be positive"),
             ("action_radius: .nan\n", r":1: action_radius must be positive"),
-            ("divergence_threshold: .nan\n", r":1: divergence_threshold must be positive"),
+            ("divergence_threshold: .nan\n", r":1: divergence_threshold must be positive, got nan$"),
         ],
         ids=[
             "lr",
@@ -607,49 +607,65 @@ class TestLockstep:
                 return super().gradients(U)
 
         monkeypatch.setattr(runner, "ProxyLoss", CountedProxyLoss)
-        cases = _LOCKSTEP_CASES["elman_overparam"]
-        cfg = _tiny_cfg(runs=1, T=60, divergence_threshold=math.inf, **cases)
-        _, unbounded = _run_one(cfg, 0, build_experiment(cfg))
-        threshold = 2.0
-        norms = {a: np.linalg.norm(t.states, axis=1) for a, t in unbounded.items()}
-        crossed = np.flatnonzero(norms.pop("boosted") > threshold)
-        assert 0 < crossed[0] < cfg.T - 1  # boosted leaves mid-run
-        assert max(n.max() for n in norms.values()) < threshold  # no other policy does
-        bounded = cfg.override(divergence_threshold=threshold)
-        anchors.clear()
-        _, out = _run_one(bounded, 0, build_experiment(bounded))
-        # The boosted levels leave the shared step in the round they diverge.
-        end = crossed[0]
-        assert anchors == [cfg.N + 2] * (end - 1) + [2] * (cfg.T - end + 1)
-        for name in norms:
-            _assert_same_trajectory(out[name], unbounded[name], name)
-        boosted, whole = out["boosted"], unbounded["boosted"]
-        assert boosted.diverged and boosted.horizon == end
-        assert np.array_equal(boosted.states, whole.states[: end + 1])
-        for name in ("actions", "disturbances", "costs"):
-            assert np.array_equal(getattr(boosted, name), getattr(whole, name)[:end]), name
+        # (case, seed, threshold, the policies that cross it, in crossing order).
+        # In the last two, single leaves while boosted, whose levels share its
+        # stack, keeps acting, so the survivors are joined again mid-run.
+        cases = [
+            ("elman_overparam", 12345, 2.0, ["boosted"]),
+            ("lds_gpc", 12346, 0.78, ["zero", "single"]),
+            ("lstm_overparam", 12356, 0.415, ["lqr", "zero", "single"]),
+        ]
+        for case, seed, threshold, leavers in cases:
+            overrides = _LOCKSTEP_CASES[case]
+            cfg = _tiny_cfg(runs=1, T=60, seed=seed, divergence_threshold=math.inf, **overrides)
+            _, unbounded = _run_one(cfg, 0, build_experiment(cfg))
+            crossed = {}
+            for name, traj in unbounded.items():
+                over = np.flatnonzero(np.linalg.norm(traj.states, axis=1) > threshold)
+                if over.size:
+                    crossed[name] = over[0]
+            assert sorted(crossed, key=crossed.get) == leavers, case
+            assert all(0 < end < cfg.T - 1 for end in crossed.values()), case  # mid-run
+            bounded = cfg.override(divergence_threshold=threshold)
+            anchors.clear()
+            _, out = _run_one(bounded, 0, build_experiment(bounded))
+            # A learning policy's anchors leave the shared step in the round
+            # it diverges: round end - 1 for a state that crosses at end.
+            sizes = {"boosted": cfg.N, "single": 1, "overparam": 1}
+            learning = {name: sizes[name] for name in unbounded if name in sizes}
+            want = [
+                sum(n for name, n in learning.items() if crossed.get(name, cfg.T + 1) - 1 > t)
+                for t in range(cfg.T)
+            ]
+            assert anchors == want, case
+            if "single" in crossed:
+                end = crossed["single"]
+                assert want[end - 2] - want[end - 1] == 1, case
+            for name in unbounded.keys() - crossed.keys():
+                _assert_same_trajectory(out[name], unbounded[name], (case, name))
+            for name, end in crossed.items():
+                mine, whole = out[name], unbounded[name]
+                assert mine.diverged and mine.horizon == end, (case, name)
+                assert np.array_equal(mine.states, whole.states[: end + 1]), (case, name)
+                for field in ("actions", "disturbances", "costs"):
+                    prefix = getattr(whole, field)[:end]
+                    assert np.array_equal(getattr(mine, field), prefix), (case, name, field)
 
     def test_booster_update_moves_what_its_act_reads_after_the_run_joins_it(self):
         cfg = _tiny_cfg(T=10)
         system, cost = build_system(cfg)
         policies = build_policies(cfg, system, cost, 0)
         booster, single = policies[0], policies[1]
-        # One array holds the booster's levels and the single learner.
-        shared = single.ctrl.params.base
-        assert shared.shape[0] == cfg.N + 1
-        assert all(c.params.base is shared for c in booster.learners)
         w = draw_disturbances(cfg, 1, 0)
         run_episode(system, cost, cfg, policies, w, 0)
         H = cfg.H
         hist = np.linspace(-0.5, 0.5, 2 * H - 1)[:, None]
         ob = Observation(np.zeros(1), hist[H - 1 :])
         u = booster.act(ob)
-        before = shared.copy()
+        before = single.ctrl.params.copy()
         booster.update(ProxyLoss(system, cost, H, hist[H:]), hist)
-        assert not np.array_equal(shared[: cfg.N], before[: cfg.N])
-        assert np.array_equal(shared[cfg.N], before[cfg.N])
-        assert all(c.params.base is shared for c in booster.learners)
         assert not np.array_equal(booster.act(ob), u)
+        assert np.array_equal(single.ctrl.params, before)
 
 
 class TestRunIndependence:
