@@ -10,12 +10,13 @@ that calibrated the frozen constants in dynaboost.harness.experiments.
 
 from dataclasses import replace
 
-import numpy as np
-
 from dynaboost.harness.cli import ArgumentParser, _workers
 from dynaboost.harness.config import ConfigError
 from dynaboost.harness.experiments import SUITES
 from dynaboost.harness.runner import run_experiment
+
+# numpy loads after dynaboost, whose import pins BLAS to one thread.
+import numpy as np
 
 
 def main() -> None:

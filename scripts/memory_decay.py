@@ -11,13 +11,14 @@ Geometric decay in H is what licenses learning from a fixed-size window.
 
 from dataclasses import replace
 
-import numpy as np
-
 from dynaboost.harness.cli import ArgumentParser
 from dynaboost.harness.config import ConfigError
 from dynaboost.harness.experiments import sanity_suite
 from dynaboost.harness.runner import build_system, run_experiment
 from dynaboost.losses import ProxyLoss
+
+# numpy loads after dynaboost, whose import pins BLAS to one thread.
+import numpy as np
 
 
 def window_error(traj, system, cost, H: int, burn: int) -> float:

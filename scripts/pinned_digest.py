@@ -6,27 +6,22 @@ averages; and the bytes of the raw CSV, the aggregate CSV and the SVG. Two
 checkouts that print the same line for a config produce the same outputs
 on it, bit for bit, so a refactor that claims unchanged behaviour is
 checked by running this script on both sides and diffing the output.
-BLAS runs on one thread, set before numpy loads, whatever the environment
-says: a large product's bits depend on its thread count (sanity_d100's do).
+BLAS runs on one thread, as the dynaboost package pins it on import.
 
     python3 scripts/pinned_digest.py                 # every pinned config
     python3 scripts/pinned_digest.py repro walk_rnn  # some of them
 """
 
 import hashlib
-import os
 import sys
 import tempfile
 from dataclasses import replace
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-from dynaboost.harness.cli import ArgumentParser  # noqa: E402
-from dynaboost.harness.config import BoosterConfig, parse_config  # noqa: E402
-from dynaboost.harness.experiments import SUITES  # noqa: E402
-from dynaboost.harness.outputs import write_outputs  # noqa: E402
-from dynaboost.harness.runner import run_experiment  # noqa: E402
+from dynaboost.harness.cli import ArgumentParser
+from dynaboost.harness.config import BoosterConfig, parse_config
+from dynaboost.harness.experiments import SUITES
+from dynaboost.harness.outputs import write_outputs
+from dynaboost.harness.runner import run_experiment
 
 REPRO_YAML = """\
 name: repro

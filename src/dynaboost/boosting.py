@@ -2,15 +2,15 @@
 
 Per round: act combines the learners' actions by the step-length
 recursion u^i = (1 - eta_i) u^{i-1} + eta_i A_i, starting from u^0 = 0;
-update takes the window-loss gradients at all N previous-level action
-windows in one call, builds the levels' ResidualLoss stacked along a
-leading level axis, and takes one step over all N levels at once. Two
-variants: linear residuals (coefficient 0) with eta_i = 2/(i+1), and
-proximal quadratic residuals (coefficient eta*beta/2) with the constant
-step eta = alpha/beta.
+update is the paper's per-level loop: one window-loss gradients call at
+the N level anchors u^0..u^{N-1}, then each level receives its own
+ResidualLoss and steps. Two variants: linear residuals (coefficient 0)
+with eta_i = 2/(i+1), and proximal quadratic residuals (coefficient
+eta*beta/2) with the constant step eta = alpha/beta.
 
-SharedStep is that update for several learning policies at once: the
-runner takes one per round for every policy of a run that learns.
+SharedStep is the run's batched form of that loop, bit for bit: the
+runner takes one per round for every policy of a run that learns, one
+level-stack step per parameter layout.
 """
 
 from __future__ import annotations
@@ -48,16 +48,16 @@ def combination_weights(N: int) -> Array:
 class DynaBoost:
     """Convex-combination booster with per-level action windows.
 
-    level_windows is one (N+1, H, d) array: row i holds the last H partial
-    actions u^i, oldest first and zero-padded at the start. Level 0 is
-    identically zero and anchors the recursion; anchors is the (N, H, d)
-    view of rows 0..N-1, level i's residual anchor. act must precede update
+    anchors is one (N, H, d) array: row i holds the last H partial actions
+    u^i, oldest first and zero-padded at the start, and anchors level
+    i + 1's residual. Row 0 is identically zero; act returns u^N, the
+    played action, which no level anchors on. act must precede update
     within each round; the runner keeps that order, so it is not checked.
     coefficients holds each level's residual curvature: 0 under dynaboost1,
-    eta_i*beta/2 under dynaboost2. update is SharedStep of this booster
-    alone, joined at each call (see controllers.LevelStack.join): GPC and
-    recurrent learners of one family step as one LevelStack; other learners
-    take their residuals one by one through receive_loss.
+    eta_i*beta/2 under dynaboost2. Learners with a parameter layout must
+    share one (controllers.LevelStack.check_layouts), so that a run can
+    step them as one stack; the acceptance oracles have none and take
+    their residuals only through update.
     """
 
     name = "boosted"
@@ -82,56 +82,57 @@ class DynaBoost:
             0.5 * self.etas * curvature.beta if variant == "dynaboost2" else np.zeros(self.N)
         )
         self.action_dim = self.learners[0].action_ball.dim
-        self.level_windows = zero_window(H, self.action_dim, self.N + 1)
-        self.anchors = self.level_windows[: self.N]
-        # Learners that cannot share one stack fail here, not at the first update.
-        LevelStack.joinable(self.learners)
+        self.anchors = zero_window(H, self.action_dim, self.N)
+        # Learners that cannot share one stack fail here, not at a run's first step.
+        if any(hasattr(c, "layout") for c in self.learners):
+            LevelStack.check_layouts(self.learners)
 
     def act(self, obs) -> Array:
-        partials = np.zeros((self.N + 1, self.action_dim))
+        partials = np.zeros((self.N, self.action_dim))
         u = np.zeros(self.action_dim)
-        for i, (eta, learner) in enumerate(zip(self.etas, self.learners), start=1):
-            u = (1.0 - eta) * u + eta * learner.act(obs)
+        for i, (eta, learner) in enumerate(zip(self.etas, self.learners)):
             partials[i] = u
-        push_window(self.level_windows, partials)
-        return partials[self.N].copy()
+            u = (1.0 - eta) * u + eta * learner.act(obs)
+        push_window(self.anchors, partials)
+        return u
 
     def update(self, window_loss, w_history) -> None:
-        """Build the levels' residual losses from window_loss and step the levels.
+        """Each level receives its residual loss and steps, as in the paper's Algorithm 1.
 
         window_loss must expose gradients(actions) over an (N, H, d) stack
-        of windows, called once per round on all N level anchors;
-        w_history is the (2H-1, k) disturbance history forwarded to the
-        levels' step.
+        of windows; it is called once, at a copy of the N level anchors,
+        which the levels keep as their residuals' anchors. w_history is the
+        (2H-1, k) disturbance history forwarded to every level.
         """
-        SharedStep([self]).step(window_loss, w_history)
+        anchors = self.anchors.copy()
+        grads = window_loss.gradients(anchors)
+        for learner, g, a, c in zip(self.learners, grads, anchors, self.coefficients):
+            learner.receive_loss(ResidualLoss(g, a, c), w_history)
 
 
 class SharedStep:
-    """One round's learning step for several learning policies, taken together.
+    """DynaBoost.update's batched form, bit for bit, for several learning policies at once.
 
-    A learning policy exposes learners, anchors (an (L, H, d) view whose
+    A learning policy exposes learners, anchors (an (L, H, d) array whose
     row i anchors learner i's residual) and coefficients ((L,) residual
     curvatures). The policies' learners are grouped by parameter layout, in
     policy order, and each group is joined into one controllers.LevelStack
     (see LevelStack.join). step asks the window loss for gradients once, at
     every policy's anchors concatenated, and takes one LevelStack.step per
-    layout. Each row's arithmetic is that of its policy stepping alone.
+    layout. Each row's arithmetic is that of its level stepping alone.
     """
 
     def __init__(self, policies: list):
         groups: dict = {}
         for p in policies:
-            # Learners outside the level stacks stay with their own policy.
-            groups.setdefault(getattr(p.learners[0], "layout", p), []).append(p)
+            groups.setdefault(p.learners[0].layout, []).append(p)
         self.policies = [p for group in groups.values() for p in group]
         self.coefficients = np.concatenate([p.coefficients for p in self.policies])[:, None, None]
         self.stacks = []
         start = 0
         for group in groups.values():
             learners = [c for p in group for c in p.learners]
-            levels = LevelStack.join(learners) or _EachLevel(learners)
-            self.stacks.append((levels, slice(start, start + len(learners))))
+            self.stacks.append((LevelStack.join(learners), slice(start, start + len(learners))))
             start += len(learners)
 
     def step(self, window_loss, w_history) -> None:
@@ -141,15 +142,3 @@ class SharedStep:
         for levels, rows in self.stacks:
             loss = ResidualLoss(grads[rows], anchors[rows], self.coefficients[rows])
             levels.step(loss, w_history)
-
-
-class _EachLevel:
-    """Learners with no level stack: each receives its own row of the stacked residual."""
-
-    def __init__(self, learners: list):
-        self.learners = learners
-
-    def step(self, loss: ResidualLoss, w_history) -> None:
-        rows = zip(self.learners, loss.gradients, loss.anchors, loss.coefficient.ravel())
-        for learner, grads, anchors, coefficient in rows:
-            learner.receive_loss(ResidualLoss(grads, anchors, coefficient), w_history)

@@ -13,7 +13,7 @@ Both families keep their parameters in one array and share one projected
 online step, written once in LevelStack, over a leading level axis: L
 learners of one layout with their parameters as the rows of one array
 (LevelStack.join says what a join does to its learners). A lone learner's
-receive_loss is the same step at L = 1.
+receive_loss, DynaBoost.update's per-level call, is the same step at L = 1.
 
 ZeroController and LqrController are fixed policies: each has a name and
 an act, and no learners, so they take no part in a round's shared step; a
@@ -435,34 +435,32 @@ class LevelStack:
         self._gradient = np.empty(params.shape)
 
     @classmethod
-    def join(cls, learners: list) -> "LevelStack | None":
-        """The stack of learners of one family, their params copied into its rows; None for others.
+    def join(cls, learners: list) -> "LevelStack":
+        """The stack of learners of one layout (check_layouts), their params copied into its rows.
 
         A join rebinds its learners' params to views of the new array's
         rows, so their act sees every step of this stack, and any stack
         made earlier over them no longer backs their act.
         """
-        if not cls.joinable(learners):
-            return None
+        cls.check_layouts(learners)
         params = np.stack([c.params for c in learners])
         for c, row in zip(learners, params):
             c._bind(row)
         return cls(learners, params)
 
     @staticmethod
-    def joinable(learners: list) -> bool:
-        """Whether the learners are of one family; raises if they differ in layout."""
-        first = learners[0]
-        if not isinstance(first, _Learner) or {type(c) for c in learners} != {type(first)}:
-            return False
-        layouts = {c.layout for c in learners}
-        if len(layouts) != 1:
-            shapes = {", ".join(f"{k} {s}" for k, s in blocks) for *_, blocks in layouts}
+    def check_layouts(learners: list) -> None:
+        """Raise a ValueError naming their block shapes unless the learners share one layout."""
+        layouts = {getattr(c, "layout", None) for c in learners}
+        if len(layouts) != 1 or None in layouts:
+            shapes = {
+                ", ".join(f"{k} {s}" for k, s in layout[-1]) if layout else "no parameters"
+                for layout in layouts
+            }
             raise ValueError(
                 "stacked levels must share the memory length, the action ball and one "
                 f"parameter layout, got {'; '.join(sorted(shapes))}"
             )
-        return True
 
     def gradients(self, loss, w_history) -> tuple[Array, Array]:
         """(G, finite): every level's unclipped gradient of its residual, and the finite levels.

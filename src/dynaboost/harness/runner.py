@@ -146,15 +146,20 @@ class _SelfTaughtPolicy:
 
 
 def derive_settings(cfg: ExperimentConfig, system, cost) -> tuple:
-    """(LQR gain or None, dynaboost2's curvature or None), from the system's linearization.
+    """(LQR gain, dynaboost2's curvature, the overparam net's hidden size), each None if unused.
 
-    A given alpha or beta is kept and the other one is derived; a given
-    value on the wrong side of the derived one is a ConfigError.
+    A given alpha or beta is kept and the other one is derived from the
+    system's linearization; a given value on the wrong side of the derived
+    one is a ConfigError.
     """
     A, B = system.linearization()
     lqr = solve_dare(A, B, cost.Q, cost.R)[1] if "lqr" in cfg.baselines else None
+    hidden = None
+    if "overparam" in cfg.baselines:
+        w = cfg.weak
+        hidden = overparam_hidden(system.state_dim, system.action_dim, w.hidden, w.cell, cfg.N)
     if cfg.booster.variant != "dynaboost2":
-        return lqr, None
+        return lqr, None, hidden
     given, derived = cfg.booster, derive_curvature_bounds(A, B, cost, cfg.H)
     alpha = derived.alpha if given.alpha is None else given.alpha
     beta = derived.beta if given.beta is None else given.beta
@@ -164,14 +169,14 @@ def derive_settings(cfg: ExperimentConfig, system, cost) -> tuple:
             f"{cfg.source}: booster.{name}: need alpha <= beta, got {name} "
             f"{getattr(given, name)} and the derived {other} {getattr(derived, other)}"
         )
-    return lqr, CurvatureBounds(alpha=alpha, beta=beta)
+    return lqr, CurvatureBounds(alpha=alpha, beta=beta), hidden
 
 
 def build_policies(
     cfg: ExperimentConfig, system, cost, run_index: int, derived: tuple | None = None
 ) -> list:
     """Fresh policies for one run; derived is derive_settings(cfg, system, cost), made here if None."""
-    lqr, curvature = derive_settings(cfg, system, cost) if derived is None else derived
+    lqr, curvature, hidden = derive_settings(cfg, system, cost) if derived is None else derived
     ball = BallSet(cfg.action_radius, system.action_dim)
     base = RngStream(cfg.seed).child(_CONTROLLER_STREAM).child(run_index)
     learners = [
@@ -188,9 +193,6 @@ def build_policies(
         elif name == "lqr":
             policies.append(LqrController(lqr, ball))
         elif name == "overparam":
-            hidden = overparam_hidden(
-                system.state_dim, system.action_dim, cfg.weak.hidden, cfg.weak.cell, cfg.N
-            )
             net = replace(cfg, weak=replace(cfg.weak, kind="rnn", hidden=hidden))
             ctrl = make_weak_controller(net, system.state_dim, ball, base.child(2))
             policies.append(_SelfTaughtPolicy("overparam", ctrl, cfg.H))

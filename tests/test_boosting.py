@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaboost.boosting import DynaBoost, combination_weights, step_lengths
+from dynaboost.boosting import DynaBoost, SharedStep, combination_weights, step_lengths
 from dynaboost.controllers import GpcController, Observation
 from dynaboost.core import BallSet
 from dynaboost.dynamics import LinearSystem
+from dynaboost.harness.experiments import correlated_suite, sanity_suite
+from dynaboost.harness.runner import build_experiment, build_policies, draw_disturbances
 from dynaboost.losses import (
     CurvatureBounds,
     ProxyLoss,
@@ -85,7 +87,7 @@ class TestBoostAct:
     def test_hand_recursion(self):
         booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)], H=2)
         out = booster.act(scalar_obs())
-        assert booster.level_windows[:, -1, 0] == pytest.approx([0.0, 3.0, 1.0, 3.5])
+        assert booster.anchors[:, -1, 0] == pytest.approx([0.0, 3.0, 1.0])
         assert out[0] == pytest.approx(3.5)
 
     def test_hand_recursion_matches_closed_form(self):
@@ -132,23 +134,27 @@ class TestBoostAct:
         booster = DynaBoost([FixedLearner(2.0)], H=3)
         for _ in range(5):
             booster.act(scalar_obs())
-        assert np.array_equal(booster.level_windows[0].view(), np.zeros((3, 1)))
+        assert np.array_equal(booster.anchors[0], np.zeros((3, 1)))
 
     def test_level_windows_record_partials(self):
         booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)], H=2)
-        booster.act(scalar_obs())
-        partials = booster.level_windows[:, -1].copy()
-        booster.act(scalar_obs())
-        for level in range(4):
-            window = booster.level_windows[level].view()
+        first = booster.act(scalar_obs())
+        partials = booster.anchors[:, -1].copy()
+        second = booster.act(scalar_obs())
+        for level in range(3):
+            window = booster.anchors[level]
             assert window[-1, 0] == pytest.approx(partials[level, 0])
             assert window[-2, 0] == pytest.approx(partials[level, 0])
+        assert np.array_equal(first, second)
 
     def test_returned_action_is_a_copy(self):
-        booster = DynaBoost([FixedLearner(1.0)], H=2)
+        learners = [FixedLearner(1.0) for _ in range(2)]
+        booster = DynaBoost(learners, H=2)
         out = booster.act(scalar_obs())
         out[0] = 99.0
-        assert booster.level_windows[1].view()[-1, 0] == pytest.approx(1.0)
+        assert booster.anchors[1, -1, 0] == pytest.approx(1.0)
+        assert [c.action[0] for c in learners] == [1.0, 1.0]
+        assert booster.act(scalar_obs())[0] == pytest.approx(1.0)
 
     @given(st.integers(1, 20), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -165,9 +171,10 @@ class TestBoostAct:
         booster = DynaBoost(
             [FixedLearner(a) for a in (4.0, -4.0)], H=2, variant="dynaboost2", curvature=curv
         )
-        booster.act(scalar_obs())
+        out = booster.act(scalar_obs())
         # u^1 = 0.25*4 = 1, u^2 = 0.75*1 + 0.25*(-4) = -0.25
-        assert booster.level_windows[:, -1, 0] == pytest.approx([0.0, 1.0, -0.25])
+        assert booster.anchors[:, -1, 0] == pytest.approx([0.0, 1.0])
+        assert out[0] == pytest.approx(-0.25)
 
 
 class NoisyLearner(FixedLearner):
@@ -178,23 +185,29 @@ class NoisyLearner(FixedLearner):
         self.rng = rng
 
     def act(self, obs):
-        return self.rng.standard_normal(self.action.size)
+        self.action = self.rng.standard_normal(self.action.size)
+        return self.action
 
 
 class TestLevelWindows:
     @pytest.mark.parametrize("rounds", [0, 2, 7])
     def test_holds_last_H_partials(self, rounds):
         # Row i holds u^i of the last H acts, oldest first, zero-padded
-        # before H acts: empty, partly filled, and after evictions.
+        # before H acts: empty, partly filled, and after evictions. The
+        # played action u^N is act's return value, one recursion step on.
         rng = np.random.default_rng(rounds)
-        booster = DynaBoost([NoisyLearner(rng) for _ in range(3)], H=3)
-        history = [np.zeros((4, 2))] * 3
+        learners = [NoisyLearner(rng) for _ in range(3)]
+        booster = DynaBoost(learners, H=3)
+        history = [np.zeros((3, 2))] * 3
         for _ in range(rounds):
-            booster.act(scalar_obs(3))
-            history.append(booster.level_windows[:, -1].copy())
-        for i in range(4):
-            assert np.array_equal(booster.level_windows[i], np.array(history[-3:])[:, i])
-        assert not booster.level_windows[0].any()
+            played = booster.act(scalar_obs(3))
+            history.append(booster.anchors[:, -1].copy())
+            eta = booster.etas[-1]
+            want = (1.0 - eta) * booster.anchors[-1, -1] + eta * learners[-1].action
+            assert np.array_equal(played, want)
+        for i in range(3):
+            assert np.array_equal(booster.anchors[i], np.array(history[-3:])[:, i])
+        assert not booster.anchors[0].any()
 
     def test_update_anchor_is_a_copy(self):
         curv = CurvatureBounds(alpha=1.0, beta=4.0)
@@ -202,7 +215,7 @@ class TestLevelWindows:
         learners = [NoisyLearner(rng, dim=1) for _ in range(2)]
         booster = DynaBoost(learners, H=2, variant="dynaboost2", curvature=curv)
         booster.act(scalar_obs())
-        before = booster.level_windows.copy()
+        before = booster.anchors.copy()
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
         booster.act(scalar_obs())
         for i, learner in enumerate(learners, start=1):
@@ -228,7 +241,7 @@ class TestBoostUpdate:
         for i, learner in enumerate(learners, start=1):
             loss, seen_hist = learner.received[-1]
             assert isinstance(loss, ResidualLoss) and loss.coefficient == 0.0
-            anchor = booster.level_windows[i - 1].view()
+            anchor = booster.anchors[i - 1]
             assert np.allclose(loss.gradients, anchor + 1.0)
             assert np.array_equal(seen_hist, hist)
 
@@ -242,7 +255,7 @@ class TestBoostUpdate:
             loss, _ = learner.received[-1]
             assert isinstance(loss, ResidualLoss)
             assert loss.coefficient == pytest.approx(0.5 * 0.25 * 4.0)
-            assert np.allclose(loss.anchors, booster.level_windows[i - 1].view())
+            assert np.allclose(loss.anchors, booster.anchors[i - 1])
 
     def test_scalar_lds_gradient_dispatch(self):
         # replayed window (1, 2) with w=0 on x' = 0.5x + u gives truncated
@@ -253,7 +266,7 @@ class TestBoostUpdate:
         learner = FixedLearner(0.0)
         booster = DynaBoost([learner], H=2)
         booster.act(scalar_obs())
-        booster.level_windows[0] = [[1.0], [2.0]]
+        booster.anchors[0] = [[1.0], [2.0]]
         booster.update(proxy, np.zeros((3, 1)))
         loss, _ = learner.received[-1]
         assert np.allclose(loss.gradients, [[2.0], [4.0]])
@@ -278,6 +291,29 @@ class TestBoostUpdate:
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
         loss, _ = learner.received[-1]
         assert loss.value(loss.anchors) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestHeldSharedStep:
+    @pytest.mark.parametrize("name", ["sanity_d1", "walk_rnn"])
+    def test_update_leaves_a_held_shared_step_training_the_booster(self, name):
+        # update steps the learners where they are, so a run's shared step
+        # made before it still backs the booster's act after it.
+        cfg = next(c for c in (*sanity_suite(runs=1), *correlated_suite(runs=1)) if c.name == name)
+        system, cost, derived = build_experiment(cfg)
+        booster, single = build_policies(cfg, system, cost, 0, derived)[:2]
+        shared = SharedStep([booster, single])
+        H, k = cfg.H, system.state_dim
+        w = draw_disturbances(cfg, k, 0)
+        for t in range(2 * H - 1, 2 * H + 2):
+            hist = w[t - 2 * H + 1 : t]
+            ob = Observation(np.zeros(k), hist[H - 1 :])
+            booster.act(ob)
+            single.act(ob)
+            window_loss = ProxyLoss(system, cost, H, hist[H:])
+            booster.update(window_loss, hist)
+            before = booster.act(ob)
+            shared.step(window_loss, hist)
+            assert not np.array_equal(booster.act(ob), before)
 
 
 class TestConstruction:
@@ -347,8 +383,8 @@ class TestOracleContraction:
         for _ in range(2):
             booster.act(obs)
             booster.update(target, np.zeros((1, 1)))
-        booster.act(obs)
-        initial = target.excess(booster.level_windows[0, -1])
+        levels = [*booster.anchors[:, -1], booster.act(obs)]
+        initial = target.excess(levels[0])
         for i in range(1, N + 1):
-            excess = target.excess(booster.level_windows[i, -1])
+            excess = target.excess(levels[i])
             assert excess <= (0.75**i) * initial + 1e-9

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaboost.boosting import DynaBoost
+from dynaboost.boosting import DynaBoost, SharedStep
 from dynaboost.controllers import (
     ElmanCell,
     GpcController,
@@ -382,12 +382,16 @@ class TestLevelStacks:
     @pytest.mark.parametrize("variant", ["dynaboost1", "dynaboost2"])
     @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
     def test_stack_equals_lone_learners(self, family, variant):
+        # The run's batched step (SharedStep) and the booster's per-level
+        # update both give each level the bits of a lone learner.
         H, k = 3, 2
         ball = BallSet(radius=1.0, dim=2)
         curvature = CurvatureBounds(alpha=1.0, beta=4.0) if variant == "dynaboost2" else None
         stacked = [_level(family, i, ball) for i in range(3)]
+        looped = [_level(family, i, ball) for i in range(3)]
         lone = [_level(family, i, ball) for i in range(3)]
-        booster = DynaBoost(stacked, H, variant=variant, curvature=curvature)
+        boosters = [DynaBoost(c, H, variant=variant, curvature=curvature) for c in (stacked, looped)]
+        shared = SharedStep([boosters[0]])
         system = LinearSystem([[0.6, 0.2], [0.0, 0.5]], [[1.0, 0.0], [0.3, 1.0]])
         cost = QuadraticCost.identity(k, 2)
         rng = RngStream(77)
@@ -396,23 +400,27 @@ class TestLevelStacks:
             ob = obs(np.zeros(k), hist[H - 1 :])
             if t == 0:
                 assert np.linalg.norm(_raw_action(stacked[1], ob.disturbances)) > 2 * ball.radius
-            booster.act(ob)
+            for booster in boosters:
+                booster.act(ob)
             window_loss = ProxyLoss(system, cost, H, hist[H:])
             for i, ctrl in enumerate(lone):
-                anchor = booster.level_windows[i].copy()
+                anchor = boosters[1].anchors[i].copy()
                 residual = ResidualLoss(
-                    window_loss.gradients(anchor), anchor, booster.coefficients[i]
+                    window_loss.gradients(anchor), anchor, boosters[1].coefficients[i]
                 )
                 ctrl.receive_loss(residual, hist)
-            booster.update(window_loss, hist)
-            if t == 0:
-                radius = stacked[2].R_M if family == "gpc" else stacked[2].weight_radius
-                assert np.linalg.norm(_parameters(stacked[2])) == pytest.approx(radius, rel=1e-12)
-            for mine, theirs in zip(stacked, lone):
-                assert np.array_equal(_parameters(mine), _parameters(theirs))
-                # act reads the learner's own attributes: they must still
-                # be views of the stack the update wrote
-                assert np.array_equal(mine.act(ob), theirs.act(ob))
+            shared.step(window_loss, hist)
+            boosters[1].update(window_loss, hist)
+            for levels in (stacked, looped):
+                if t == 0:
+                    radius = levels[2].R_M if family == "gpc" else levels[2].weight_radius
+                    norm = np.linalg.norm(_parameters(levels[2]))
+                    assert norm == pytest.approx(radius, rel=1e-12)
+                for mine, theirs in zip(levels, lone):
+                    assert np.array_equal(_parameters(mine), _parameters(theirs))
+                    # act reads the learner's own attributes: they must
+                    # still be views of the parameters the step wrote
+                    assert np.array_equal(mine.act(ob), theirs.act(ob))
 
     @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
     def test_gradient_rows_equal_lone_learners(self, family):
@@ -556,8 +564,10 @@ class TestLevelStacks:
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)
         rnn = RecurrentController(1, 2, ball, RngStream(1))
-        assert LevelStack.join([GpcController(1, 2, ball), rnn]) is None
-        assert LevelStack.join([ZeroController(ball)]) is None
+        with pytest.raises(ValueError, match=r"share .*got M \(2, 1, 1\); W_x"):
+            LevelStack.join([GpcController(1, 2, ball), rnn])
+        with pytest.raises(ValueError, match="share .*got no parameters"):
+            LevelStack.join([ZeroController(ball)])
 
 
 class TestElmanCellShapes:

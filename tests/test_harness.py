@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +413,18 @@ class TestRunner:
         run_experiment(cfg)
         assert len(calls) == 1
 
+    def test_overparam_size_resolved_once_per_experiment(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return overparam_hidden(*args)
+
+        monkeypatch.setattr(runner, "overparam_hidden", counted)
+        weak = parse_config("weak:\n  kind: rnn\n", source="c.yaml").weak
+        run_experiment(_tiny_cfg(runs=3, T=10, weak=weak, baselines=("overparam",)))
+        assert len(calls) == 1
+
     def test_build_system_pendulum(self):
         cfg = _tiny_cfg(env=EnvConfig(kind="pendulum"))
         system, cost = build_system(cfg)
@@ -697,6 +713,38 @@ class TestRunIndependence:
                 for name in ("states", "actions", "disturbances", "costs"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), (alg, r, name)
                 assert (a.diverged, a.seed) == (b.diverged, b.seed)
+
+
+# Digests every action and state of a tiny sanity_d100 experiment.
+_BLAS_PROBE = """
+import hashlib
+from dataclasses import replace
+from dynaboost.harness.experiments import sanity_suite
+from dynaboost.harness.runner import run_experiment
+result = run_experiment(replace(sanity_suite()[2], runs=1, T=5, N=2))
+h = hashlib.sha256()
+for trajectories in result.trajectories.values():
+    for traj in trajectories:
+        h.update(traj.actions.tobytes())
+        h.update(traj.states.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    """The package pins BLAS to one thread, whatever thread count the environment sets."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path)
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestSuiteDefinitions:
