@@ -93,10 +93,10 @@ class _Learner:
     A family supplies its parameters as one array (params, which _bind
     sets with their named views, weights), their named block shapes
     (_shapes), the radius of their ball, _views and _level_gradients, which
-    writes every level's gradient into the stack's buffer and returns it
-    with the (L,) mask of the levels whose gradient is finite; LevelStack
-    runs the one step over them. A family without clip_norm is not clipped,
-    so its gradient norm is never taken.
+    writes every level's gradient into the stack's buffer (passed whole and
+    as its _views) and returns it with the (L,) mask of the levels whose
+    gradient is finite; LevelStack runs the one step over them. A family
+    without clip_norm is not clipped, so its gradient norm is never taken.
     """
 
     clip_norm = math.inf
@@ -180,14 +180,16 @@ class GpcController(_Learner):
         raw = np.einsum("mdk,mk->d", self.params, obs.disturbances[::-1])
         return project_to_ball(raw, self.action_ball)
 
-    def _level_gradients(self, M: Array, loss, w_history, out: Array) -> tuple[Array, Array]:
+    def _level_gradients(
+        self, M: Array, loss, w_history, out: Array, grads: Array
+    ) -> tuple[Array, Array]:
         """(out, finite): every level's gradient of its residual in its M, and the finite levels.
 
         All H window slots of all L levels of the (L, H, d, k) M are
         replayed at once; the loss gradients at the played (projected)
         actions are chained back through the ball projection, so the
         parameter gradient is exact for the actions the window loss sees.
-        out, shaped like M, receives the gradients.
+        out, shaped like M, receives the gradients; grads, its view, is out.
         """
         rev = _slot_windows(w_history, self.H)[:, ::-1, :]
         # rev[j, m] = disturbance m+1 steps before slot j's action
@@ -214,6 +216,10 @@ class _Cell:
 
     forward and backward read the weights as (..., rows, cols) stacks: the
     same code runs one learner's weights and a level stack's (L, ...) views.
+    forward takes every step's input term from one product before its time
+    loop, and backward takes every weight block's gradient from one batched
+    product after its loop, so each loop carries only the recurrence. Both
+    keep the per-step loop's bits (see _descending_sum).
     """
 
     def __init__(self, input_dim: int, hidden_dim: int):
@@ -221,8 +227,31 @@ class _Cell:
         self.hidden_dim = hidden_dim
 
 
+def _step_inputs(windows: Array, lead: int) -> Array:
+    """(n, 1 x lead, S, k) view of an (S, n, k) window batch: step s's (S, k) inputs at [s].
+
+    The singleton axes broadcast against weights with lead leading axes,
+    so a product with them is (n, ..., S, cols), one (S, k) slice per step.
+    """
+    xs = windows.swapaxes(0, 1)
+    return xs.reshape(xs.shape[0], *(1,) * lead, *xs.shape[1:])
+
+
+def _descending_sum(per_step: Array) -> Array:
+    """Sum over the leading step axis, last step first, in the order a per-step loop adds.
+
+    An accumulate adds row by row; a plain sum may add a long run of rows
+    pairwise when the other axes are all of size 1.
+    """
+    return np.add.accumulate(per_step[::-1], axis=0)[-1]
+
+
 class ElmanCell(_Cell):
-    """h_s = tanh(W_h h_{s-1} + W_x w_s + b_h), h_0 = 0."""
+    """h_s = tanh(W_h h_{s-1} + W_x w_s + b_h), h_0 = 0.
+
+    forward's cache is (xs, hs): the step-first inputs (_step_inputs) and
+    the (n + 1, ..., S, h) hidden states h_0..h_n.
+    """
 
     def initial_weights(self, rng: RngStream) -> dict[str, Array]:
         n, hd = self.input_dim, self.hidden_dim
@@ -232,36 +261,42 @@ class ElmanCell(_Cell):
             "b_h": np.zeros(hd),
         }
 
-    def forward(self, weights: dict[str, Array], windows: Array) -> tuple[Array, list]:
+    def forward(self, weights: dict[str, Array], windows: Array) -> tuple[Array, tuple]:
         """windows: (S, n, k) batch of sequences -> final hidden (..., S, h) + cache."""
         W_h = weights["W_h"]
-        W_hT, W_xT = W_h.swapaxes(-1, -2), weights["W_x"].swapaxes(-1, -2)
-        b_h = weights["b_h"][..., None, :]
-        h = np.zeros((*W_h.shape[:-2], windows.shape[0], self.hidden_dim))
-        cache = [h]
-        for s in range(windows.shape[1]):
-            h = np.tanh(h @ W_hT + windows[:, s, :] @ W_xT + b_h)
-            cache.append(h)
-        return h, [windows, cache]
+        W_hT, b_h = W_h.swapaxes(-1, -2), weights["b_h"][..., None, :]
+        xs = _step_inputs(windows, W_h.ndim - 2)
+        xw = xs @ weights["W_x"].swapaxes(-1, -2)
+        hs = np.zeros((len(xw) + 1, *xw.shape[1:]))
+        # h_0 = 0, so the first step has no recurrent term.
+        np.tanh(xw[0] + b_h, out=hs[1])
+        for s in range(1, len(xw)):
+            np.tanh(hs[s] @ W_hT + xw[s] + b_h, out=hs[s + 1])
+        return hs[-1], (xs, hs)
 
     def backward(self, weights: dict[str, Array], cache, dh: Array, grads: dict[str, Array]) -> None:
         """Adds the gradients into grads, zeroed arrays shaped like the weights."""
-        windows, hs = cache
+        xs, hs = cache
         W_h = weights["W_h"]
-        for s in range(windows.shape[1], 0, -1):
-            da = dh * (1.0 - hs[s] ** 2)
-            grads["W_h"] += da.swapaxes(-1, -2) @ hs[s - 1]
-            grads["W_x"] += da.swapaxes(-1, -2) @ windows[:, s - 1, :]
-            grads["b_h"] += da.sum(axis=-2)
-            dh = da @ W_h
-
-
-def _sigmoid(z: Array) -> Array:
-    return 1.0 / (1.0 + np.exp(-z))
+        # das[s] holds 1 - h_{s+1}^2 until the loop turns it into step s+1's da.
+        das = 1.0 - hs[1:] ** 2
+        np.multiply(dh, das[-1], out=das[-1])
+        for s in range(len(das) - 2, -1, -1):
+            np.multiply(das[s + 1] @ W_h, das[s], out=das[s])
+        daT = das.swapaxes(-1, -2)
+        grads["W_h"] += _descending_sum(daT @ hs[:-1])
+        grads["W_x"] += _descending_sum(daT @ xs)
+        grads["b_h"] += _descending_sum(das.sum(axis=-2))
 
 
 class LstmCell(_Cell):
-    """Standard LSTM with forget-gate bias 1; gate order (input, forget, cell, output)."""
+    """Standard LSTM with forget-gate bias 1; gate order (input, forget, cell, output).
+
+    forward's cache is (xs, hs, cs, gates, tcs): the step-first inputs
+    (_step_inputs), the (n + 1, ..., S, h) hidden and cell states from
+    h_0 = c_0 = 0, each step's (..., S, 4h) gate activations and the tanh
+    of its new cell state.
+    """
 
     def initial_weights(self, rng: RngStream) -> dict[str, Array]:
         n, hd = self.input_dim, self.hidden_dim
@@ -273,50 +308,66 @@ class LstmCell(_Cell):
             "b": b,
         }
 
-    def forward(self, weights: dict[str, Array], windows: Array) -> tuple[Array, list]:
+    def _blocks(self, a: Array) -> tuple[Array, ...]:
+        """Views of the (input, forget, cell, output) blocks of a (..., 4h) array."""
+        hd = self.hidden_dim
+        return tuple(a[..., j * hd : (j + 1) * hd] for j in range(4))
+
+    def forward(self, weights: dict[str, Array], windows: Array) -> tuple[Array, tuple]:
         hd = self.hidden_dim
         U = weights["U"]
-        WT, UT = weights["W"].swapaxes(-1, -2), U.swapaxes(-1, -2)
-        b = weights["b"][..., None, :]
-        h = np.zeros((*U.shape[:-2], windows.shape[0], hd))
-        c = np.zeros_like(h)
-        steps = []
-        for s in range(windows.shape[1]):
-            z = windows[:, s, :] @ WT + h @ UT + b
-            i = _sigmoid(z[..., :hd])
-            f = _sigmoid(z[..., hd : 2 * hd])
-            g = np.tanh(z[..., 2 * hd : 3 * hd])
-            o = _sigmoid(z[..., 3 * hd :])
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            steps.append((h, c, i, f, g, o, tc))
-            h = o * tc
-            c = c_new
-        return h, [windows, steps]
+        UT, b = U.swapaxes(-1, -2), weights["b"][..., None, :]
+        xs = _step_inputs(windows, U.ndim - 2)
+        xw = xs @ weights["W"].swapaxes(-1, -2)
+        gates = np.empty(xw.shape)
+        i, f, g, o = self._blocks(gates)
+        hs = np.zeros((len(xw) + 1, *i.shape[1:]))
+        cs = np.zeros_like(hs)
+        tcs = np.empty_like(hs[1:])
+        for s in range(len(xw)):
+            # h_0 = 0, so the first step has no recurrent term.
+            z = xw[s] + hs[s] @ UT + b if s else xw[s] + b
+            # The sigmoid of every block, then the tanh of the cell block.
+            np.divide(1.0, 1.0 + np.exp(-z), out=gates[s])
+            np.tanh(z[..., 2 * hd : 3 * hd], out=g[s])
+            np.add(f[s] * cs[s], i[s] * g[s], out=cs[s + 1])
+            np.tanh(cs[s + 1], out=tcs[s])
+            np.multiply(o[s], tcs[s], out=hs[s + 1])
+        return hs[-1], (xs, hs, cs, gates, tcs)
 
     def backward(self, weights: dict[str, Array], cache, dh: Array, grads: dict[str, Array]) -> None:
-        windows, steps = cache
+        xs, hs, cs, gates, tcs = cache
         U = weights["U"]
+        i, f, g, o = self._blocks(gates)
+        # Step s's gate gradients are dz = ((dcat e) a) r with dcat = (dc, dc,
+        # dc, dh) and, block by block, e = (g, c_{s-1}, i, tanh c_s),
+        # a = (i, f, 1, o) and r = (1 - i, 1 - f, 1 - g^2, 1 - o): each block's
+        # chain rule in its per-step order, with every factor that does not
+        # depend on dh or dc taken before the loop.
+        e = np.concatenate([g, cs[:-1], i, tcs], axis=-1)
+        a = gates.copy()
+        self._blocks(a)[2][...] = 1.0
+        r = 1.0 - gates
+        self._blocks(r)[2][...] = 1.0 - g**2
+        dtc = 1.0 - tcs**2
+        dzs = np.empty(gates.shape)
         dc = np.zeros_like(dh)
-        for s in range(windows.shape[1] - 1, -1, -1):
-            h_prev, c_prev, i, f, g, o, tc = steps[s]
-            dc = dc + dh * o * (1.0 - tc**2)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            do = dh * tc
-            dz = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)],
-                axis=-1,
-            )
-            grads["W"] += dz.swapaxes(-1, -2) @ windows[:, s, :]
-            grads["U"] += dz.swapaxes(-1, -2) @ h_prev
-            grads["b"] += dz.sum(axis=-2)
-            dh = dz @ U
-            dc = dc * f
+        for s in range(len(dzs) - 1, -1, -1):
+            dc = dc + dh * o[s] * dtc[s]
+            dz = np.concatenate([dc, dc, dc, dh], axis=-1, out=dzs[s])
+            dz *= e[s]
+            dz *= a[s]
+            dz *= r[s]
+            if s:
+                dh = dz @ U
+                dc = dc * f[s]
+        dzT = dzs.swapaxes(-1, -2)
+        grads["W"] += _descending_sum(dzT @ xs)
+        grads["U"] += _descending_sum(dzT @ hs[:-1])
+        grads["b"] += _descending_sum(dzs.sum(axis=-2))
 
 
-def _raw_outputs(cell, weights: dict[str, Array], windows: Array) -> tuple[Array, Array, list]:
+def _raw_outputs(cell, weights: dict[str, Array], windows: Array) -> tuple[Array, Array, tuple]:
     """(..., S, d) raw head outputs of an (S, n, k) window batch, the final hidden, the cache."""
     h, cache = cell.forward(weights, windows)
     return h @ weights["W_o"].swapaxes(-1, -2) + weights["b_o"][..., None, :], h, cache
@@ -389,26 +440,25 @@ class RecurrentController(_Learner):
         return project_to_ball(raw[0], self.action_ball)
 
     def _level_gradients(
-        self, weights: dict[str, Array], loss, w_history, out: Array
+        self, weights: dict[str, Array], loss, w_history, out: Array, grads: dict[str, Array]
     ) -> tuple[Array, Array]:
         """(out, finite): every level's (P,) gradient of its residual, and the finite levels.
 
         One forward and one backward pass run over all L levels of the
-        stack's weights, into the (L, P) out. The per-slot loss gradients are
-        taken at the played (projected) actions and backpropagated through
-        the raw forward pass. Chaining through the ball projection instead
-        would zero the gradient of any saturated slot when the action is
-        scalar (the projection has no tangent directions in 1-d),
-        permanently freezing a learner that a persistent disturbance once
-        pushed past the rim; training on the raw outputs keeps such a
-        learner recoverable when the residual flips.
+        stack's weights, into the (L, P) out through its named views, grads.
+        The per-slot loss gradients are taken at the played (projected)
+        actions and backpropagated through the raw forward pass. Chaining
+        through the ball projection instead would zero the gradient of any
+        saturated slot when the action is scalar (the projection has no
+        tangent directions in 1-d), permanently freezing a learner that a
+        persistent disturbance once pushed past the rim; training on the raw
+        outputs keeps such a learner recoverable when the residual flips.
         """
         windows = _slot_windows(w_history, self.H)
         raws, h, cache = _raw_outputs(self.cell, weights, windows)
         actions, _ = project_slots(raws, self.action_ball)
         g = loss.slot_gradients(actions)
         out.fill(0.0)
-        grads = self._views(out)
         grads["W_o"][...] = g.swapaxes(-1, -2) @ h
         grads["b_o"][...] = g.sum(axis=-2)
         self.cell.backward(weights, cache, g @ weights["W_o"], grads)
@@ -431,8 +481,10 @@ class LevelStack:
         self.learners = learners
         self.params = params
         self.weights = learners[0]._views(params)
-        # Every level's gradient lands in this one buffer, shaped like params.
+        # Every level's gradient lands in this one buffer, shaped like params,
+        # written through its named views.
         self._gradient = np.empty(params.shape)
+        self._gradient_views = learners[0]._views(self._gradient)
 
     @classmethod
     def join(cls, learners: list) -> "LevelStack":
@@ -469,7 +521,9 @@ class LevelStack:
         stack's one buffer, so the next call overwrites it. finite is the
         (L,) mask of the levels whose gradient has no non-finite entry.
         """
-        return self.learners[0]._level_gradients(self.weights, loss, w_history, self._gradient)
+        return self.learners[0]._level_gradients(
+            self.weights, loss, w_history, self._gradient, self._gradient_views
+        )
 
     def step(self, loss, w_history) -> None:
         """One projected OGD step per level: lr or lr/sqrt(t), clipped, then onto the radius.

@@ -16,7 +16,6 @@ parameter layout (boosting.SharedStep), whose learners the run joins once
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -334,6 +333,10 @@ def run_experiment(
     if built is None:
         built = build_experiment(cfg)
     if parallel > 1:
+        # Imported here: the process pool's import costs every other caller
+        # of this module about 20 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as ex:
             futures = [ex.submit(_run_one, cfg, r, built) for r in range(cfg.runs)]
             per_run = [f.result() for f in futures]

@@ -21,7 +21,7 @@ from dynaboost.controllers import (
     _raw_outputs,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream
+from dynaboost.core import BallSet, RngStream, project_slots
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.losses import CurvatureBounds, ProxyLoss, QuadraticCost, ResidualLoss
 
@@ -585,6 +585,164 @@ class TestElmanCellShapes:
         cell = LstmCell(input_dim=1, hidden_dim=3)
         b = cell.initial_weights(RngStream(1))["b"]
         assert np.allclose(b[3:6], 1.0)  # forget-gate slice starts open
+
+
+class _PerStepElman:
+    """The Elman cell as a literal per-step loop: the reference for ElmanCell's bits.
+
+    Each step takes its input product and its recurrent product inside the
+    loop; BPTT adds each step's three weight-gradient products and its
+    bias sum into zeroed gradients, from the last step to the first.
+    """
+
+    @staticmethod
+    def forward(weights, windows):
+        W_hT, W_xT = weights["W_h"].swapaxes(-1, -2), weights["W_x"].swapaxes(-1, -2)
+        b_h = weights["b_h"][..., None, :]
+        h = np.zeros((*W_hT.shape[:-2], windows.shape[0], W_hT.shape[-1]))
+        hs = [h]
+        for s in range(windows.shape[1]):
+            h = np.tanh(h @ W_hT + windows[:, s, :] @ W_xT + b_h)
+            hs.append(h)
+        return h, (windows, hs)
+
+    @staticmethod
+    def backward(weights, cache, dh, grads):
+        windows, hs = cache
+        for s in range(windows.shape[1], 0, -1):
+            da = dh * (1.0 - hs[s] ** 2)
+            grads["W_h"] += da.swapaxes(-1, -2) @ hs[s - 1]
+            grads["W_x"] += da.swapaxes(-1, -2) @ windows[:, s - 1, :]
+            grads["b_h"] += da.sum(axis=-2)
+            dh = da @ weights["W_h"]
+
+
+class _PerStepLstm:
+    """The LSTM cell as a literal per-step loop: the reference for LstmCell's bits."""
+
+    @staticmethod
+    def forward(weights, windows):
+        U = weights["U"]
+        hd = U.shape[-1]
+        WT, UT = weights["W"].swapaxes(-1, -2), U.swapaxes(-1, -2)
+        b = weights["b"][..., None, :]
+        h = np.zeros((*U.shape[:-2], windows.shape[0], hd))
+        c = np.zeros_like(h)
+        steps = []
+        for s in range(windows.shape[1]):
+            z = windows[:, s, :] @ WT + h @ UT + b
+            i = 1.0 / (1.0 + np.exp(-z[..., :hd]))
+            f = 1.0 / (1.0 + np.exp(-z[..., hd : 2 * hd]))
+            g = np.tanh(z[..., 2 * hd : 3 * hd])
+            o = 1.0 / (1.0 + np.exp(-z[..., 3 * hd :]))
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            steps.append((h, c, i, f, g, o, tc))
+            h = o * tc
+            c = c_new
+        return h, (windows, steps)
+
+    @staticmethod
+    def backward(weights, cache, dh, grads):
+        windows, steps = cache
+        dc = np.zeros_like(dh)
+        for s in range(windows.shape[1] - 1, -1, -1):
+            h_prev, c_prev, i, f, g, o, tc = steps[s]
+            dc = dc + dh * o * (1.0 - tc**2)
+            di = dc * g
+            df = dc * c_prev
+            dg = dc * i
+            do = dh * tc
+            dz = np.concatenate(
+                [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)],
+                axis=-1,
+            )
+            grads["W"] += dz.swapaxes(-1, -2) @ windows[:, s, :]
+            grads["U"] += dz.swapaxes(-1, -2) @ h_prev
+            grads["b"] += dz.sum(axis=-2)
+            dh = dz @ weights["U"]
+            dc = dc * f
+
+
+_PER_STEP = {"elman": _PerStepElman, "lstm": _PerStepLstm}
+
+
+def _per_step_gradients(family, learner, params, loss, w_history):
+    """The (L, P) level gradients of a recurrent stack, through the per-step reference cell."""
+    cell = _PER_STEP[family]
+    weights = learner._views(params)
+    windows = w_history[np.arange(learner.H)[:, None] + np.arange(learner.H)]
+    h, cache = cell.forward(weights, windows)
+    raws = h @ weights["W_o"].swapaxes(-1, -2) + weights["b_o"][..., None, :]
+    actions, _ = project_slots(raws, learner.action_ball)
+    g = loss.slot_gradients(actions)
+    out = np.zeros(params.shape)
+    grads = learner._views(out)
+    grads["W_o"][...] = g.swapaxes(-1, -2) @ h
+    grads["b_o"][...] = g.sum(axis=-2)
+    cell.backward(weights, cache, g @ weights["W_o"], grads)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCellsMatchPerStepLoops:
+    """The cells' batched products give the per-step loops' bits.
+
+    The same bits, not a tolerance, at every k: each step's slice of a
+    batched product is the BLAS call the loop makes, on the same shapes and
+    strides, and the step sums add in the loop's order. H = 1 is the
+    one-step path; at H = 9 a plain sum over the steps would add pairwise.
+    """
+
+    GRID = [(L, H, hd) for L in (1, 3, 6) for H in (1, 2, 5, 9) for hd in (1, 5)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["elman", "lstm"])
+    def test_forward_and_backward(self, family, k):
+        cell_type = {"elman": ElmanCell, "lstm": LstmCell}[family]
+        for L, H, hd in self.GRID:
+            rng = np.random.default_rng([k, L, H, hd])
+            cell = cell_type(k, hd)
+            for lead in ((), (L,)):
+                shapes = cell.initial_weights(RngStream(0))
+                weights = {n: rng.standard_normal(lead + w.shape) for n, w in shapes.items()}
+                for S in (1, H):
+                    windows = rng.standard_normal((S, H, k))
+                    h, cache = cell.forward(weights, windows)
+                    want, want_cache = _PER_STEP[family].forward(weights, windows)
+                    assert _same_bits(h, want), (L, H, hd, lead, S)
+                    dh = rng.standard_normal(h.shape)
+                    grads = {n: np.zeros_like(w) for n, w in weights.items()}
+                    want_grads = {n: np.zeros_like(w) for n, w in weights.items()}
+                    cell.backward(weights, cache, dh, grads)
+                    _PER_STEP[family].backward(weights, want_cache, dh, want_grads)
+                    for n in grads:
+                        assert _same_bits(grads[n], want_grads[n]), (n, L, H, hd, lead, S)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["elman", "lstm"])
+    def test_level_stack_gradients(self, family, k):
+        for L, H, hd in self.GRID:
+            rng = np.random.default_rng([7, k, L, H, hd])
+            ball = BallSet(radius=1.0, dim=2)
+            levels = [
+                RecurrentController(k, H, ball, RngStream(i), hidden_dim=hd, cell=family)
+                for i in range(L)
+            ]
+            stack = LevelStack.join(levels)
+            # A nonzero head, and raw actions on both sides of the ball's rim.
+            stack.params[...] = 0.7 * rng.standard_normal(stack.params.shape)
+            hist = rng.standard_normal((2 * H - 1, k))
+            loss = ResidualLoss(
+                rng.standard_normal((L, H, 2)), rng.standard_normal((L, H, 2)), 0.5
+            )
+            want = _per_step_gradients(family, levels[0], stack.params, loss, hist)
+            G, finite = stack.gradients(loss, hist)
+            assert finite.all()
+            assert _same_bits(G, want), (L, H, hd)
 
 
 class TestSolveDare:

@@ -747,6 +747,25 @@ def test_results_do_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+
+def test_importing_the_runner_leaves_the_process_pool_unloaded():
+    """Only run_experiment(parallel > 1) imports the process pool."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys; import dynaboost.harness.runner; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
 class TestSuiteDefinitions:
     def test_sanity_dimensions_and_rho(self):
         suite = sanity_suite(runs=3)
