@@ -747,7 +747,6 @@ def test_results_do_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1]
 
 
-
 def test_importing_the_runner_leaves_the_process_pool_unloaded():
     """Only run_experiment(parallel > 1) imports the process pool."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -765,6 +764,7 @@ def test_importing_the_runner_leaves_the_process_pool_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
 
 class TestSuiteDefinitions:
     def test_sanity_dimensions_and_rho(self):
