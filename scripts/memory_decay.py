@@ -25,7 +25,7 @@ def window_error(traj, system, cost, H: int, burn: int) -> float:
     """Mean |window loss - stage cost at the true state| over rounds t >= burn >= H - 1."""
     gaps = []
     for t in range(burn, len(traj.actions)):
-        proxy = ProxyLoss(system, cost, H, traj.disturbances[t - H + 1 : t])
+        proxy = ProxyLoss(system, cost, traj.disturbances[t - H + 1 : t])
         true = cost.value(traj.states[t], traj.actions[t])
         gaps.append(abs(proxy.value(traj.actions[t - H + 1 : t + 1]) - true))
     return float(np.mean(gaps))

@@ -20,7 +20,7 @@ import numpy as np
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
 from dynaboost.controllers import LevelStack
-from dynaboost.core import Array, as_vector, push_window, zero_window  # noqa: F401
+from dynaboost.core import Array, as_vector, push_window  # noqa: F401
 from dynaboost.losses import CurvatureBounds, ResidualLoss
 
 
@@ -75,14 +75,13 @@ class DynaBoost:
             raise ValueError("memory length must be >= 1")
         self.learners = list(learners)
         self.N = len(self.learners)
-        self.H = H
         self.variant = variant
         self.etas = step_lengths(variant, self.N, curvature)
         self.coefficients = (
             0.5 * self.etas * curvature.beta if variant == "dynaboost2" else np.zeros(self.N)
         )
         self.action_dim = self.learners[0].action_ball.dim
-        self.anchors = zero_window(H, self.action_dim, self.N)
+        self.anchors = np.zeros((self.N, H, self.action_dim))
         # Learners that cannot share one stack fail here, not at a run's first step.
         if any(hasattr(c, "layout") for c in self.learners):
             LevelStack.check_layouts(self.learners)

@@ -92,11 +92,11 @@ class _Learner:
 
     A family supplies its parameters as one array (params, which _bind
     sets with their named views, weights), their named block shapes
-    (_shapes), the radius of their ball, _views and _level_gradients, which
-    writes every level's gradient into the stack's buffer and returns it
-    with the (L,) mask of the levels whose gradient is finite; LevelStack
-    runs the one step over them. A family without clip_norm is not clipped,
-    so its gradient norm is never taken.
+    (_shapes), the radius of their parameter ball (radius), _views and
+    _level_gradients, which writes every level's gradient into the stack's
+    buffer and returns it with the (L,) mask of the levels whose gradient
+    is finite; LevelStack runs the one step over them. A family without
+    clip_norm is not clipped, so its gradient norm is never taken.
     """
 
     clip_norm = math.inf
@@ -108,7 +108,6 @@ class _Learner:
             raise ValueError(f"unknown lr_schedule {lr_schedule!r}")
         self.H = H
         self.action_ball = action_ball
-        self.d = action_ball.dim
         self.lr = lr
         self.lr_schedule = lr_schedule
         self._t = 0
@@ -160,15 +159,13 @@ class GpcController(_Learner):
         super().__init__(H, action_ball, lr, lr_schedule)
         if R_M <= 0:
             raise ValueError("R_M must be positive")
-        self.k = state_dim
-        self.R_M = R_M
-        self._bind(np.zeros((H, self.d, self.k)))
+        self.radius = R_M
+        self._bind(np.zeros((H, action_ball.dim, state_dim)))
 
     # M[m] multiplies w_{t-1-m}: index 0 is the most recent disturbance. M is
     # a read-only name for params; write it in place, since a joined level's
     # params is its row of the stack.
     M = property(lambda self: self.params)
-    radius = property(lambda self: self.R_M)
     _shapes = property(lambda self: {"M": self.params.shape})
 
     @staticmethod
@@ -378,10 +375,10 @@ class RecurrentController(_Learner):
     perturbation-based. Updates backpropagate the residual loss through
     time for each of the H window slots, clip the global gradient norm,
     take a plain SGD step, and project the joint parameter vector back
-    onto a norm ball. The ball keeps the policy class compact: linear
-    residual losses reward ever-larger actions, and without it a learner
-    fed such losses for long stretches drifts to parameter norms it takes
-    thousands of opposite-signed steps to walk back.
+    onto the ball of radius weight_radius. The ball keeps the policy
+    class compact: linear residual losses reward ever-larger actions, and
+    without it a learner fed such losses for long stretches drifts to
+    parameter norms it takes thousands of opposite-signed steps to walk back.
 
     All parameters live in one flat vector theta (params): the cell's
     weights, then the head's W_o and b_o; weights holds reshaped views into
@@ -409,20 +406,18 @@ class RecurrentController(_Learner):
         cells = {"elman": ElmanCell, "lstm": LstmCell}
         if cell not in cells:
             raise ValueError(f"unknown cell {cell!r}")
-        self.hidden_dim = hidden_dim
         self.cell = cells[cell](input_dim, hidden_dim)
         # Zero output head: the net starts as the zero policy, so a freshly
         # built stack of these adds no action noise before training starts.
         # Head gradients are nonzero from the first update, and the cell
         # starts learning once the head moves off zero.
-        head = {"W_o": np.zeros((self.d, hidden_dim)), "b_o": np.zeros(self.d)}
+        d = action_ball.dim
+        head = {"W_o": np.zeros((d, hidden_dim)), "b_o": np.zeros(d)}
         blocks = {**self.cell.initial_weights(rng), **head}
         self._shapes = {k: v.shape for k, v in blocks.items()}
         self.clip_norm = clip_norm
-        self.weight_radius = weight_radius
+        self.radius = weight_radius
         self._bind(np.concatenate([v.ravel() for v in blocks.values()]))
-
-    radius = property(lambda self: self.weight_radius)
 
     def _views(self, params: Array) -> dict[str, Array]:
         """Named weight views into (..., P) parameters, shaped (..., *block shape)."""

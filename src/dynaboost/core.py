@@ -109,13 +109,6 @@ def project_slots_vjp(raws: Array, norms: Array, g: Array, ball: BallSet) -> Arr
     return np.where(outside[..., None], (ball.radius / n) * tangent, g)
 
 
-def zero_window(capacity: int, dim: int, *lead: int) -> Array:
-    """A (*lead, capacity, dim) stack of all-zero windows, oldest row first."""
-    if capacity < 1 or dim < 1:
-        raise ValueError(f"window needs capacity >= 1 and dim >= 1, got ({capacity}, {dim})")
-    return np.zeros((*lead, capacity, dim))
-
-
 def push_window(window: Array, x) -> None:
     """Shift every window of the stack one row older, in place, and write x as the newest row."""
     window[..., :-1, :] = window[..., 1:, :]

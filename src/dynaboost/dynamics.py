@@ -25,7 +25,12 @@ import numpy as np
 from dynaboost.core import Array, RngStream, as_matrix, as_vector  # noqa: F401
 
 
-def spectral_radius_estimate(A, tol: float = 1e-9, max_iter: int = 200) -> float:
+# spectral_radius_estimate's relative stopping tolerance and its squaring budget.
+RHO_TOL = 1e-9
+RHO_SQUARINGS = 200
+
+
+def spectral_radius_estimate(A) -> float:
     """Estimate the spectral radius via matrix powers.
 
     Uses rho(A) = lim ||A^m||^(1/m) with repeated squaring and per-step
@@ -38,19 +43,19 @@ def spectral_radius_estimate(A, tol: float = 1e-9, max_iter: int = 200) -> float
     log_scale = 0.0  # log ||A^(2^j)||_F accumulated across squarings
     power = 1.0
     prev = None
-    for _ in range(max_iter):
+    for _ in range(RHO_SQUARINGS):
         n = float(np.linalg.norm(M))
         if n == 0.0 or not math.isfinite(n):
             return 0.0 if n == 0.0 else float("nan")
         log_scale += math.log(n)
         est = math.exp(log_scale / power)
-        if prev is not None and abs(est - prev) <= tol * max(1.0, est):
+        if prev is not None and abs(est - prev) <= RHO_TOL * max(1.0, est):
             return est
         prev = est
         M = (M / n) @ (M / n)
         log_scale *= 2.0
         power *= 2.0
-    raise RuntimeError(f"spectral radius estimate did not converge within {max_iter} squarings")
+    raise RuntimeError(f"spectral radius estimate did not converge within {RHO_SQUARINGS} squarings")
 
 
 class LinearSystem:

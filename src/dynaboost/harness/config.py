@@ -9,6 +9,7 @@ offending key) and for `ExperimentConfig.override` (errors name the field).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -153,8 +154,14 @@ def validate(cfg: ExperimentConfig, fail) -> None:
     """Range checks of a whole config; fail(path, message) raises at the first.
 
     Each check is written so that NaN fails it: not x > 0, never x <= 0.
+    An infinite radius, clip or threshold means unbounded; an infinite
+    std, lr, alpha or beta is rejected.
     """
     env, dist, booster, weak = cfg.env, cfg.disturbance, cfg.booster, cfg.weak
+
+    # Every output file is named name + a suffix inside the output directory.
+    if cfg.name in ("", ".", "..") or any(c in cfg.name for c in "/\\\0"):
+        fail(("name",), f"name must be a file name without /, \\ or NUL, got {cfg.name!r}")
 
     def one_of(path: tuple, what: str, value, allowed: tuple):
         if value not in allowed:
@@ -168,22 +175,22 @@ def validate(cfg: ExperimentConfig, fail) -> None:
             fail(("env", "rho"), f"rho must lie in (0, 1), got {env.rho}")
 
     one_of(("disturbance", "kind"), "disturbance kind", dist.kind, DISTURBANCE_KINDS)
-    if not dist.std >= 0:
-        fail(("disturbance", "std"), f"std must be >= 0, got {dist.std}")
+    if not 0 <= dist.std < math.inf:
+        fail(("disturbance", "std"), f"std must be >= 0 and finite, got {dist.std}")
     if dist.kind == "random_walk" and not dist.clip_lo < dist.clip_hi:
         fail(("disturbance",), f"need clip_lo < clip_hi, got [{dist.clip_lo}, {dist.clip_hi}]")
 
     one_of(("booster", "variant"), "booster variant", booster.variant, BOOSTER_VARIANTS)
-    if booster.alpha is not None and not booster.alpha > 0:
-        fail(("booster", "alpha"), f"alpha must be positive, got {booster.alpha}")
-    if booster.beta is not None and not booster.beta > 0:
-        fail(("booster", "beta"), f"beta must be positive, got {booster.beta}")
+    if booster.alpha is not None and not 0 < booster.alpha < math.inf:
+        fail(("booster", "alpha"), f"alpha must be positive and finite, got {booster.alpha}")
+    if booster.beta is not None and not 0 < booster.beta < math.inf:
+        fail(("booster", "beta"), f"beta must be positive and finite, got {booster.beta}")
     if None not in (booster.alpha, booster.beta) and booster.alpha > booster.beta:
         fail(("booster",), f"need alpha <= beta, got {booster.alpha} > {booster.beta}")
 
     one_of(("weak", "kind"), "weak kind", weak.kind, tuple(WEAK_DEFAULTS))
-    if not weak.lr > 0:
-        fail(("weak", "lr"), f"lr must be positive, got {weak.lr}")
+    if not 0 < weak.lr < math.inf:
+        fail(("weak", "lr"), f"lr must be positive and finite, got {weak.lr}")
     one_of(("weak", "lr_schedule"), "lr_schedule", weak.lr_schedule, LR_SCHEDULES)
     if not weak.R_M > 0:
         fail(("weak", "R_M"), f"R_M must be positive, got {weak.R_M}")
@@ -264,10 +271,10 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}:{lines.get(path, 1)}: {msg}")
 
     cfg = _read(ExperimentConfig, data, (), fail)
-    validate(cfg, fail)
     # An unnamed config file is named after its file.
     if "name" not in data and source != "<config>":
         cfg = replace(cfg, name=Path(source).stem)
+    validate(cfg, fail)
     return replace(cfg, raw_text=text, source=source)
 
 

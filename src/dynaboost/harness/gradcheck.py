@@ -24,6 +24,8 @@ from dynaboost.losses import ProxyLoss, QuadraticCost, ResidualLoss
 FD_STEP = 1e-5
 TOL_DEFAULT = 1e-5
 TOL_RNN = 1e-4
+POINTS = 100  # random points per check; the comparator check takes 20
+WINDOW_SCALE = 0.5  # std of the window-loss check's disturbances and actions
 
 
 @dataclass(frozen=True)
@@ -41,12 +43,12 @@ class CheckResult:
         return f"{status:4s} {self.name:32s} max rel err {self.max_rel_err:.3e} (tol {self.tol:.0e})"
 
 
-def _central_fd(f, x0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def _central_fd(f, x0: np.ndarray) -> np.ndarray:
     g = np.zeros_like(x0)
     for i in range(x0.size):
         e = np.zeros_like(x0)
-        e[i] = h
-        g[i] = (f(x0 + e) - f(x0 - e)) / (2.0 * h)
+        e[i] = FD_STEP
+        g[i] = (f(x0 + e) - f(x0 - e)) / (2.0 * FD_STEP)
     return g
 
 
@@ -61,25 +63,25 @@ def _random_residual(rng, H, d, kind: str):
     return ResidualLoss(grads, 0.5 * rng.normal(size=(H, d)), 0.5 + rng.uniform())
 
 
-def check_window_loss(system, name: str, points: int = 100, scale: float = 0.5) -> CheckResult:
+def check_window_loss(system, name: str) -> CheckResult:
     rng = np.random.default_rng(101)
     cost = QuadraticCost.identity(system.state_dim, system.action_dim)
     worst = 0.0
-    for _ in range(points):
+    for _ in range(POINTS):
         H = int(rng.integers(1, 6))
-        w = scale * rng.normal(size=(H - 1, system.state_dim))
-        ctx = ProxyLoss(system, cost, H, w)
-        U0 = scale * rng.normal(size=(H, system.action_dim))
+        w = WINDOW_SCALE * rng.normal(size=(H - 1, system.state_dim))
+        ctx = ProxyLoss(system, cost, w)
+        U0 = WINDOW_SCALE * rng.normal(size=(H, system.action_dim))
         analytic = ctx.gradients(U0).ravel()
         fd = _central_fd(lambda v: ctx.value(v.reshape(U0.shape)), U0.ravel().copy())
         worst = max(worst, _rel_err(analytic, fd))
     return CheckResult(name, worst, TOL_DEFAULT)
 
 
-def check_gpc_gradient(points: int = 100) -> CheckResult:
+def check_gpc_gradient() -> CheckResult:
     rng = np.random.default_rng(202)
     worst = 0.0
-    for p in range(points):
+    for p in range(POINTS):
         k = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         H = int(rng.integers(1, 5))
@@ -102,10 +104,10 @@ def check_gpc_gradient(points: int = 100) -> CheckResult:
     return CheckResult("gpc parameter gradient", worst, TOL_DEFAULT)
 
 
-def check_rnn_gradient(cell: str, points: int = 100) -> CheckResult:
+def check_rnn_gradient(cell: str) -> CheckResult:
     rng = np.random.default_rng(303)
     worst = 0.0
-    for p in range(points):
+    for p in range(POINTS):
         k = int(rng.integers(1, 3))
         d = int(rng.integers(1, 3))
         H = int(rng.integers(1, 5))
@@ -139,10 +141,10 @@ def check_rnn_gradient(cell: str, points: int = 100) -> CheckResult:
     return CheckResult(f"{cell} backprop through time", worst, TOL_RNN)
 
 
-def check_comparator_gradient(points: int = 20) -> CheckResult:
+def check_comparator_gradient() -> CheckResult:
     rng = np.random.default_rng(505)
     worst = 0.0
-    for _ in range(points):
+    for _ in range(20):
         k = int(rng.integers(1, 3))
         d = int(rng.integers(1, 3))
         H = int(rng.integers(1, 4))
@@ -163,13 +165,13 @@ def check_comparator_gradient(points: int = 20) -> CheckResult:
     return CheckResult("comparator quadratic gradient", worst, TOL_DEFAULT)
 
 
-def run_all(points: int = 100) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     lds = LinearSystem([[0.6, 0.2], [0.0, 0.5]], [[1.0, 0.0], [0.3, 1.0]])
     return [
-        check_window_loss(lds, "window loss gradients (linear)", points=points),
-        check_window_loss(PendulumSystem(), "window loss gradients (pendulum)", points=points),
-        check_gpc_gradient(points=points),
-        check_rnn_gradient("elman", points=points),
-        check_rnn_gradient("lstm", points=points),
+        check_window_loss(lds, "window loss gradients (linear)"),
+        check_window_loss(PendulumSystem(), "window loss gradients (pendulum)"),
+        check_gpc_gradient(),
+        check_rnn_gradient("elman"),
+        check_rnn_gradient("lstm"),
         check_comparator_gradient(),
     ]

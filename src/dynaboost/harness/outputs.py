@@ -21,6 +21,7 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 RAW_HEADER = ["experiment", "algorithm", "seed", "t", "instant_cost", "avg_cost"]
 AGG_HEADER = ["algorithm", "t", "mean", "ci_lo", "ci_hi"]
+TICKS = 5  # per SVG axis, both ends included
 
 
 def fmt(x: float) -> str:
@@ -68,11 +69,11 @@ def write_aggregate_csv(path, stats_by_alg: dict[str, SeriesStats]) -> None:
                     w.writerow([alg, t + 1, fmt(s.mean[t]), "", ""])
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 def write_svg(path, experiment: str, stats_by_alg: dict[str, SeriesStats]) -> None:

@@ -16,7 +16,7 @@ parameter layout (boosting.SharedStep), whose learners the run joins once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from dynaboost.controllers import (
     ZeroController,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream, push_window, zero_window
+from dynaboost.core import BallSet, RngStream, push_window
 from dynaboost.dynamics import PendulumSystem, Trajectory, disturbance_hash, random_lds
 from dynaboost.harness.config import ConfigError, ExperimentConfig, validate
 from dynaboost.harness.stats import SeriesStats, aggregate
@@ -132,11 +132,11 @@ class _SelfTaughtPolicy:
 
     coefficients = np.zeros(1)
 
-    def __init__(self, name: str, ctrl: GpcController | RecurrentController, H: int):
+    def __init__(self, name: str, ctrl: GpcController | RecurrentController):
         self.name = name
         self.ctrl = ctrl
         self.learners = [ctrl]
-        self.anchors = zero_window(H, ctrl.action_ball.dim, 1)
+        self.anchors = np.zeros((1, ctrl.H, ctrl.action_ball.dim))
 
     def act(self, obs: Observation):
         u = self.ctrl.act(obs)
@@ -186,7 +186,7 @@ def build_policies(
     for name in cfg.baselines:
         if name == "single":
             ctrl = make_weak_controller(cfg, system.state_dim, ball, base.child(1))
-            policies.append(_SelfTaughtPolicy("single", ctrl, cfg.H))
+            policies.append(_SelfTaughtPolicy("single", ctrl))
         elif name == "zero":
             policies.append(ZeroController(ball))
         elif name == "lqr":
@@ -194,7 +194,7 @@ def build_policies(
         elif name == "overparam":
             net = replace(cfg, weak=replace(cfg.weak, kind="rnn", hidden=hidden))
             ctrl = make_weak_controller(net, system.state_dim, ball, base.child(2))
-            policies.append(_SelfTaughtPolicy("overparam", ctrl, cfg.H))
+            policies.append(_SelfTaughtPolicy("overparam", ctrl))
         else:
             raise ValueError(f"unknown baseline {name!r}")
     return policies
@@ -268,7 +268,7 @@ def run_episode(
             running = [i for i in running if not diverged[i]]
             shared = _shared_step([policies[i] for i in running])
         if shared is not None:
-            shared.step(ProxyLoss(system, cost, H, hist[H:]), hist)
+            shared.step(ProxyLoss(system, cost, hist[H:]), hist)
         if not running:
             break
     return [
@@ -305,7 +305,7 @@ class ExperimentResult:
     trajectories: dict[str, list[Trajectory]]
     stats: dict[str, SeriesStats]
     w_hashes: list[str]
-    diverged: dict[str, set] = field(default_factory=dict)
+    diverged: dict[str, set]
 
     @property
     def algorithms(self) -> list[str]:

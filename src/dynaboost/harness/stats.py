@@ -19,7 +19,6 @@ class SeriesStats:
     """
 
     mean: Array
-    std: Array | None
     ci_lo: Array | None
     ci_hi: Array | None
 
@@ -40,7 +39,6 @@ def aggregate(series: list[Array] | Array) -> SeriesStats:
     M = np.vstack(rows)
     mean = M.mean(axis=0)
     if len(rows) < 2:
-        return SeriesStats(mean=mean, std=None, ci_lo=None, ci_hi=None)
-    std = M.std(axis=0, ddof=1)
-    half = CI_Z * std / np.sqrt(len(rows))
-    return SeriesStats(mean=mean, std=std, ci_lo=mean - half, ci_hi=mean + half)
+        return SeriesStats(mean=mean, ci_lo=None, ci_hi=None)
+    half = CI_Z * M.std(axis=0, ddof=1) / np.sqrt(len(rows))
+    return SeriesStats(mean=mean, ci_lo=mean - half, ci_hi=mean + half)

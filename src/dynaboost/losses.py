@@ -10,6 +10,7 @@ the previous level's window (dynaboost2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,6 @@ class QuadraticCost:
             raise ValueError("Q and R must be square")
         _check_psd(self.Q, "Q")
         _check_psd(self.R, "R")
-        self.state_dim = self.Q.shape[0]
-        self.action_dim = self.R.shape[0]
 
     @classmethod
     def identity(cls, state_dim: int, action_dim: int) -> "QuadraticCost":
@@ -82,19 +81,18 @@ class ProxyLoss:
     On the pendulum, gradients() takes the end states and step Jacobians
     of every window from one PendulumSystem.window_jacobians call. A
     ProxyLoss is built once per round, so it takes the (H-1, k) float64
-    disturbances and the (H, d) action window, or (..., H, d) stack of
-    windows, as given.
+    disturbances, whose row count fixes H, and the (H, d) action window,
+    or (..., H, d) stack of windows, as given.
     """
 
     system: object
     cost: QuadraticCost
-    horizon: int
     disturbances: Array  # (H-1, k), oldest first
 
     def __post_init__(self):
         self._markov = None
         if isinstance(self.system, LinearSystem):
-            self._markov, psi = self.system.window_operators(self.horizon)
+            self._markov, psi = self.system.window_operators(len(self.disturbances) + 1)
             self._free = psi @ self.disturbances.ravel()
 
     def value(self, U: Array) -> float:
@@ -112,7 +110,7 @@ class ProxyLoss:
         stacked matrix-vector products, so each row has the bits of a lone
         (H, d) call.
         """
-        H, d = self.horizon, U.shape[-1]
+        H, d = U.shape[-2:]
         grads = np.empty(U.shape)
         grads[..., H - 1, :] = self.cost.grad_u(U[..., H - 1, :])
         if self._markov is None:
@@ -175,8 +173,9 @@ class CurvatureBounds:
     beta: float
 
     def __post_init__(self):
-        if not 0 < self.alpha <= self.beta:
-            raise ValueError(f"need 0 < alpha <= beta, got {self.alpha}, {self.beta}")
+        # A NaN fails this as well.
+        if not 0 < self.alpha <= self.beta < math.inf:
+            raise ValueError(f"need 0 < alpha <= beta < inf, got {self.alpha}, {self.beta}")
 
 
 def derive_curvature_bounds(A: Array, B: Array, cost: QuadraticCost, H: int) -> CurvatureBounds:

@@ -140,7 +140,7 @@ def test_combination_weight_identity():
 
 def test_gradient_oracles_match_finite_differences():
     start = time.perf_counter()
-    results = gradcheck.run_all(points=100)
+    results = gradcheck.run_all()
     elapsed = time.perf_counter() - start
     ok = all(r.ok for r in results) and elapsed < 30.0
     worst = max(r.max_rel_err for r in results)

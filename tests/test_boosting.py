@@ -262,7 +262,7 @@ class TestBoostUpdate:
         # state 1, so the slot gradients are (2*1*1, 2*2) = (2, 4)
         system = LinearSystem([[0.5]], [[1.0]])
         cost = QuadraticCost.identity(1, 1)
-        proxy = ProxyLoss(system, cost, horizon=2, disturbances=np.zeros((1, 1)))
+        proxy = ProxyLoss(system, cost, disturbances=np.zeros((1, 1)))
         learner = FixedLearner(0.0)
         booster = DynaBoost([learner], H=2)
         booster.act(scalar_obs())
@@ -274,7 +274,7 @@ class TestBoostUpdate:
     def test_zero_partials_zero_disturbance_zero_gradients(self):
         system = LinearSystem([[0.5]], [[1.0]])
         cost = QuadraticCost.identity(1, 1)
-        proxy = ProxyLoss(system, cost, horizon=2, disturbances=np.zeros((1, 1)))
+        proxy = ProxyLoss(system, cost, disturbances=np.zeros((1, 1)))
         learners = [FixedLearner(0.0) for _ in range(3)]
         booster = DynaBoost(learners, H=2)
         booster.act(scalar_obs())
@@ -309,7 +309,7 @@ class TestHeldSharedStep:
             ob = Observation(np.zeros(k), hist[H - 1 :])
             booster.act(ob)
             single.act(ob)
-            window_loss = ProxyLoss(system, cost, H, hist[H:])
+            window_loss = ProxyLoss(system, cost, hist[H:])
             booster.update(window_loss, hist)
             before = booster.act(ob)
             shared.step(window_loss, hist)

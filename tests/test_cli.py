@@ -117,6 +117,29 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "not writable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "disturbance: {std: .inf}",
+            "weak: {lr: .inf}",
+            "booster: {variant: dynaboost2, beta: .inf}",
+            "name: a/b",
+        ],
+        ids=["infinite_std", "infinite_lr", "infinite_beta", "name_with_slash"],
+    )
+    def test_bad_config_value_stops_before_the_run(self, tmp_path, capsys, setting):
+        # Each of these used to run: an infinite std or lr as a divergence
+        # (exit 2), an infinite beta as a booster that skips every update and
+        # plays zero (exit 0), a name with a separator into a traceback once
+        # every run had finished.
+        p = write_cfg(tmp_path, f"T: 20\nruns: 1\n{setting}\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(p), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {p}:3: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_gradcheck_passes(self, capsys):
         code = main(["gradcheck"])
         assert code == EXIT_OK

@@ -167,7 +167,7 @@ class TestGpcUpdate:
             g = rng.child(child).standard_normal((2, 2))
             hist = rng.child(10 + child).standard_normal((3, 2))
             ctrl.receive_loss(linear_loss(g), hist)
-            assert np.linalg.norm(ctrl.M) <= ctrl.R_M + 1e-12
+            assert np.linalg.norm(ctrl.M) <= ctrl.radius + 1e-12
 
     def test_nonfinite_gradient_skipped_and_counted(self):
         ctrl = GpcController(state_dim=2, H=3, action_ball=BallSet(radius=1.0, dim=2), lr=0.5)
@@ -355,7 +355,7 @@ def _level(family, i, ball, H=3, k=2):
         ctrl = GpcController(k, H, ball, R_M=10.0, lr=0.5, lr_schedule="sqrt")
         ctrl.M[...] = (0.2, 4.0, 1.0)[i] * rng.standard_normal((H, ball.dim, k))
         if i == 2:
-            ctrl.R_M = 0.5 * float(np.linalg.norm(ctrl.M))
+            ctrl.radius = 0.5 * float(np.linalg.norm(ctrl.M))
         return ctrl
     ctrl = RecurrentController(
         k, H, ball, rng.child(0), hidden_dim=3, cell=family, lr=0.2, lr_schedule="sqrt"
@@ -364,7 +364,7 @@ def _level(family, i, ball, H=3, k=2):
     if i == 1:
         ctrl.weights["b_o"][...] = 5.0
     if i == 2:
-        ctrl.weight_radius = 0.5 * float(np.linalg.norm(ctrl.params))
+        ctrl.radius = 0.5 * float(np.linalg.norm(ctrl.params))
     return ctrl
 
 
@@ -402,7 +402,7 @@ class TestLevelStacks:
                 assert np.linalg.norm(_raw_action(stacked[1], ob.disturbances)) > 2 * ball.radius
             for booster in boosters:
                 booster.act(ob)
-            window_loss = ProxyLoss(system, cost, H, hist[H:])
+            window_loss = ProxyLoss(system, cost, hist[H:])
             for i, ctrl in enumerate(lone):
                 anchor = boosters[1].anchors[i].copy()
                 residual = ResidualLoss(
@@ -413,9 +413,8 @@ class TestLevelStacks:
             boosters[1].update(window_loss, hist)
             for levels in (stacked, looped):
                 if t == 0:
-                    radius = levels[2].R_M if family == "gpc" else levels[2].weight_radius
                     norm = np.linalg.norm(_parameters(levels[2]))
-                    assert norm == pytest.approx(radius, rel=1e-12)
+                    assert norm == pytest.approx(levels[2].radius, rel=1e-12)
                 for mine, theirs in zip(levels, lone):
                     assert np.array_equal(_parameters(mine), _parameters(theirs))
                     # act reads the learner's own attributes: they must
@@ -494,7 +493,7 @@ class TestLevelStacks:
         for i in (0, 2):
             assert lone[i].skipped_updates == 0
             assert np.array_equal(_parameters(stacked[i]), _parameters(lone[i]))
-            assert np.linalg.norm(_parameters(stacked[i])) == pytest.approx(stacked[i].R_M)
+            assert np.linalg.norm(_parameters(stacked[i])) == pytest.approx(stacked[i].radius)
 
     def test_levels_must_share_memory_and_ball(self):
         a = GpcController(1, 2, BallSet(1.0, 1))

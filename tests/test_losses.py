@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,7 @@ def scalar_loss(H=2, disturbances=None):
     cost = QuadraticCost.identity(1, 1)
     if disturbances is None:
         disturbances = np.zeros((H - 1, 1))
-    return ProxyLoss(sys, cost, H, np.asarray(disturbances, dtype=np.float64))
+    return ProxyLoss(sys, cost, np.asarray(disturbances, dtype=np.float64))
 
 
 class TestProxyLoss:
@@ -71,8 +73,6 @@ class TestProxyLoss:
         loss = scalar_loss(H=2)
         with pytest.raises(ValueError):
             loss.value(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            ProxyLoss(LinearSystem([[0.5]], [[1.0]]), QuadraticCost.identity(1, 1), 3, np.array([[0.1]]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -82,7 +82,7 @@ class TestProxyLoss:
         sys = random_lds(rng.child(0), 2, 2, 0.8)
         cost = QuadraticCost.identity(2, 2)
         w = 0.3 * rng.child(1).standard_normal((H - 1, 2))
-        loss = ProxyLoss(sys, cost, H, w)
+        loss = ProxyLoss(sys, cost, w)
         U = 0.5 * rng.child(2).standard_normal((H, 2))
         g = loss.gradients(U)
         h = 1e-6
@@ -97,7 +97,7 @@ class TestProxyLoss:
         sys = PendulumSystem()
         cost = QuadraticCost.identity(2, 1)
         rng = RngStream(77)
-        loss = ProxyLoss(sys, cost, 4, 0.05 * rng.child(0).standard_normal((3, 2)))
+        loss = ProxyLoss(sys, cost, 0.05 * rng.child(0).standard_normal((3, 2)))
         U = 0.5 * rng.child(1).standard_normal((4, 1))
         g = loss.gradients(U)
         h = 1e-6
@@ -141,7 +141,7 @@ class TestLinearWindowOperators:
             M = rng.normal(size=(d, d))
             cost = QuadraticCost(L @ L.T, M @ M.T + 0.1 * np.eye(d))
             w = rng.normal(size=(H - 1, k))
-            loss = ProxyLoss(system, cost, H, w)
+            loss = ProxyLoss(system, cost, w)
             for _ in range(3):
                 U = rng.normal(size=(H, d))
                 want_value, want_grads = _replay_window_loss(
@@ -196,7 +196,7 @@ class TestStackedWindows:
         system = random_lds(rng.child(0), d, d, 0.9)
         cost = QuadraticCost(np.diag(1.0 + np.arange(d)), 0.5 * np.eye(d))
         w = rng.child(1).standard_normal((H - 1, d))
-        loss = ProxyLoss(system, cost, H, w)
+        loss = ProxyLoss(system, cost, w)
         U = rng.child(2).standard_normal((4, H, d))
         stacked = loss.gradients(U)
         assert stacked.shape == U.shape
@@ -219,7 +219,7 @@ class TestStackedWindows:
         regimes = set()
         for H in (1, 2, 5):
             w = big_w[: H - 1]
-            loss = ProxyLoss(system, cost, H, w)
+            loss = ProxyLoss(system, cost, w)
             U = 3.0 * RngStream(H).standard_normal((4, H, 1))
             stacked = loss.gradients(U)
             assert stacked.shape == U.shape
@@ -319,6 +319,9 @@ class TestCurvatureBounds:
             CurvatureBounds(alpha=0.0, beta=1.0)
         with pytest.raises(ValueError):
             CurvatureBounds(alpha=2.0, beta=1.0)
+        for alpha, beta in [(1.0, math.inf), (math.inf, math.inf)]:
+            with pytest.raises(ValueError, match=r"need 0 < alpha <= beta < inf, got .*inf$"):
+                CurvatureBounds(alpha=alpha, beta=beta)
 
     def test_memoryless_case(self):
         # H=1 has no state path: alpha = lmin(R) = 2... no, alpha = lmin(R),
@@ -342,7 +345,7 @@ class TestCurvatureBounds:
         cost = QuadraticCost.identity(2, 2)
         H = 3
         cb = derive_curvature_bounds(sys.A, sys.B, cost, H)
-        loss = ProxyLoss(sys, cost, H, 0.2 * rng.child(1).standard_normal((H - 1, 2)))
+        loss = ProxyLoss(sys, cost, 0.2 * rng.child(1).standard_normal((H - 1, 2)))
         n = H * 2
         U0 = 0.3 * rng.child(2).standard_normal((H, 2))
         h = 1e-5
