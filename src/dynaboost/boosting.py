@@ -24,17 +24,13 @@ from dynaboost.core import Array, as_vector, push_window  # noqa: F401
 from dynaboost.losses import CurvatureBounds, ResidualLoss
 
 
-def step_lengths(variant: str, N: int, curvature: CurvatureBounds | None = None) -> Array:
-    """Per-level steps: 2/(i+1) for the linear variant, alpha/beta for the quadratic."""
+def step_lengths(N: int, curvature: CurvatureBounds | None = None) -> Array:
+    """Per-level steps: 2/(i+1) without curvature bounds (dynaboost1), alpha/beta with them."""
     if N < 1:
         raise ValueError("need at least one weak learner")
-    if variant == "dynaboost1":
+    if curvature is None:
         return np.array([2.0 / (i + 1.0) for i in range(1, N + 1)])
-    if variant == "dynaboost2":
-        if curvature is None:
-            raise ValueError("dynaboost2 needs curvature bounds (alpha, beta)")
-        return np.full(N, curvature.alpha / curvature.beta)
-    raise ValueError(f"unknown variant {variant!r}")
+    return np.full(N, curvature.alpha / curvature.beta)
 
 
 def combination_weights(N: int) -> Array:
@@ -48,6 +44,8 @@ def combination_weights(N: int) -> Array:
 class DynaBoost:
     """Convex-combination booster with per-level action windows.
 
+    H is the learners' memory and the step lengths come from the curvature
+    bounds: variant reads dynaboost2 when they are given, else dynaboost1.
     anchors is one (N, H, d) array: row i holds the last H partial actions
     u^i, oldest first and zero-padded at the start, and anchors level
     i + 1's residual. Row 0 is identically zero; act returns u^N, the
@@ -62,26 +60,14 @@ class DynaBoost:
 
     name = "boosted"
 
-    def __init__(
-        self,
-        learners: list,
-        H: int,
-        variant: str = "dynaboost1",
-        curvature: CurvatureBounds | None = None,
-    ):
-        if not learners:
-            raise ValueError("need at least one weak learner")
-        if H < 1:
-            raise ValueError("memory length must be >= 1")
+    def __init__(self, learners: list, curvature: CurvatureBounds | None = None):
         self.learners = list(learners)
         self.N = len(self.learners)
-        self.variant = variant
-        self.etas = step_lengths(variant, self.N, curvature)
-        self.coefficients = (
-            0.5 * self.etas * curvature.beta if variant == "dynaboost2" else np.zeros(self.N)
-        )
+        self.etas = step_lengths(self.N, curvature)  # rejects an empty list
+        self.variant = "dynaboost1" if curvature is None else "dynaboost2"
+        self.coefficients = np.zeros(self.N) if curvature is None else 0.5 * self.etas * curvature.beta
         self.action_dim = self.learners[0].action_ball.dim
-        self.anchors = np.zeros((self.N, H, self.action_dim))
+        self.anchors = np.zeros((self.N, self.learners[0].H, self.action_dim))
         # Learners that cannot share one stack fail here, not at a run's first step.
         if any(hasattr(c, "layout") for c in self.learners):
             LevelStack.check_layouts(self.learners)
@@ -91,7 +77,7 @@ class DynaBoost:
         u = np.zeros(self.action_dim)
         for i, (eta, learner) in enumerate(zip(self.etas, self.learners)):
             partials[i] = u
-            u = (1.0 - eta) * u + eta * learner.act(obs)
+            u = (1.0 - eta) * u + eta * learner.act(obs.disturbances)
         push_window(self.anchors, partials)
         return u
 

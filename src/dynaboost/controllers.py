@@ -1,13 +1,14 @@
 """Weak learners, plus the zero and LQR baselines.
 
-Every controller maps an observation (state + recent disturbance window)
-to an action inside its action_ball. The learners (GPC and the recurrent
-family) then take receive_loss(loss, w_history): a losses.ResidualLoss
-over the window of their last H actions (coefficient 0 under dynaboost1),
-plus the (2H-1, k) disturbance history w_{t-2H+1}..w_{t-1}, which
-contains the window that generated each of those actions. They
-differentiate the loss's slot_gradients through their own action map,
-treating all H window actions as produced by the current parameters.
+Every controller returns an action inside its action_ball. The learners
+(GPC and the recurrent family) act on the (H, k) window of recent
+disturbances, then take receive_loss(loss, w_history): a
+losses.ResidualLoss over the window of their last H actions (coefficient
+0 under dynaboost1), plus the (2H-1, k) disturbance history
+w_{t-2H+1}..w_{t-1}, which contains the window that generated each of
+those actions. They differentiate the loss's slot_gradients through their
+own action map, treating all H window actions as produced by the current
+parameters.
 
 Both families keep their parameters in one array and share one projected
 online step, written once in LevelStack, over a leading level axis: L
@@ -16,8 +17,8 @@ learners of one layout with their parameters as the rows of one array
 receive_loss, DynaBoost.update's per-level call, is the same step at L = 1.
 
 ZeroController and LqrController are fixed policies: each has a name and
-an act, and no learners, so they take no part in a round's shared step; a
-run of fixed policies builds no window loss.
+an act on an Observation, and no learners, so they take no part in a
+round's shared step; a run of fixed policies builds no window loss.
 """
 
 from __future__ import annotations
@@ -172,9 +173,9 @@ class GpcController(_Learner):
     def _views(M: Array) -> Array:
         return M
 
-    def act(self, obs: Observation) -> Array:
+    def act(self, window: Array) -> Array:
         # M[m] pairs with the (m+1)-th most recent disturbance.
-        raw = np.einsum("mdk,mk->d", self.params, obs.disturbances[::-1])
+        raw = np.einsum("mdk,mk->d", self.params, window[::-1])
         return project_to_ball(raw, self.action_ball)
 
     def _level_gradients(self, M: Array, loss, w_history, out: Array) -> tuple[Array, Array]:
@@ -371,14 +372,13 @@ def _raw_outputs(cell, weights: dict[str, Array], windows: Array) -> tuple[Array
 class RecurrentController(_Learner):
     """Maps the disturbance window through a small recurrent net to an action.
 
-    The state input is ignored: the policy class is purely
-    perturbation-based. Updates backpropagate the residual loss through
-    time for each of the H window slots, clip the global gradient norm,
-    take a plain SGD step, and project the joint parameter vector back
-    onto the ball of radius weight_radius. The ball keeps the policy
-    class compact: linear residual losses reward ever-larger actions, and
-    without it a learner fed such losses for long stretches drifts to
-    parameter norms it takes thousands of opposite-signed steps to walk back.
+    Updates backpropagate the residual loss through time for each of the H
+    window slots, clip the global gradient norm, take a plain SGD step, and
+    project the joint parameter vector back onto the ball of radius
+    weight_radius. The ball keeps the policy class compact: linear residual
+    losses reward ever-larger actions, and without it a learner fed such
+    losses for long stretches drifts to parameter norms it takes thousands of
+    opposite-signed steps to walk back.
 
     All parameters live in one flat vector theta (params): the cell's
     weights, then the head's W_o and b_o; weights holds reshaped views into
@@ -428,8 +428,8 @@ class RecurrentController(_Learner):
             pos += size
         return views
 
-    def act(self, obs: Observation) -> Array:
-        raw, _, _ = _raw_outputs(self.cell, self.weights, obs.disturbances[None])
+    def act(self, window: Array) -> Array:
+        raw, _, _ = _raw_outputs(self.cell, self.weights, window[None])
         return project_to_ball(raw[0], self.action_ball)
 
     def _level_gradients(

@@ -16,7 +16,6 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -119,7 +118,6 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
 class PendulumSystem:
     """Torque-controlled inverted pendulum, fixed-step discrete dynamics.
 
@@ -130,24 +128,17 @@ class PendulumSystem:
     LinearSystem's, the per-round methods read x and u as given.
     """
 
-    g: float = 10.0
-    m: float = 1.0
-    l: float = 1.0
-    dt: float = 0.05
-    max_torque: float = 2.0
-    max_speed: float = 8.0
-    state_dim: ClassVar[int] = 2
-    action_dim: ClassVar[int] = 1
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.max_torque <= 0 or self.max_speed <= 0:
-            raise ValueError("torque and speed caps must be positive")
-        # The coefficients of sin(theta) and of the torque in the angular
-        # acceleration; frozen, so they cannot go stale.
-        object.__setattr__(self, "_gravity", 3.0 * self.g / (2.0 * self.l))
-        object.__setattr__(self, "_inertia", 3.0 / (self.m * self.l**2))
+    g = 10.0
+    m = 1.0
+    l = 1.0
+    dt = 0.05
+    max_torque = 2.0
+    max_speed = 8.0
+    state_dim = 2
+    action_dim = 1
+    # The coefficients of sin(theta) and of the torque in the angular acceleration.
+    _gravity = 3.0 * g / (2.0 * l)
+    _inertia = 3.0 / (m * l**2)
 
     def _transition(self, theta: float, theta_dot: float, u: float) -> tuple[float, float, float]:
         """(theta', angular velocity', angular velocity before its clip) of one step.

@@ -230,14 +230,22 @@ def validate(cfg: ExperimentConfig, fail) -> None:
         fail(("divergence_threshold",), f"divergence_threshold must be positive, got {value}")
 
 
-def _collect_lines(node) -> dict:
-    """Line of every key and list item by its path in a composed YAML node."""
+def _collect_lines(node, source: str) -> dict:
+    """Line of every key and list item by its path in a composed YAML node.
+
+    A key that one mapping repeats is a ConfigError at its second line.
+    A merge key (<<) adds its own path, so a key it merges may be repeated.
+    """
     lines: dict = {}
 
     def walk(n, path):
         if isinstance(n, yaml.MappingNode):
             for kn, vn in n.value:
                 p = path + (str(kn.value),)
+                if p in lines:
+                    raise ConfigError(
+                        f"{source}:{kn.start_mark.line + 1}: duplicate key {'.'.join(p)!r}"
+                    )
                 lines[p] = kn.start_mark.line + 1
                 walk(vn, p)
         elif isinstance(n, yaml.SequenceNode):
@@ -256,7 +264,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     loader = yaml.SafeLoader(text)
     try:
         node = loader.get_single_node()
-        lines = _collect_lines(node)
+        lines = _collect_lines(node, source)
         data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as e:
         raise ConfigError(f"{source}: invalid YAML: {e}") from None
@@ -280,6 +288,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{p}: no such config file")
-    return parse_config(p.read_text(), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{p}: no such config file") from None
+    except OSError as e:
+        raise ConfigError(f"{p}: cannot read the config file: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: the config file is not UTF-8: byte {e.start} is invalid") from None
+    return parse_config(text, source=str(p))

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynaboost.controllers import (
-    GpcController, Observation, RecurrentController, _raw_outputs, _slot_windows
-)
+from dynaboost.controllers import GpcController, RecurrentController, _raw_outputs, _slot_windows
 from dynaboost.core import BallSet, RngStream, project_to_ball
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_quadratic
@@ -92,12 +90,12 @@ def check_gpc_gradient() -> CheckResult:
         wh = rng.normal(size=(2 * H - 1, k))
         loss = _random_residual(rng, H, d, "linear" if p % 3 else "quadratic")
         G = gpc.loss_gradients(loss, wh).ravel()
-        slots = [Observation(np.zeros(k), window) for window in _slot_windows(wh, H)]
+        windows = _slot_windows(wh, H)
 
         # Each slot's action is the one act plays on that slot's window.
         def composed(vec):
             gpc.M[...] = vec.reshape(H, d, k)
-            return loss.value(np.stack([gpc.act(ob) for ob in slots]))
+            return loss.value(np.stack([gpc.act(window) for window in windows]))
 
         fd = _central_fd(composed, gpc.M.ravel().copy())
         worst = max(worst, _rel_err(G, fd))

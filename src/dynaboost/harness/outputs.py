@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -32,9 +33,9 @@ def _ensure_dir(out_dir) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        # A uniquely named probe, so no file of the user's is touched.
+        with tempfile.TemporaryFile(dir=out):
+            pass
     except OSError as e:
         raise ConfigError(f"output directory {out} is not writable: {e}") from e
     return out

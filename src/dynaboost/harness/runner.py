@@ -139,7 +139,7 @@ class _SelfTaughtPolicy:
         self.anchors = np.zeros((1, ctrl.H, ctrl.action_ball.dim))
 
     def act(self, obs: Observation):
-        u = self.ctrl.act(obs)
+        u = self.ctrl.act(obs.disturbances)
         push_window(self.anchors, u)
         return u
 
@@ -182,7 +182,7 @@ def build_policies(
         make_weak_controller(cfg, system.state_dim, ball, base.child(0).child(i))
         for i in range(cfg.N)
     ]
-    policies = [DynaBoost(learners, cfg.H, variant=cfg.booster.variant, curvature=curvature)]
+    policies = [DynaBoost(learners, curvature)]
     for name in cfg.baselines:
         if name == "single":
             ctrl = make_weak_controller(cfg, system.state_dim, ball, base.child(1))

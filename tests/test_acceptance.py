@@ -42,17 +42,19 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# learner stubs used by the frozen-target checks
+# learner stubs used by the frozen-target checks, each of memory H = 1
 
 
 class FixedLearner:
     """Always plays one fixed action."""
 
+    H = 1
+
     def __init__(self, action):
         self._action = np.asarray(action, dtype=np.float64)
         self.action_ball = BallSet(radius=1e6, dim=self._action.size)
 
-    def act(self, obs):
+    def act(self, window):
         return self._action.copy()
 
     def receive_loss(self, loss, w_history):
@@ -62,11 +64,13 @@ class FixedLearner:
 class QuadOracleLearner:
     """Plays the exact ball-constrained minimizer of its last quadratic residual."""
 
+    H = 1
+
     def __init__(self, dim, radius):
         self.action_ball = BallSet(radius=radius, dim=dim)
         self._best = np.zeros(dim)
 
-    def act(self, obs):
+    def act(self, window):
         return self._best.copy()
 
     def receive_loss(self, loss, w_history):
@@ -80,11 +84,13 @@ class QuadOracleLearner:
 class LinOracleLearner:
     """Plays the ball minimizer of its last linear residual (its extreme point)."""
 
+    H = 1
+
     def __init__(self, dim, radius):
         self.action_ball = BallSet(radius=radius, dim=dim)
         self._best = np.zeros(dim)
 
-    def act(self, obs):
+    def act(self, window):
         return self._best.copy()
 
     def receive_loss(self, loss, w_history):
@@ -123,9 +129,7 @@ def test_combination_weight_identity():
         gammas = combination_weights(N)
         for _ in range(100):
             actions = rng.normal(size=(N, 3))
-            booster = DynaBoost(
-                [FixedLearner(a) for a in actions], H=1, variant="dynaboost1"
-            )
+            booster = DynaBoost([FixedLearner(a) for a in actions])
             out = booster.act(_OBS)
             worst = max(worst, float(np.abs(out - gammas @ actions).max()))
     elapsed = time.perf_counter() - start
@@ -187,7 +191,7 @@ def test_perfect_oracle_excess_contracts_per_level():
     N = 10
     start = time.perf_counter()
     learners = [QuadOracleLearner(dim=2, radius=1.0) for _ in range(N)]
-    booster = DynaBoost(learners, H=1, variant="dynaboost2", curvature=curv)
+    booster = DynaBoost(learners, curv)
     for _ in range(2):
         booster.act(_OBS)
         booster.update(target, np.zeros((1, 1)))
@@ -217,7 +221,7 @@ def test_linear_oracle_excess_scales_inversely_with_levels():
     products = {}
     for N in (2, 4, 8, 16):
         learners = [LinOracleLearner(dim=2, radius=1.0) for _ in range(N)]
-        booster = DynaBoost(learners, H=1, variant="dynaboost1")
+        booster = DynaBoost(learners)
         for _ in range(50):
             booster.act(_OBS)
             booster.update(target, np.zeros((1, 1)))

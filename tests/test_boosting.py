@@ -22,12 +22,13 @@ from dynaboost.losses import (
 class FixedLearner:
     """Always plays a constant action; records every residual loss it receives."""
 
-    def __init__(self, action, radius=10.0):
+    def __init__(self, action, radius=10.0, H=2):
         self.action = np.atleast_1d(np.asarray(action, dtype=np.float64))
         self.action_ball = BallSet(radius=radius, dim=self.action.size)
+        self.H = H
         self.received = []
 
-    def act(self, obs):
+    def act(self, window):
         return self.action
 
     def receive_loss(self, loss, w_history):
@@ -40,18 +41,14 @@ def scalar_obs(H=2):
 
 class TestStepLengths:
     def test_linear_variant_harmonic(self):
-        assert np.allclose(step_lengths("dynaboost1", 3), [1.0, 2.0 / 3.0, 0.5])
+        assert np.allclose(step_lengths(3), [1.0, 2.0 / 3.0, 0.5])
 
     def test_single_learner_step_is_one(self):
-        assert np.array_equal(step_lengths("dynaboost1", 1), [1.0])
+        assert np.array_equal(step_lengths(1), [1.0])
 
     def test_quadratic_variant_constant(self):
         curv = CurvatureBounds(alpha=1.0, beta=4.0)
-        assert np.allclose(step_lengths("dynaboost2", 4, curv), [0.25] * 4)
-
-    def test_quadratic_variant_needs_curvature(self):
-        with pytest.raises(ValueError, match="curvature"):
-            step_lengths("dynaboost2", 3)
+        assert np.allclose(step_lengths(4, curv), [0.25] * 4)
 
     def test_alpha_above_beta_rejected_upstream(self):
         # eta = alpha/beta > 1 is impossible because the bounds type refuses it
@@ -60,9 +57,7 @@ class TestStepLengths:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            step_lengths("dynaboost1", 0)
-        with pytest.raises(ValueError):
-            step_lengths("boostless", 3)
+            step_lengths(0)
 
 
 class TestCombinationWeights:
@@ -85,59 +80,49 @@ class TestCombinationWeights:
 
 class TestBoostAct:
     def test_hand_recursion(self):
-        booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)], H=2)
+        booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)])
         out = booster.act(scalar_obs())
         assert booster.anchors[:, -1, 0] == pytest.approx([0.0, 3.0, 1.0])
         assert out[0] == pytest.approx(3.5)
 
     def test_hand_recursion_matches_closed_form(self):
         actions = np.array([3.0, 0.0, 6.0])
-        booster = DynaBoost([FixedLearner(a) for a in actions], H=2)
+        booster = DynaBoost([FixedLearner(a) for a in actions])
         out = booster.act(scalar_obs())
         assert out[0] == pytest.approx(float(combination_weights(3) @ actions), abs=1e-12)
 
     def test_identical_actions_pass_through(self):
         # holds for the harmonic steps (weights sum to 1) and for constant
         # steps with alpha = beta; smaller eta leaves (1-eta)^N on the anchor
-        for variant, curv in (
-            ("dynaboost1", None),
-            ("dynaboost2", CurvatureBounds(alpha=2.0, beta=2.0)),
-        ):
-            booster = DynaBoost(
-                [FixedLearner([0.7, -0.2]) for _ in range(4)],
-                H=3,
-                variant=variant,
-                curvature=curv,
-            )
+        for curv in (None, CurvatureBounds(alpha=2.0, beta=2.0)):
+            booster = DynaBoost([FixedLearner([0.7, -0.2], H=3) for _ in range(4)], curv)
             out = booster.act(Observation(state=np.zeros(1), disturbances=np.zeros((3, 1))))
             assert np.allclose(out, [0.7, -0.2], atol=1e-12)
 
     def test_constant_step_anchor_retention(self):
         eta = 0.5
         curv = CurvatureBounds(alpha=1.0, beta=2.0)
-        booster = DynaBoost(
-            [FixedLearner(0.7) for _ in range(4)], H=2, variant="dynaboost2", curvature=curv
-        )
+        booster = DynaBoost([FixedLearner(0.7) for _ in range(4)], curv)
         out = booster.act(scalar_obs())
         assert out[0] == pytest.approx((1.0 - (1.0 - eta) ** 4) * 0.7, abs=1e-12)
 
     def test_single_learner_collapses(self):
-        booster = DynaBoost([FixedLearner(-1.25)], H=2)
+        booster = DynaBoost([FixedLearner(-1.25)])
         assert booster.act(scalar_obs())[0] == pytest.approx(-1.25)
 
     def test_output_bounded_by_largest_action(self):
-        booster = DynaBoost([FixedLearner(a) for a in (-2.0, 5.0, 1.0, -3.0)], H=2)
+        booster = DynaBoost([FixedLearner(a) for a in (-2.0, 5.0, 1.0, -3.0)])
         out = booster.act(scalar_obs())
         assert abs(out[0]) <= 5.0
 
     def test_level_zero_window_stays_zero(self):
-        booster = DynaBoost([FixedLearner(2.0)], H=3)
+        booster = DynaBoost([FixedLearner(2.0, H=3)])
         for _ in range(5):
             booster.act(scalar_obs())
         assert np.array_equal(booster.anchors[0], np.zeros((3, 1)))
 
     def test_level_windows_record_partials(self):
-        booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)], H=2)
+        booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)])
         first = booster.act(scalar_obs())
         partials = booster.anchors[:, -1].copy()
         second = booster.act(scalar_obs())
@@ -149,7 +134,7 @@ class TestBoostAct:
 
     def test_returned_action_is_a_copy(self):
         learners = [FixedLearner(1.0) for _ in range(2)]
-        booster = DynaBoost(learners, H=2)
+        booster = DynaBoost(learners)
         out = booster.act(scalar_obs())
         out[0] = 99.0
         assert booster.anchors[1, -1, 0] == pytest.approx(1.0)
@@ -161,16 +146,14 @@ class TestBoostAct:
     def test_weight_identity(self, N, seed):
         rng = np.random.default_rng(seed)
         actions = rng.standard_normal((N, 3))
-        booster = DynaBoost([FixedLearner(a) for a in actions], H=2)
+        booster = DynaBoost([FixedLearner(a) for a in actions])
         out = booster.act(Observation(state=np.zeros(1), disturbances=np.zeros((2, 1))))
         expected = combination_weights(N) @ actions
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_constant_step_recursion(self):
         curv = CurvatureBounds(alpha=1.0, beta=4.0)
-        booster = DynaBoost(
-            [FixedLearner(a) for a in (4.0, -4.0)], H=2, variant="dynaboost2", curvature=curv
-        )
+        booster = DynaBoost([FixedLearner(a) for a in (4.0, -4.0)], curv)
         out = booster.act(scalar_obs())
         # u^1 = 0.25*4 = 1, u^2 = 0.75*1 + 0.25*(-4) = -0.25
         assert booster.anchors[:, -1, 0] == pytest.approx([0.0, 1.0])
@@ -180,11 +163,11 @@ class TestBoostAct:
 class NoisyLearner(FixedLearner):
     """Plays a fresh standard normal draw every round."""
 
-    def __init__(self, rng, dim=2):
-        super().__init__(np.zeros(dim))
+    def __init__(self, rng, dim=2, H=2):
+        super().__init__(np.zeros(dim), H=H)
         self.rng = rng
 
-    def act(self, obs):
+    def act(self, window):
         self.action = self.rng.standard_normal(self.action.size)
         return self.action
 
@@ -196,8 +179,8 @@ class TestLevelWindows:
         # before H acts: empty, partly filled, and after evictions. The
         # played action u^N is act's return value, one recursion step on.
         rng = np.random.default_rng(rounds)
-        learners = [NoisyLearner(rng) for _ in range(3)]
-        booster = DynaBoost(learners, H=3)
+        learners = [NoisyLearner(rng, H=3) for _ in range(3)]
+        booster = DynaBoost(learners)
         history = [np.zeros((3, 2))] * 3
         for _ in range(rounds):
             played = booster.act(scalar_obs(3))
@@ -213,7 +196,7 @@ class TestLevelWindows:
         curv = CurvatureBounds(alpha=1.0, beta=4.0)
         rng = np.random.default_rng(1)
         learners = [NoisyLearner(rng, dim=1) for _ in range(2)]
-        booster = DynaBoost(learners, H=2, variant="dynaboost2", curvature=curv)
+        booster = DynaBoost(learners, curv)
         booster.act(scalar_obs())
         before = booster.anchors.copy()
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
@@ -233,11 +216,12 @@ class RecordingWindowLoss:
 class TestBoostUpdate:
     def test_linear_dispatch_uses_previous_level_window(self):
         learners = [FixedLearner(a) for a in (2.0, -1.0, 0.5)]
-        booster = DynaBoost(learners, H=2)
+        booster = DynaBoost(learners)
         booster.act(scalar_obs())
         booster.act(scalar_obs())
         hist = np.arange(3.0).reshape(3, 1)
         booster.update(RecordingWindowLoss(), hist)
+        assert booster.variant == "dynaboost1"
         for i, learner in enumerate(learners, start=1):
             loss, seen_hist = learner.received[-1]
             assert isinstance(loss, ResidualLoss) and loss.coefficient == 0.0
@@ -248,9 +232,10 @@ class TestBoostUpdate:
     def test_quadratic_dispatch_coefficient_and_anchor(self):
         curv = CurvatureBounds(alpha=1.0, beta=4.0)
         learners = [FixedLearner(a) for a in (2.0, -1.0)]
-        booster = DynaBoost(learners, H=2, variant="dynaboost2", curvature=curv)
+        booster = DynaBoost(learners, curv)
         booster.act(scalar_obs())
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
+        assert booster.variant == "dynaboost2"
         for i, learner in enumerate(learners, start=1):
             loss, _ = learner.received[-1]
             assert isinstance(loss, ResidualLoss)
@@ -264,7 +249,7 @@ class TestBoostUpdate:
         cost = QuadraticCost.identity(1, 1)
         proxy = ProxyLoss(system, cost, disturbances=np.zeros((1, 1)))
         learner = FixedLearner(0.0)
-        booster = DynaBoost([learner], H=2)
+        booster = DynaBoost([learner])
         booster.act(scalar_obs())
         booster.anchors[0] = [[1.0], [2.0]]
         booster.update(proxy, np.zeros((3, 1)))
@@ -276,7 +261,7 @@ class TestBoostUpdate:
         cost = QuadraticCost.identity(1, 1)
         proxy = ProxyLoss(system, cost, disturbances=np.zeros((1, 1)))
         learners = [FixedLearner(0.0) for _ in range(3)]
-        booster = DynaBoost(learners, H=2)
+        booster = DynaBoost(learners)
         booster.act(scalar_obs())
         booster.update(proxy, np.zeros((3, 1)))
         for learner in learners:
@@ -286,7 +271,7 @@ class TestBoostUpdate:
     def test_quadratic_loss_zero_at_own_anchor(self):
         curv = CurvatureBounds(alpha=1.0, beta=2.0)
         learner = FixedLearner(1.5)
-        booster = DynaBoost([learner], H=2, variant="dynaboost2", curvature=curv)
+        booster = DynaBoost([learner], curv)
         booster.act(scalar_obs())
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
         loss, _ = learner.received[-1]
@@ -319,24 +304,12 @@ class TestHeldSharedStep:
 class TestConstruction:
     def test_empty_learner_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            DynaBoost([], H=2)
+            DynaBoost([])
 
     def test_learners_that_cannot_share_a_stack_rejected(self):
         ball = BallSet(1.0, 1)
         with pytest.raises(ValueError, match="share"):
-            DynaBoost([GpcController(1, 2, ball), GpcController(1, 3, ball)], H=2)
-
-    def test_bad_memory_rejected(self):
-        with pytest.raises(ValueError, match="memory"):
-            DynaBoost([FixedLearner(1.0)], H=0)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            DynaBoost([FixedLearner(1.0)], H=2, variant="dynaboost3")
-
-    def test_quadratic_variant_requires_curvature(self):
-        with pytest.raises(ValueError, match="curvature"):
-            DynaBoost([FixedLearner(1.0)], H=2, variant="dynaboost2")
+            DynaBoost([GpcController(1, 2, ball), GpcController(1, 3, ball)])
 
 
 class FrozenQuadTarget:
@@ -355,11 +328,12 @@ class FrozenQuadTarget:
 class QuadOracleLearner:
     """Plays the exact minimizer of the last quadratic residual it received."""
 
-    def __init__(self, dim, radius):
+    def __init__(self, dim, radius, H=1):
         self.action_ball = BallSet(radius=radius, dim=dim)
+        self.H = H
         self._best = np.zeros(dim)
 
-    def act(self, obs):
+    def act(self, window):
         return self._best.copy()
 
     def receive_loss(self, loss, w_history):
@@ -378,7 +352,7 @@ class TestOracleContraction:
         curv = CurvatureBounds(alpha=2.0, beta=8.0)
         N = 10
         learners = [QuadOracleLearner(dim=2, radius=1.0) for _ in range(N)]
-        booster = DynaBoost(learners, H=1, variant="dynaboost2", curvature=curv)
+        booster = DynaBoost(learners, curv)
         obs = Observation(state=np.zeros(1), disturbances=np.zeros((1, 1)))
         for _ in range(2):
             booster.act(obs)

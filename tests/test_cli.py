@@ -140,6 +140,20 @@ class TestExitCodes:
         assert err.startswith(f"config error: {p}:3: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
+        p = tmp_path / "exp.yaml"
+        if kind == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes(b"T: 20\nname: \xff\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(p), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {p}: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_gradcheck_passes(self, capsys):
         code = main(["gradcheck"])
         assert code == EXIT_OK
@@ -210,6 +224,14 @@ class TestOverrides:
             assert name in out
             assert (tmp_path / "c" / f"{name}_raw.csv").exists()
 
+    def test_t_large_caps_only_the_d100_horizon(self, tmp_path):
+        out = tmp_path / "s"
+        argv = ["sanity", "--runs", "1", "--t", "12", "--t-large", "6", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        for dim, T in ((1, 12), (10, 12), (100, 6)):
+            rows = (out / f"sanity_d{dim}_raw.csv").read_text().splitlines()[1:]
+            assert max(int(row.split(",")[3]) for row in rows) == T
+
 
 class TestOverrideChecks:
     """CLI values get the range checks and the exit code of config-file values."""
@@ -220,8 +242,9 @@ class TestOverrideChecks:
             (["run", "--config", "{cfg}", "--runs", "0"], "runs"),
             (["run", "--config", "{cfg}", "--seed", "-1"], "seed"),
             (["correlated", "--t", "3", "--runs", "1"], "T"),
+            (["sanity", "--t-large", "0", "--runs", "1"], "T"),
         ],
-        ids=["runs_0", "seed_minus_1", "correlated_t_3"],
+        ids=["runs_0", "seed_minus_1", "correlated_t_3", "sanity_t_large_0"],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, argv, field):
         cfg = write_cfg(tmp_path)

@@ -45,7 +45,7 @@ class TestZeroController:
 class TestGpcAct:
     def test_zero_parameters_zero_action(self):
         ctrl = GpcController(state_dim=2, H=3, action_ball=BallSet(radius=5.0, dim=2))
-        out = ctrl.act(obs(np.array([1.0, -4.0]), np.ones((3, 2))))
+        out = ctrl.act(np.ones((3, 2)))
         assert np.array_equal(out, np.zeros(2))
 
     def test_scalar_two_tap_evaluation(self):
@@ -53,18 +53,18 @@ class TestGpcAct:
         ctrl = GpcController(state_dim=1, H=2, action_ball=BallSet(radius=5.0, dim=1))
         ctrl.M[...] = np.array([0.5, 0.25]).reshape(2, 1, 1)
         window = np.array([[-2.0], [1.0]])  # oldest first: w_{t-2}, w_{t-1}
-        out = ctrl.act(obs(0.0, window))
+        out = ctrl.act(window)
         assert out == pytest.approx(0.5 * 1.0 + 0.25 * (-2.0), abs=1e-15)
 
     def test_window_shape_mismatch_rejected(self):
         ctrl = GpcController(state_dim=1, H=2, action_ball=BallSet(radius=1.0, dim=1))
         with pytest.raises(ValueError):
-            ctrl.act(obs(0.0, np.zeros((3, 1))))
+            ctrl.act(np.zeros((3, 1)))
 
     def test_output_projected_into_ball(self):
         ctrl = GpcController(state_dim=1, H=1, action_ball=BallSet(radius=0.5, dim=1))
         ctrl.M[...] = np.full((1, 1, 1), 10.0)
-        out = ctrl.act(obs(0.0, np.array([[1.0]])))
+        out = ctrl.act(np.array([[1.0]]))
         assert abs(float(out[0])) == pytest.approx(0.5)
 
 
@@ -194,7 +194,7 @@ class TestRecurrentForward:
     def test_zero_weights_zero_action(self):
         ctrl = self._ctrl()
         ctrl.params[...] = 0.0
-        out = ctrl.act(obs(0.0, np.array([[1.0], [2.0], [3.0]])))
+        out = ctrl.act(np.array([[1.0], [2.0], [3.0]]))
         assert np.array_equal(out, np.zeros(1))
 
     def test_tanh_pass_through(self):
@@ -206,30 +206,33 @@ class TestRecurrentForward:
         ctrl.weights["b_h"][...] = 0.0
         ctrl.weights["W_o"][...] = 1.0
         ctrl.weights["b_o"][...] = 0.0
-        out = ctrl.act(obs(0.0, np.array([[0.0], [0.0], [0.5]])))
+        out = ctrl.act(np.array([[0.0], [0.0], [0.5]]))
         assert float(out[0]) == pytest.approx(math.tanh(0.5), abs=1e-12)
 
     def test_fresh_controller_starts_at_zero_action(self):
         # zero output head: an untrained net is exactly the zero policy
         ctrl = self._ctrl(hidden_dim=4)
-        out = ctrl.act(obs(0.0, np.array([[0.3], [-0.2], [0.9]])))
+        out = ctrl.act(np.array([[0.3], [-0.2], [0.9]]))
         assert np.array_equal(out, np.zeros(1))
 
     def test_deterministic_forward(self):
         ctrl = self._ctrl(hidden_dim=4)
         ctrl.params[...] = 0.3 * RngStream(7).standard_normal(ctrl.params.size)
         window = np.array([[0.3], [-0.2], [0.9]])
-        a = ctrl.act(obs(0.0, window))
-        b = ctrl.act(obs(0.0, window))
+        a = ctrl.act(window)
+        b = ctrl.act(window)
         assert not np.array_equal(a, np.zeros(1))
         assert np.array_equal(a, b)
 
     def test_state_input_ignored(self):
+        # A learner acts on the disturbance window alone, so a policy of
+        # learners plays the same action whatever the observed state.
         ctrl = self._ctrl(hidden_dim=4)
         ctrl.params[...] = 0.3 * RngStream(7).standard_normal(ctrl.params.size)
         window = np.array([[0.3], [-0.2], [0.9]])
-        a = ctrl.act(obs(0.0, window))
-        b = ctrl.act(obs(123.0, window))
+        a = DynaBoost([ctrl]).act(obs(0.0, window))
+        b = DynaBoost([ctrl]).act(obs(123.0, window))
+        assert np.array_equal(a, ctrl.act(window))
         assert np.array_equal(a, b)
 
     def test_parameter_counts(self):
@@ -243,7 +246,7 @@ class TestRecurrentForward:
     def test_output_projected_into_ball(self):
         ctrl = self._ctrl(action_ball=BallSet(radius=0.25, dim=1))
         ctrl.weights["b_o"][...] = 50.0
-        out = ctrl.act(obs(0.0, np.zeros((3, 1))))
+        out = ctrl.act(np.zeros((3, 1)))
         assert abs(float(out[0])) <= 0.25 + 1e-12
 
 
@@ -343,6 +346,15 @@ class TestRecurrentUpdate:
         assert np.linalg.norm(ctrl.params) == pytest.approx(4.0)
 
 
+def test_learners_reject_zero_memory():
+    # A booster reads its memory H off its learners, so they check H >= 1.
+    ball = BallSet(1.0, 1)
+    with pytest.raises(ValueError, match="memory length"):
+        GpcController(1, 0, ball)
+    with pytest.raises(ValueError, match="memory length"):
+        RecurrentController(1, 0, ball, RngStream(0))
+
+
 def _level(family, i, ball, H=3, k=2):
     """Level i of a three-level stack: 0 inside the ball, 1 on its rim, 2 projected back.
 
@@ -390,7 +402,7 @@ class TestLevelStacks:
         stacked = [_level(family, i, ball) for i in range(3)]
         looped = [_level(family, i, ball) for i in range(3)]
         lone = [_level(family, i, ball) for i in range(3)]
-        boosters = [DynaBoost(c, H, variant=variant, curvature=curvature) for c in (stacked, looped)]
+        boosters = [DynaBoost(c, curvature) for c in (stacked, looped)]
         shared = SharedStep([boosters[0]])
         system = LinearSystem([[0.6, 0.2], [0.0, 0.5]], [[1.0, 0.0], [0.3, 1.0]])
         cost = QuadraticCost.identity(k, 2)
@@ -419,7 +431,7 @@ class TestLevelStacks:
                     assert np.array_equal(_parameters(mine), _parameters(theirs))
                     # act reads the learner's own attributes: they must
                     # still be views of the parameters the step wrote
-                    assert np.array_equal(mine.act(ob), theirs.act(ob))
+                    assert np.array_equal(mine.act(ob.disturbances), theirs.act(ob.disturbances))
 
     @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
     def test_gradient_rows_equal_lone_learners(self, family):
@@ -531,7 +543,7 @@ class TestLevelStacks:
         assert stack.params[0].tolist() == [[[1.0]], [[0.5]]]
         assert not stack.params[1].any()
         stack.params[0] *= 2.0
-        assert levels[0].act(obs(0.0, np.array([[1.0], [1.0]]))).item() == 3.0
+        assert levels[0].act(np.array([[1.0], [1.0]])).item() == 3.0
 
     @pytest.mark.parametrize("family", ["gpc", "elman"])
     def test_later_join_of_a_subset_rebinds_those_learners(self, family):
@@ -543,22 +555,22 @@ class TestLevelStacks:
         rng = RngStream(21)
         hist = rng.child(0).standard_normal((2 * H - 1, 2))
         grads = rng.child(1).standard_normal((2, H, 2))
-        ob = obs(0.0, hist[H - 1 :])
-        acts = [c.act(ob) for c in levels]
+        window = hist[H - 1 :]
+        acts = [c.act(window) for c in levels]
         left_out = _parameters(levels[1])
         ends.step(ResidualLoss(grads, np.zeros((2, H, 2))), hist)
         # Stepping the new stack moves the act of the learners it joined.
         for i in (0, 2):
             assert np.array_equal(levels[i].params, ends.params[i // 2])
-            assert not np.array_equal(levels[i].act(ob), acts[i])
+            assert not np.array_equal(levels[i].act(window), acts[i])
         assert np.array_equal(_parameters(levels[1]), left_out)
         # The earlier stack no longer backs their act.
-        moved = [c.act(ob) for c in levels]
+        moved = [c.act(window) for c in levels]
         grads = rng.child(2).standard_normal((3, H, 2))
         whole.step(ResidualLoss(grads, np.zeros((3, H, 2))), hist)
         for i in (0, 2):
-            assert np.array_equal(levels[i].act(ob), moved[i])
-        assert not np.array_equal(levels[1].act(ob), moved[1])
+            assert np.array_equal(levels[i].act(window), moved[i])
+        assert not np.array_equal(levels[1].act(window), moved[1])
 
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)
@@ -837,6 +849,7 @@ def test_all_controllers_respect_action_ball(seed):
     rnn = RecurrentController(
         input_dim=2, H=3, action_ball=ball, rng=rng.child(3), hidden_dim=3
     )
-    for ctrl in (gpc, rnn, ZeroController(ball), LqrController(np.eye(2), ball)):
-        out = ctrl.act(obs(state, window))
+    ob = obs(state, window)
+    fixed = [ZeroController(ball).act(ob), LqrController(np.eye(2), ball).act(ob)]
+    for out in (gpc.act(window), rnn.act(window), *fixed):
         assert np.linalg.norm(out) <= ball.radius + 1e-9

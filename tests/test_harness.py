@@ -179,6 +179,10 @@ class TestConfigParsing:
             ("name: .\n", r"c\.yaml:1: name must be a file name .*, got '\.'$"),
             ("name: ..\n", r"c\.yaml:1: name must be a file name .*, got '\.\.'$"),
             ('name: "a\\0b"\n', r"c\.yaml:1: name must be a file name .*, got 'a\\x00b'$"),
+            ("booster: {variant: dynaboost3}\n", r"c\.yaml:1: booster variant must be one of .*, got 'dynaboost3'$"),
+            ("T: 10\nT: 20\n", r"c\.yaml:2: duplicate key 'T'$"),
+            ("weak: {lr: 0.1, lr: 0.2}\n", r"c\.yaml:1: duplicate key 'weak\.lr'$"),
+            ("weak:\n  lr: 0.1\n  kind: gpc\n  lr: 0.2\n", r"c\.yaml:4: duplicate key 'weak\.lr'$"),
         ],
         ids=[
             "negative_std",
@@ -193,6 +197,10 @@ class TestConfigParsing:
             "name_dot",
             "name_dot_dot",
             "name_with_nul",
+            "unknown_variant",
+            "duplicate_key",
+            "duplicate_key_in_a_flow_mapping",
+            "duplicate_key_in_a_block_mapping",
         ],
     )
     def test_range_error_names_line(self, text, match):
@@ -244,6 +252,10 @@ class TestConfigParsing:
     def test_nan_fails_the_range_check(self, text, match):
         with pytest.raises(ConfigError, match=r"^c\.yaml" + match):
             parse_config(text, source="c.yaml")
+
+    def test_merged_keys_are_not_duplicates(self):
+        cfg = parse_config("weak:\n  <<: {lr: 0.1, R_M: 5.0}\n  lr: 0.2\n", source="c.yaml")
+        assert (cfg.weak.lr, cfg.weak.R_M) == (0.2, 5.0)
 
     def test_name_taken_from_the_file_is_checked(self):
         with pytest.raises(ConfigError, match=r"^\.\.yaml:1: name must be a file name .*, got '\.'$"):
@@ -412,6 +424,14 @@ class TestOutputs:
         blocker.write_text("")
         with pytest.raises(ConfigError, match="not writable"):
             write_outputs(blocker / "sub", *_fake_payload()[0:1], {}, {}, [], {})
+
+    def test_probe_leaves_a_user_file_of_any_name_alone(self, tmp_path):
+        # The writability probe is a uniquely named temporary file.
+        mine = tmp_path / ".write_probe"
+        mine.write_text("mine")
+        paths = write_outputs(tmp_path, *_fake_payload(), {})
+        assert mine.read_text() == "mine"
+        assert sorted(tmp_path.iterdir()) == sorted([mine, *paths.values()])
 
 
 def _tiny_cfg(**kw):
