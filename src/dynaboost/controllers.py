@@ -35,7 +35,6 @@ import numpy as np
 from dynaboost.core import (  # noqa: F401
     Array,
     BallSet,
-    RngStream,
     as_matrix,
     as_vector,
     project_slots,
@@ -249,7 +248,7 @@ class ElmanCell(_Cell):
     the (n + 1, ..., S, h) hidden states h_0..h_n.
     """
 
-    def initial_weights(self, rng: RngStream) -> dict[str, Array]:
+    def initial_weights(self, rng: np.random.Generator) -> dict[str, Array]:
         n, hd = self.input_dim, self.hidden_dim
         return {
             "W_x": rng.standard_normal((hd, n)) / math.sqrt(n),
@@ -294,7 +293,7 @@ class LstmCell(_Cell):
     of its new cell state.
     """
 
-    def initial_weights(self, rng: RngStream) -> dict[str, Array]:
+    def initial_weights(self, rng: np.random.Generator) -> dict[str, Array]:
         n, hd = self.input_dim, self.hidden_dim
         b = np.zeros(4 * hd)
         b[hd : 2 * hd] = 1.0
@@ -390,7 +389,7 @@ class RecurrentController(_Learner):
         input_dim: int,
         H: int,
         action_ball: BallSet,
-        rng: RngStream,
+        rng: np.random.Generator,
         hidden_dim: int = 5,
         lr: float = 0.05,
         cell: str = "elman",

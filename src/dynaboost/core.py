@@ -8,7 +8,6 @@ once. All numerics are float64.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -115,35 +114,12 @@ def push_window(window: Array, x) -> None:
     window[..., -1, :] = x
 
 
-class RngStream:
-    """Deterministic random stream with derivable independent substreams.
+def random_stream(seed: int, *path: int) -> np.random.Generator:
+    """numpy's PCG64 generator keyed by (seed, path).
 
-    Backed by numpy's PCG64 generator keyed by (seed, derivation path), so
-    the same seed replays the same draws across runs and platforms, and
-    streams derived with distinct child indices never share state. A stream
-    holds only its key until its first draw builds the generator, so
-    deriving a path of substreams costs nothing for the streams that never
-    draw, and a stream's draws do not depend on whether its ancestors or
-    siblings drew first. Normal draws use numpy's standard_normal
-    (ziggurat); this choice is fixed so that seeds reproduce.
+    The same key replays the same draws across runs and platforms, and
+    distinct paths never share state, so a stream's draws do not depend on
+    what other streams drew. PCG64 is named, not taken from default_rng,
+    so that seeds reproduce if numpy changes its default.
     """
-
-    def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self._path = tuple(int(p) for p in _path)
-
-    @functools.cached_property
-    def _gen(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self._path)
-        return np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, index: int) -> "RngStream":
-        """Independent substream identified by (seed, path + (index,))."""
-        return RngStream(self.seed, self._path + (int(index),))
-
-    def standard_normal(self, shape) -> Array:
-        return self._gen.standard_normal(shape)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, path={self._path})"
-
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))

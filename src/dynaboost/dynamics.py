@@ -21,7 +21,7 @@ import numpy as np
 
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
-from dynaboost.core import Array, RngStream, as_matrix, as_vector  # noqa: F401
+from dynaboost.core import Array, as_matrix, as_vector  # noqa: F401
 
 
 # spectral_radius_estimate's relative stopping tolerance and its squaring budget.
@@ -200,7 +200,7 @@ class PendulumSystem:
         return self.jacobians(np.zeros(2), np.zeros(1))
 
 
-def random_lds(rng: RngStream, k: int, d: int, rho_target: float) -> LinearSystem:
+def random_lds(rng: np.random.Generator, k: int, d: int, rho_target: float) -> LinearSystem:
     """Random system with i.i.d. normal entries, A rescaled to the target spectral radius."""
     if not 0.0 < rho_target < 1.0:
         raise ValueError(f"rho_target must lie in (0, 1), got {rho_target}")

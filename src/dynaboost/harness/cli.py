@@ -47,7 +47,7 @@ def _add_run_options(p: argparse.ArgumentParser, with_t: bool = True) -> None:
     p.add_argument("--runs", type=int, default=None, help="override number of runs")
     p.add_argument("--seed", type=int, default=None, help="override base seed")
     p.add_argument(
-        "--parallel", type=_workers, default=1, help="number of worker processes for runs"
+        "--parallel", type=_workers, default=1, help="worker processes for runs, at most one per run"
     )
     if with_t:
         p.add_argument("--t", type=int, default=None, help="override horizon T")

@@ -162,6 +162,13 @@ def validate(cfg: ExperimentConfig, fail) -> None:
     # Every output file is named name + a suffix inside the output directory.
     if cfg.name in ("", ".", "..") or any(c in cfg.name for c in "/\\\0"):
         fail(("name",), f"name must be a file name without /, \\ or NUL, got {cfg.name!r}")
+    # A file name holds 255 bytes, and the longest suffix, _aggregate.csv, 14.
+    try:
+        size = len(cfg.name.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, from a "\ud800" escape
+        fail(("name",), f"name must be UTF-8 text, got {cfg.name!r}")
+    if size > 255 - 14:
+        fail(("name",), f"name must be at most 241 bytes in UTF-8, got {size}")
 
     def one_of(path: tuple, what: str, value, allowed: tuple):
         if value not in allowed:
@@ -235,26 +242,29 @@ def _collect_lines(node, source: str) -> dict:
 
     A key that one mapping repeats is a ConfigError at its second line.
     A merge key (<<) adds its own path, so a key it merges may be repeated.
+    An alias to a node that contains it is a ConfigError; other aliases
+    are walked once per path that reaches them.
     """
     lines: dict = {}
 
-    def walk(n, path):
+    def walk(n, path, above):
         if isinstance(n, yaml.MappingNode):
-            for kn, vn in n.value:
-                p = path + (str(kn.value),)
-                if p in lines:
-                    raise ConfigError(
-                        f"{source}:{kn.start_mark.line + 1}: duplicate key {'.'.join(p)!r}"
-                    )
-                lines[p] = kn.start_mark.line + 1
-                walk(vn, p)
+            items = [(str(kn.value), kn, vn) for kn, vn in n.value]
         elif isinstance(n, yaml.SequenceNode):
-            for i, vn in enumerate(n.value):
-                p = path + (i,)
-                lines[p] = vn.start_mark.line + 1
-                walk(vn, p)
+            items = [(i, vn, vn) for i, vn in enumerate(n.value)]
+        else:
+            return
+        above = above | {id(n)}
+        for key, at, vn in items:
+            p, line = path + (key,), at.start_mark.line + 1
+            if p in lines:
+                raise ConfigError(f"{source}:{line}: duplicate key {'.'.join(map(str, p))!r}")
+            if id(vn) in above:
+                raise ConfigError(f"{source}:{line}: recursive alias at {'.'.join(map(str, p))!r}")
+            lines[p] = line
+            walk(vn, p, above)
 
-    walk(node, ())
+    walk(node, (), frozenset())
     return lines
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynaboost.controllers import GpcController, RecurrentController, _raw_outputs, _slot_windows
-from dynaboost.core import BallSet, RngStream, project_to_ball
+from dynaboost.core import BallSet, project_to_ball, random_stream
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.harness.comparator import evaluate_fixed_gpc, fixed_gpc_quadratic
 from dynaboost.losses import ProxyLoss, QuadraticCost, ResidualLoss
@@ -111,9 +111,7 @@ def check_rnn_gradient(cell: str) -> CheckResult:
         H = int(rng.integers(1, 5))
         radius = 0.5 if p % 2 else 50.0
         ball = BallSet(radius, d)
-        ctrl = RecurrentController(
-            k, H, ball, RngStream(404).child(p), hidden_dim=3, cell=cell
-        )
+        ctrl = RecurrentController(k, H, ball, random_stream(404, p), hidden_dim=3, cell=cell)
         # The output head initializes to zero; check at a random small theta
         # so every parameter block sees a nontrivial gradient.
         ctrl.params[...] = 0.4 * rng.normal(size=ctrl.params.size)

@@ -29,7 +29,7 @@ from dynaboost.controllers import (
     ZeroController,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream, push_window
+from dynaboost.core import BallSet, push_window, random_stream
 from dynaboost.dynamics import PendulumSystem, Trajectory, disturbance_hash, random_lds
 from dynaboost.harness.config import ConfigError, ExperimentConfig, validate
 from dynaboost.harness.stats import SeriesStats, aggregate
@@ -40,8 +40,8 @@ from dynaboost.losses import (
     derive_curvature_bounds,
 )
 
-# Fixed substream layout under the base seed: child 0 draws the system,
-# child 1 the per-run disturbances, child 2 the per-run controller inits.
+# Fixed stream layout under the base seed: path (0,) draws the system,
+# (1, r) run r's disturbances, (2, r, ...) run r's controller inits.
 _SYSTEM_STREAM = 0
 _DISTURBANCE_STREAM = 1
 _CONTROLLER_STREAM = 2
@@ -52,7 +52,7 @@ def build_system(cfg: ExperimentConfig):
     if cfg.env.kind == "pendulum":
         system = PendulumSystem()
         return system, QuadraticCost.identity(2, 1)
-    rng = RngStream(cfg.seed).child(_SYSTEM_STREAM)
+    rng = random_stream(cfg.seed, _SYSTEM_STREAM)
     system = random_lds(rng, cfg.env.k, cfg.env.d, cfg.env.rho)
     return system, QuadraticCost.identity(cfg.env.k, cfg.env.d)
 
@@ -70,7 +70,7 @@ def draw_disturbances(cfg: ExperimentConfig, dim: int, run_index: int) -> np.nda
         # math.sin, not np.sin: numpy does not promise the same bits.
         wave = np.array([math.sin(t) / (2.0 * math.pi) for t in range(T)])
         return np.repeat(wave[:, None], dim, axis=1)
-    rng = RngStream(cfg.seed).child(_DISTURBANCE_STREAM).child(run_index)
+    rng = random_stream(cfg.seed, _DISTURBANCE_STREAM, run_index)
     # The zero mean is added, so std = 0 gives +0.0, never -0.0.
     W = 0.0 + d.std * rng.standard_normal((T, dim))
     if d.kind == "random_walk":
@@ -86,8 +86,9 @@ def draw_disturbances(cfg: ExperimentConfig, dim: int, run_index: int) -> np.nda
 
 
 def make_weak_controller(
-    cfg: ExperimentConfig, state_dim: int, ball: BallSet, rng: RngStream
+    cfg: ExperimentConfig, state_dim: int, ball: BallSet, path: tuple
 ) -> GpcController | RecurrentController:
+    """A fresh weak learner; a recurrent one draws its weights from stream (cfg.seed, *path)."""
     w = cfg.weak
     if w.kind == "gpc":
         return GpcController(
@@ -97,7 +98,7 @@ def make_weak_controller(
         state_dim,
         cfg.H,
         ball,
-        rng,
+        random_stream(cfg.seed, *path),
         hidden_dim=w.hidden,
         lr=w.lr,
         cell=w.cell,
@@ -109,7 +110,7 @@ def make_weak_controller(
 
 def recurrent_parameter_count(k: int, d: int, hidden: int, cell: str) -> int:
     """Parameter count of a recurrent learner of these sizes, read off a built one."""
-    net = RecurrentController(k, 1, BallSet(1.0, d), RngStream(0), hidden_dim=hidden, cell=cell)
+    net = RecurrentController(k, 1, BallSet(1.0, d), random_stream(0), hidden_dim=hidden, cell=cell)
     return net.params.size
 
 
@@ -177,15 +178,14 @@ def build_policies(
     """Fresh policies for one run; derived is derive_settings(cfg, system, cost), made here if None."""
     lqr, curvature, hidden = derive_settings(cfg, system, cost) if derived is None else derived
     ball = BallSet(cfg.action_radius, system.action_dim)
-    base = RngStream(cfg.seed).child(_CONTROLLER_STREAM).child(run_index)
+    base = (_CONTROLLER_STREAM, run_index)
     learners = [
-        make_weak_controller(cfg, system.state_dim, ball, base.child(0).child(i))
-        for i in range(cfg.N)
+        make_weak_controller(cfg, system.state_dim, ball, (*base, 0, i)) for i in range(cfg.N)
     ]
     policies = [DynaBoost(learners, curvature)]
     for name in cfg.baselines:
         if name == "single":
-            ctrl = make_weak_controller(cfg, system.state_dim, ball, base.child(1))
+            ctrl = make_weak_controller(cfg, system.state_dim, ball, (*base, 1))
             policies.append(_SelfTaughtPolicy("single", ctrl))
         elif name == "zero":
             policies.append(ZeroController(ball))
@@ -193,7 +193,7 @@ def build_policies(
             policies.append(LqrController(lqr, ball))
         elif name == "overparam":
             net = replace(cfg, weak=replace(cfg.weak, kind="rnn", hidden=hidden))
-            ctrl = make_weak_controller(net, system.state_dim, ball, base.child(2))
+            ctrl = make_weak_controller(net, system.state_dim, ball, (*base, 2))
             policies.append(_SelfTaughtPolicy("overparam", ctrl))
         else:
             raise ValueError(f"unknown baseline {name!r}")
@@ -332,12 +332,14 @@ def run_experiment(
     validate(cfg, fail)
     if built is None:
         built = build_experiment(cfg)
-    if parallel > 1:
+    # The pool starts all its workers at once, so it gets no more than there are runs.
+    workers = min(parallel, cfg.runs)
+    if workers > 1:
         # Imported here: the process pool's import costs every other caller
         # of this module about 20 ms.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(_run_one, cfg, r, built) for r in range(cfg.runs)]
             per_run = [f.result() for f in futures]
     else:

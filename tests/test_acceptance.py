@@ -17,7 +17,7 @@ import pytest
 
 from dynaboost.boosting import DynaBoost, combination_weights
 from dynaboost.controllers import Observation, solve_dare
-from dynaboost.core import BallSet, RngStream
+from dynaboost.core import BallSet, random_stream
 from dynaboost.dynamics import random_lds
 from dynaboost.harness import gradcheck
 from dynaboost.harness.cli import EXIT_OK, main
@@ -159,13 +159,12 @@ def test_gradient_oracles_match_finite_differences():
 def test_riccati_solution_golden_ratio_and_residuals():
     P, _ = solve_dare(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
     golden_err = abs(P.item() - (1.0 + math.sqrt(5.0)) / 2.0)
-    rng = RngStream(909)
     worst_res = 0.0
     for i in range(50):
         k = 1 + i % 5
         d = 1 + (i * 7) % 3
         rho = 0.25 + 0.5 * ((i * 13) % 10) / 9.0
-        system = random_lds(rng.child(i), k, d, rho)
+        system = random_lds(random_stream(909, i), k, d, rho)
         A, B = system.A, system.B
         P_i, _ = solve_dare(A, B, np.eye(k), np.eye(d))
         gain = np.linalg.solve(np.eye(d) + B.T @ P_i @ B, B.T @ P_i @ A)

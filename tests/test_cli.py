@@ -124,14 +124,25 @@ class TestExitCodes:
             "weak: {lr: .inf}",
             "booster: {variant: dynaboost2, beta: .inf}",
             "name: a/b",
+            "name: " + "a" * 242,
+            "baselines: &x [single, *x]",
         ],
-        ids=["infinite_std", "infinite_lr", "infinite_beta", "name_with_slash"],
+        ids=[
+            "infinite_std",
+            "infinite_lr",
+            "infinite_beta",
+            "name_with_slash",
+            "name_of_242_bytes",
+            "recursive_alias",
+        ],
     )
     def test_bad_config_value_stops_before_the_run(self, tmp_path, capsys, setting):
         # Each of these used to run: an infinite std or lr as a divergence
         # (exit 2), an infinite beta as a booster that skips every update and
         # plays zero (exit 0), a name with a separator into a traceback once
-        # every run had finished.
+        # every run had finished. A 242-byte name ran every run before the
+        # file names it makes proved too long; a recursive alias recursed
+        # until RecursionError.
         p = write_cfg(tmp_path, f"T: 20\nruns: 1\n{setting}\n")
         out = tmp_path / "out"
         code = main(["run", "--config", str(p), "--out", str(out)])

@@ -21,7 +21,7 @@ from dynaboost.controllers import (
     _raw_outputs,
     solve_dare,
 )
-from dynaboost.core import BallSet, RngStream, project_slots
+from dynaboost.core import BallSet, project_slots, random_stream
 from dynaboost.dynamics import LinearSystem, PendulumSystem
 from dynaboost.losses import CurvatureBounds, ProxyLoss, QuadraticCost, ResidualLoss
 
@@ -119,14 +119,13 @@ class TestGpcUpdate:
     def test_gradient_matches_finite_differences(self):
         # FD of the residual loss composed with the projected action map,
         # including slots where the raw action saturates the ball.
-        rng = RngStream(7)
         H, k, d = 3, 2, 2
         ball = BallSet(radius=1.0, dim=d)
         ctrl = GpcController(state_dim=k, H=H, action_ball=ball, lr=1.0, R_M=1e6)
         ctrl.lr_schedule = "constant"
-        ctrl.M[...] = 0.8 * rng.child(0).standard_normal((H, d, k))
-        hist = rng.child(1).standard_normal((2 * H - 1, k))
-        grads = rng.child(2).standard_normal((H, d))
+        ctrl.M[...] = 0.8 * random_stream(7, 0).standard_normal((H, d, k))
+        hist = random_stream(7, 1).standard_normal((2 * H - 1, k))
+        grads = random_stream(7, 2).standard_normal((H, d))
         loss = linear_loss(grads)
 
         def composed(M_flat):
@@ -158,20 +157,19 @@ class TestGpcUpdate:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_frobenius_ball_invariant(self, seed):
-        rng = RngStream(seed)
         ctrl = GpcController(
             state_dim=2, H=2, action_ball=BallSet(radius=1.0, dim=2), lr=5.0, R_M=0.7
         )
         ctrl.lr_schedule = "constant"
         for child in range(3):
-            g = rng.child(child).standard_normal((2, 2))
-            hist = rng.child(10 + child).standard_normal((3, 2))
+            g = random_stream(seed, child).standard_normal((2, 2))
+            hist = random_stream(seed, 10 + child).standard_normal((3, 2))
             ctrl.receive_loss(linear_loss(g), hist)
             assert np.linalg.norm(ctrl.M) <= ctrl.radius + 1e-12
 
     def test_nonfinite_gradient_skipped_and_counted(self):
         ctrl = GpcController(state_dim=2, H=3, action_ball=BallSet(radius=1.0, dim=2), lr=0.5)
-        ctrl.M[...] = RngStream(3).standard_normal((3, 2, 2))
+        ctrl.M[...] = random_stream(3).standard_normal((3, 2, 2))
         before = ctrl.M.copy()
         with pytest.warns(UserWarning, match="non-finite gradient"):
             ctrl.receive_loss(_NanLoss(), np.ones((5, 2)))
@@ -185,7 +183,7 @@ class TestRecurrentForward:
             input_dim=1,
             H=3,
             action_ball=BallSet(radius=10.0, dim=1),
-            rng=RngStream(3),
+            rng=random_stream(3),
             hidden_dim=1,
         )
         defaults.update(kw)
@@ -217,7 +215,7 @@ class TestRecurrentForward:
 
     def test_deterministic_forward(self):
         ctrl = self._ctrl(hidden_dim=4)
-        ctrl.params[...] = 0.3 * RngStream(7).standard_normal(ctrl.params.size)
+        ctrl.params[...] = 0.3 * random_stream(7).standard_normal(ctrl.params.size)
         window = np.array([[0.3], [-0.2], [0.9]])
         a = ctrl.act(window)
         b = ctrl.act(window)
@@ -228,7 +226,7 @@ class TestRecurrentForward:
         # A learner acts on the disturbance window alone, so a policy of
         # learners plays the same action whatever the observed state.
         ctrl = self._ctrl(hidden_dim=4)
-        ctrl.params[...] = 0.3 * RngStream(7).standard_normal(ctrl.params.size)
+        ctrl.params[...] = 0.3 * random_stream(7).standard_normal(ctrl.params.size)
         window = np.array([[0.3], [-0.2], [0.9]])
         a = DynaBoost([ctrl]).act(obs(0.0, window))
         b = DynaBoost([ctrl]).act(obs(123.0, window))
@@ -263,7 +261,7 @@ class TestRecurrentUpdate:
             input_dim=2,
             H=3,
             action_ball=BallSet(radius=10.0, dim=2),
-            rng=RngStream(11),
+            rng=random_stream(11),
             hidden_dim=3,
             lr=0.05,
         )
@@ -284,13 +282,12 @@ class TestRecurrentUpdate:
         assert np.array_equal(ctrl.params, before)
 
     def _fd_check(self, cell, tol):
-        rng = RngStream(29)
-        ctrl = self._ctrl(cell=cell, rng=RngStream(5))
+        ctrl = self._ctrl(cell=cell, rng=random_stream(5))
         # small weights keep every slot action strictly inside the ball
-        theta = 0.3 * rng.child(0).standard_normal(ctrl.params.size)
+        theta = 0.3 * random_stream(29, 0).standard_normal(ctrl.params.size)
         ctrl.params[...] = theta
-        hist = rng.child(1).standard_normal((5, 2))
-        grads = rng.child(2).standard_normal((3, 2))
+        hist = random_stream(29, 1).standard_normal((5, 2))
+        grads = random_stream(29, 2).standard_normal((3, 2))
         loss = linear_loss(grads)
         analytic = ctrl.loss_gradients(loss, hist)
 
@@ -326,7 +323,7 @@ class TestRecurrentUpdate:
 
     def test_update_moves_against_gradient(self):
         ctrl = self._ctrl()
-        hist = RngStream(41).child(0).standard_normal((5, 2))
+        hist = random_stream(41, 0).standard_normal((5, 2))
         grads = np.ones((3, 2))
         loss = linear_loss(grads)
         direction = ctrl.loss_gradients(loss, hist)
@@ -352,7 +349,7 @@ def test_learners_reject_zero_memory():
     with pytest.raises(ValueError, match="memory length"):
         GpcController(1, 0, ball)
     with pytest.raises(ValueError, match="memory length"):
-        RecurrentController(1, 0, ball, RngStream(0))
+        RecurrentController(1, 0, ball, random_stream(0))
 
 
 def _level(family, i, ball, H=3, k=2):
@@ -362,7 +359,7 @@ def _level(family, i, ball, H=3, k=2):
     outside its parameter ball (R_M or weight_radius), so its first step
     ends in the projection.
     """
-    rng = RngStream(60 + i)
+    rng = random_stream(60 + i)
     if family == "gpc":
         ctrl = GpcController(k, H, ball, R_M=10.0, lr=0.5, lr_schedule="sqrt")
         ctrl.M[...] = (0.2, 4.0, 1.0)[i] * rng.standard_normal((H, ball.dim, k))
@@ -370,9 +367,9 @@ def _level(family, i, ball, H=3, k=2):
             ctrl.radius = 0.5 * float(np.linalg.norm(ctrl.M))
         return ctrl
     ctrl = RecurrentController(
-        k, H, ball, rng.child(0), hidden_dim=3, cell=family, lr=0.2, lr_schedule="sqrt"
+        k, H, ball, random_stream(60 + i, 0), hidden_dim=3, cell=family, lr=0.2, lr_schedule="sqrt"
     )
-    ctrl.params[...] = 0.3 * rng.child(1).standard_normal(ctrl.params.size)
+    ctrl.params[...] = 0.3 * random_stream(60 + i, 1).standard_normal(ctrl.params.size)
     if i == 1:
         ctrl.weights["b_o"][...] = 5.0
     if i == 2:
@@ -406,9 +403,8 @@ class TestLevelStacks:
         shared = SharedStep([boosters[0]])
         system = LinearSystem([[0.6, 0.2], [0.0, 0.5]], [[1.0, 0.0], [0.3, 1.0]])
         cost = QuadraticCost.identity(k, 2)
-        rng = RngStream(77)
         for t in range(3):
-            hist = rng.child(t).standard_normal((2 * H - 1, k))
+            hist = random_stream(77, t).standard_normal((2 * H - 1, k))
             ob = obs(np.zeros(k), hist[H - 1 :])
             if t == 0:
                 assert np.linalg.norm(_raw_action(stacked[1], ob.disturbances)) > 2 * ball.radius
@@ -438,10 +434,9 @@ class TestLevelStacks:
         H = 3
         ball = BallSet(radius=1.0, dim=2)
         levels = LevelStack.join([_level(family, i, ball) for i in range(3)])
-        rng = RngStream(13)
-        hist = rng.child(0).standard_normal((2 * H - 1, 2))
-        grads = rng.child(1).standard_normal((3, H, 2))
-        anchors = rng.child(2).standard_normal((3, H, 2))
+        hist = random_stream(13, 0).standard_normal((2 * H - 1, 2))
+        grads = random_stream(13, 1).standard_normal((3, H, 2))
+        anchors = random_stream(13, 2).standard_normal((3, H, 2))
         G, finite = levels.gradients(ResidualLoss(grads, anchors, 0.5), hist)
         assert G.shape == levels.params.shape
         assert finite.tolist() == [True, True, True]
@@ -457,9 +452,8 @@ class TestLevelStacks:
         stacked = [_level(family, i, ball) for i in range(3)]
         lone = [_level(family, i, ball) for i in range(3)]
         levels = LevelStack.join(stacked)
-        rng = RngStream(5)
-        hist = rng.child(0).standard_normal((2 * H - 1, 2))
-        grads = rng.child(1).standard_normal((3, H, 2))
+        hist = random_stream(5, 0).standard_normal((2 * H - 1, 2))
+        grads = random_stream(5, 1).standard_normal((3, H, 2))
         grads[1, 0, 0] = np.nan
         anchors = np.zeros((3, H, 2))
         _, finite = levels.gradients(ResidualLoss(grads, anchors), hist)
@@ -483,13 +477,12 @@ class TestLevelStacks:
         ball = BallSet(radius=1.0, dim=2)
         stacked = [GpcController(2, H, ball, lr=0.5) for _ in range(3)]
         lone = [GpcController(2, H, ball, lr=0.5) for _ in range(3)]
-        rng = RngStream(9)
         for i, (mine, theirs) in enumerate(zip(stacked, lone)):
-            mine.M[...] = 1e-200 * rng.child(i).standard_normal((H, 2, 2))
+            mine.M[...] = 1e-200 * random_stream(9, i).standard_normal((H, 2, 2))
             theirs.M[...] = mine.M
         levels = LevelStack.join(stacked)
-        hist = 1e160 * (1.0 + np.abs(rng.child(3).standard_normal((2 * H - 1, 2))))
-        grads = 1e-150 * rng.child(4).standard_normal((3, H, 2))
+        hist = 1e160 * (1.0 + np.abs(random_stream(9, 3).standard_normal((2 * H - 1, 2))))
+        grads = 1e-150 * random_stream(9, 4).standard_normal((3, H, 2))
         grads[1] = 1e160 * (1.0 + np.abs(grads[1]))
         anchors = np.zeros((3, H, 2))
         assert np.isfinite(hist).all() and np.isfinite(grads).all()
@@ -523,11 +516,11 @@ class TestLevelStacks:
 
     def test_recurrent_levels_must_share_net_shape(self):
         ball = BallSet(1.0, 1)
-        small, big = (RecurrentController(1, 2, ball, RngStream(1), hidden_dim=h) for h in (3, 4))
+        small, big = (RecurrentController(1, 2, ball, random_stream(1), hidden_dim=h) for h in (3, 4))
         with pytest.raises(ValueError, match=r"W_h \(3, 3\).*; .*W_h \(4, 4\)"):
             LevelStack.join([small, big])
-        elman = RecurrentController(1, 2, ball, RngStream(1), cell="elman")
-        lstm = RecurrentController(1, 2, ball, RngStream(1), cell="lstm")
+        elman = RecurrentController(1, 2, ball, random_stream(1), cell="elman")
+        lstm = RecurrentController(1, 2, ball, random_stream(1), cell="lstm")
         with pytest.raises(ValueError, match=r"W \(20, 1\).*; W_x \(5, 1\)"):
             LevelStack.join([elman, lstm])
 
@@ -552,9 +545,8 @@ class TestLevelStacks:
         levels = [_level(family, i, ball) for i in range(3)]
         whole = LevelStack.join(levels)
         ends = LevelStack.join([levels[0], levels[2]])
-        rng = RngStream(21)
-        hist = rng.child(0).standard_normal((2 * H - 1, 2))
-        grads = rng.child(1).standard_normal((2, H, 2))
+        hist = random_stream(21, 0).standard_normal((2 * H - 1, 2))
+        grads = random_stream(21, 1).standard_normal((2, H, 2))
         window = hist[H - 1 :]
         acts = [c.act(window) for c in levels]
         left_out = _parameters(levels[1])
@@ -566,7 +558,7 @@ class TestLevelStacks:
         assert np.array_equal(_parameters(levels[1]), left_out)
         # The earlier stack no longer backs their act.
         moved = [c.act(window) for c in levels]
-        grads = rng.child(2).standard_normal((3, H, 2))
+        grads = random_stream(21, 2).standard_normal((3, H, 2))
         whole.step(ResidualLoss(grads, np.zeros((3, H, 2))), hist)
         for i in (0, 2):
             assert np.array_equal(levels[i].act(window), moved[i])
@@ -574,7 +566,7 @@ class TestLevelStacks:
 
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)
-        rnn = RecurrentController(1, 2, ball, RngStream(1))
+        rnn = RecurrentController(1, 2, ball, random_stream(1))
         with pytest.raises(ValueError, match=r"share .*got M \(2, 1, 1\); W_x"):
             LevelStack.join([GpcController(1, 2, ball), rnn])
         with pytest.raises(ValueError, match="share .*got no parameters"):
@@ -584,17 +576,17 @@ class TestLevelStacks:
 class TestElmanCellShapes:
     def test_forward_batch_shapes(self):
         cell = ElmanCell(input_dim=2, hidden_dim=4)
-        h, cache = cell.forward(cell.initial_weights(RngStream(1)), np.zeros((6, 3, 2)))
+        h, cache = cell.forward(cell.initial_weights(random_stream(1)), np.zeros((6, 3, 2)))
         assert h.shape == (6, 4)
 
     def test_lstm_forward_batch_shapes(self):
         cell = LstmCell(input_dim=2, hidden_dim=4)
-        h, cache = cell.forward(cell.initial_weights(RngStream(1)), np.zeros((6, 3, 2)))
+        h, cache = cell.forward(cell.initial_weights(random_stream(1)), np.zeros((6, 3, 2)))
         assert h.shape == (6, 4)
 
     def test_lstm_forget_bias_initialized(self):
         cell = LstmCell(input_dim=1, hidden_dim=3)
-        b = cell.initial_weights(RngStream(1))["b"]
+        b = cell.initial_weights(random_stream(1))["b"]
         assert np.allclose(b[3:6], 1.0)  # forget-gate slice starts open
 
 
@@ -718,7 +710,7 @@ class TestCellsMatchPerStepLoops:
             rng = np.random.default_rng([k, L, H, hd])
             cell = cell_type(k, hd)
             for lead in ((), (L,)):
-                shapes = cell.initial_weights(RngStream(0))
+                shapes = cell.initial_weights(random_stream(0))
                 weights = {n: rng.standard_normal(lead + w.shape) for n, w in shapes.items()}
                 for S in (1, H):
                     windows = rng.standard_normal((S, H, k))
@@ -740,7 +732,7 @@ class TestCellsMatchPerStepLoops:
             rng = np.random.default_rng([7, k, L, H, hd])
             ball = BallSet(radius=1.0, dim=2)
             levels = [
-                RecurrentController(k, H, ball, RngStream(i), hidden_dim=hd, cell=family)
+                RecurrentController(k, H, ball, random_stream(i), hidden_dim=hd, cell=family)
                 for i in range(L)
             ]
             stack = LevelStack.join(levels)
@@ -787,13 +779,12 @@ class TestSolveDare:
                 solve_dare(A, B, np.eye(2), [[1.0]], max_iter=2000)
 
     def test_random_stabilizable_residuals(self):
-        rng = RngStream(2024)
         for trial in range(10):
             k = 2 + trial % 4
-            A = rng.child(trial).standard_normal((k, k))
+            A = random_stream(2024, trial).standard_normal((k, k))
             radius = max(abs(np.linalg.eigvals(A)))
             A *= 0.95 / max(radius, 1e-9)
-            B = rng.child(100 + trial).standard_normal((k, 1 + trial % 2))
+            B = random_stream(2024, 100 + trial).standard_normal((k, 1 + trial % 2))
             Q, R = np.eye(k), np.eye(B.shape[1])
             P, K = solve_dare(A, B, Q, R, tol=1e-12)
             BtP = B.T @ P
@@ -805,10 +796,9 @@ class TestSolveDare:
             assert np.min(np.linalg.eigvalsh(P)) >= -1e-10
 
     def test_closed_loop_stable(self):
-        rng = RngStream(77)
-        A = rng.child(0).standard_normal((3, 3))
+        A = random_stream(77, 0).standard_normal((3, 3))
         A *= 0.9 / max(abs(np.linalg.eigvals(A)))
-        B = rng.child(1).standard_normal((3, 2))
+        B = random_stream(77, 1).standard_normal((3, 2))
         _, K = solve_dare(A, B, np.eye(3), np.eye(2))
         assert max(abs(np.linalg.eigvals(A - B @ K))) < 1.0
 
@@ -840,14 +830,13 @@ class TestLqrController:
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_all_controllers_respect_action_ball(seed):
-    rng = RngStream(seed)
     ball = BallSet(radius=0.8, dim=2)
-    window = 3.0 * rng.child(0).standard_normal((3, 2))
-    state = 3.0 * rng.child(1).standard_normal(2)
+    window = 3.0 * random_stream(seed, 0).standard_normal((3, 2))
+    state = 3.0 * random_stream(seed, 1).standard_normal(2)
     gpc = GpcController(state_dim=2, H=3, action_ball=ball)
-    gpc.M[...] = rng.child(2).standard_normal((3, 2, 2))
+    gpc.M[...] = random_stream(seed, 2).standard_normal((3, 2, 2))
     rnn = RecurrentController(
-        input_dim=2, H=3, action_ball=ball, rng=rng.child(3), hidden_dim=3
+        input_dim=2, H=3, action_ball=ball, rng=random_stream(seed, 3), hidden_dim=3
     )
     ob = obs(state, window)
     fixed = [ZeroController(ball).act(ob), LqrController(np.eye(2), ball).act(ob)]

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from dynaboost.core import (
     BallSet,
-    RngStream,
     as_matrix,
     as_vector,
     project_slots,
     project_slots_vjp,
     project_to_ball,
     push_window,
+    random_stream,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -150,45 +150,44 @@ class TestWindow:
 
 
 class TestRngStream:
+    """Random streams: numpy generators keyed by (seed, *path)."""
+
     def test_same_seed_same_draws(self):
-        a = RngStream(7).standard_normal(5)
-        b = RngStream(7).standard_normal(5)
+        assert isinstance(random_stream(7).bit_generator, np.random.PCG64)
+        a = random_stream(7).standard_normal(5)
+        b = random_stream(7).standard_normal(5)
         assert np.array_equal(a, b)
 
     def test_children_are_independent_of_parent_consumption(self):
-        # Deriving a child must not depend on how much the parent has drawn.
-        r1 = RngStream(3)
-        r1.standard_normal(100)
-        c1 = r1.child(4).standard_normal(3)
-        c2 = RngStream(3).child(4).standard_normal(3)
+        # A path's stream must not depend on how much its prefix has drawn.
+        random_stream(3).standard_normal(100)
+        c1 = random_stream(3, 4).standard_normal(3)
+        c2 = random_stream(3, 4).standard_normal(3)
         assert np.array_equal(c1, c2)
 
     def test_distinct_children_differ(self):
-        r = RngStream(0)
-        a = r.child(0).standard_normal(4)
-        b = r.child(1).standard_normal(4)
-        assert not np.array_equal(a, b)
+        keys = [(0,), (1,), (0, 0), (0, 1), (0, 0, 1), (0, 1, 0)]
+        draws = [random_stream(*key).standard_normal(4) for key in keys]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1 :]:
+                assert not np.array_equal(a, b)
 
     def test_nested_paths(self):
-        a = RngStream(5).child(1).child(2).standard_normal(2)
-        b = RngStream(5).child(1).child(2).standard_normal(2)
+        a = random_stream(5, 1, 2).standard_normal(2)
+        b = random_stream(5, 1, 2).standard_normal(2)
         assert np.array_equal(a, b)
 
     def test_draws_do_not_depend_on_ancestors_or_siblings_drawing_first(self):
-        alone = RngStream(11).child(2).child(3).standard_normal(4)
-        root = RngStream(11)
-        root.standard_normal(7)
-        parent = root.child(2)
-        parent.standard_normal(5)
-        parent.child(4).standard_normal(6)
-        derived = parent.child(3)
-        # The generator built on the first draw carries on from it.
-        drawn = np.concatenate([derived.standard_normal(1), derived.standard_normal(3)])
+        alone = random_stream(11, 2, 3).standard_normal(4)
+        # The streams of its prefixes and of a sibling draw first.
+        for path in [(), (2,), (2, 4)]:
+            random_stream(11, *path).standard_normal(7)
+        stream = random_stream(11, 2, 3)
+        drawn = np.concatenate([stream.standard_normal(1), stream.standard_normal(3)])
         assert np.array_equal(drawn, alone)
 
 
-
 def test_gaussian_moments():
-    draws = 0.5 + 2.0 * RngStream(123).standard_normal(20000)
+    draws = 0.5 + 2.0 * random_stream(123).standard_normal(20000)
     assert abs(draws.mean() - 0.5) < 0.05
     assert abs(draws.std() - 2.0) < 0.05

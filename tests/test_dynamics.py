@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaboost.core import RngStream
+from dynaboost.core import random_stream
 from dynaboost.dynamics import (
     LinearSystem,
     PendulumSystem,
@@ -17,6 +18,7 @@ from dynaboost.dynamics import (
     wrap_angle,
 )
 from dynaboost.harness.config import DisturbanceConfig, EnvConfig, ExperimentConfig
+from dynaboost.harness import runner
 from dynaboost.harness.runner import build_system, draw_disturbances, run_experiment
 
 
@@ -58,8 +60,9 @@ class TestLinearSystem:
         assert np.allclose(sys.step([2.0], [1.0], [0.5]), [2.5])
 
     def test_step_identity(self):
-        sys = LinearSystem(np.eye(2) * 0.0 + np.eye(2), np.eye(2))
-        # A=I is marginally stable and warns; silence is not required here.
+        # A = I is marginally stable, so it warns.
+        with pytest.warns(UserWarning, match="spectral radius"):
+            sys = LinearSystem(np.eye(2), np.eye(2))
         assert np.allclose(sys.step([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]), [2.0, 2.0])
 
     def test_unstable_a_warns(self):
@@ -142,7 +145,7 @@ class TestPendulum:
         # its stack holds [Jx | Ju] of jacobians at each replayed state.
         p = PendulumSystem()
         w = np.array([[3.0, 8.5], [0.2, -0.5], [-0.1, 0.3]])
-        U = 3.0 * RngStream(5).standard_normal((4, 3, 1))
+        U = 3.0 * random_stream(5).standard_normal((4, 3, 1))
         ends, J = p.window_jacobians(U, w)
         assert ends.shape == (4, 2) and J.shape == (4, 3, 2, 3)
         for end, steps, window in zip(ends, J, U):
@@ -154,25 +157,25 @@ class TestPendulum:
 
 class TestRandomLds:
     def test_scalar_rescale_forced(self):
-        sys = random_lds(RngStream(4), 1, 1, 0.9)
+        sys = random_lds(random_stream(4), 1, 1, 0.9)
         assert abs(abs(sys.A.item()) - 0.9) < 1e-9
 
     def test_multidim_radius_hits_target(self):
-        sys = random_lds(RngStream(8), 10, 10, 0.9)
+        sys = random_lds(random_stream(8), 10, 10, 0.9)
         rho = max(abs(np.linalg.eigvals(sys.A)))
         assert 0.895 <= rho <= 0.905
 
     def test_deterministic_in_seed(self):
-        a = random_lds(RngStream(3), 4, 2, 0.5)
-        b = random_lds(RngStream(3), 4, 2, 0.5)
+        a = random_lds(random_stream(3), 4, 2, 0.5)
+        b = random_lds(random_stream(3), 4, 2, 0.5)
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.B, b.B)
 
     def test_bad_rho_rejected(self):
         with pytest.raises(ValueError):
-            random_lds(RngStream(0), 2, 2, 1.0)
+            random_lds(random_stream(0), 2, 2, 1.0)
         with pytest.raises(ValueError):
-            random_lds(RngStream(0), 2, 2, 0.0)
+            random_lds(random_stream(0), 2, 2, 0.0)
 
 
 def _stream(kind: str, T: int, dim: int = 1, seed: int = 0, run_index: int = 0, **kw):
@@ -239,7 +242,8 @@ class TestDisturbances:
     def test_iid_bound_holds(self, monkeypatch):
         # No shipped std reaches the 10 std sqrt(dim) cap, so force one long row.
         z = np.array([[20.0, 20.0, 20.0, 20.0], [1.0, -1.0, 1.0, -1.0]])
-        monkeypatch.setattr(RngStream, "standard_normal", lambda self, shape: z.copy())
+        fake = SimpleNamespace(standard_normal=lambda shape: z.copy())
+        monkeypatch.setattr(runner, "random_stream", lambda *key: fake)
         w = _stream("iid_gaussian", 2, dim=4, std=0.5)
         assert np.linalg.norm(w[0]) == 10.0 * 0.5 * math.sqrt(4)
         assert w.tolist() == [[5.0, 5.0, 5.0, 5.0], [0.5, -0.5, 0.5, -0.5]]
@@ -259,11 +263,10 @@ class TestInferDisturbance:
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, seed):
-        rng = RngStream(seed)
-        sys = random_lds(rng.child(0), 3, 2, 0.8)
-        x = rng.child(1).standard_normal(3)
-        u = rng.child(2).standard_normal(2)
-        w = rng.child(3).standard_normal(3)
+        sys = random_lds(random_stream(seed, 0), 3, 2, 0.8)
+        x = random_stream(seed, 1).standard_normal(3)
+        u = random_stream(seed, 2).standard_normal(2)
+        w = random_stream(seed, 3).standard_normal(3)
         x_next = sys.step(x, u, w)
         assert np.max(np.abs(x_next - sys.step(x, u, np.zeros(3)) - w)) < 1e-12
 
@@ -312,7 +315,7 @@ def test_disturbance_hash_distinguishes():
 class TestTrajectory:
     def _make(self, T=4):
         sys = LinearSystem([[0.5]], [[1.0]])
-        rng = RngStream(0)
+        rng = random_stream(0)
         states = np.zeros((T + 1, 1))
         actions = rng.standard_normal((T, 1))
         dists = rng.standard_normal((T, 1))

@@ -183,6 +183,13 @@ class TestConfigParsing:
             ("T: 10\nT: 20\n", r"c\.yaml:2: duplicate key 'T'$"),
             ("weak: {lr: 0.1, lr: 0.2}\n", r"c\.yaml:1: duplicate key 'weak\.lr'$"),
             ("weak:\n  lr: 0.1\n  kind: gpc\n  lr: 0.2\n", r"c\.yaml:4: duplicate key 'weak\.lr'$"),
+            ("baselines:\n  - {a: 1, a: 2}\n", r"c\.yaml:2: duplicate key 'baselines\.0\.a'$"),
+            ("baselines: &x [single, *x]\n", r"c\.yaml:1: recursive alias at 'baselines\.1'$"),
+            ("T: 10\na: &x [*x]\n", r"c\.yaml:2: recursive alias at 'a\.0'$"),
+            ("weak: &w\n  lr: 0.1\n  sub: *w\n", r"c\.yaml:3: recursive alias at 'weak\.sub'$"),
+            ("name: " + "a" * 242 + "\n", r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$"),
+            ("name: " + "é" * 121 + "\n", r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$"),
+            ('name: "a\\ud800"\n', r"c\.yaml:1: name must be UTF-8 text, got 'a\\ud800'$"),
         ],
         ids=[
             "negative_std",
@@ -201,6 +208,13 @@ class TestConfigParsing:
             "duplicate_key",
             "duplicate_key_in_a_flow_mapping",
             "duplicate_key_in_a_block_mapping",
+            "duplicate_key_in_a_list_item",
+            "recursive_alias_in_a_list",
+            "alias_to_its_own_list",
+            "recursive_alias_in_a_mapping",
+            "name_of_242_bytes",
+            "name_of_121_e_acutes",
+            "name_with_a_lone_surrogate",
         ],
     )
     def test_range_error_names_line(self, text, match):
@@ -256,6 +270,13 @@ class TestConfigParsing:
     def test_merged_keys_are_not_duplicates(self):
         cfg = parse_config("weak:\n  <<: {lr: 0.1, R_M: 5.0}\n  lr: 0.2\n", source="c.yaml")
         assert (cfg.weak.lr, cfg.weak.R_M) == (0.2, 5.0)
+
+    def test_an_alias_used_twice_is_not_recursive(self):
+        cfg = parse_config("weak:\n  <<: [&base {lr: 0.1}, *base]\n  R_M: 5.0\n", source="c.yaml")
+        assert (cfg.weak.lr, cfg.weak.R_M) == (0.1, 5.0)
+
+    def test_name_of_241_bytes_parses(self):
+        assert parse_config("name: " + "a" * 241 + "\n").name == "a" * 241
 
     def test_name_taken_from_the_file_is_checked(self):
         with pytest.raises(ConfigError, match=r"^\.\.yaml:1: name must be a file name .*, got '\.'$"):
@@ -590,6 +611,37 @@ class TestRunner:
         traj = res.trajectories["boosted"][0]
         assert traj.diverged and traj.horizon < 60
 
+    @pytest.mark.parametrize("runs, parallel, pools", [(2, 64, [2]), (1, 4, []), (3, 2, [2])])
+    def test_pool_gets_at_most_one_worker_per_run(self, monkeypatch, runs, parallel, pools):
+        # The pool starts every worker at once, so a pool larger than the
+        # run count forks idle interpreters. The fake runs tasks inline.
+        import concurrent.futures
+
+        made = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = _tiny_cfg(runs=runs, T=10)
+        result = run_experiment(cfg, parallel=parallel)
+        assert made == pools
+        serial = run_experiment(cfg)
+        for alg in serial.algorithms:
+            assert np.array_equal(serial.final_averages(alg), result.final_averages(alg))
+
     def test_parallel_matches_serial(self):
         cfg = _tiny_cfg()
         serial = run_experiment(cfg, parallel=1)
@@ -601,11 +653,11 @@ class TestRunner:
 
     def test_parameter_count_formula_matches_controllers(self):
         from dynaboost.controllers import RecurrentController
-        from dynaboost.core import RngStream
+        from dynaboost.core import random_stream
 
         for cell in ("elman", "lstm"):
             ctrl = RecurrentController(
-                3, 2, BallSet(1.0, 2), RngStream(0), hidden_dim=4, cell=cell
+                3, 2, BallSet(1.0, 2), random_stream(0), hidden_dim=4, cell=cell
             )
             assert ctrl.params.size == recurrent_parameter_count(3, 2, 4, cell)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaboost.core import RngStream
+from dynaboost.core import random_stream
 from dynaboost.dynamics import LinearSystem, PendulumSystem, random_lds, rollout
 from dynaboost.losses import (
     CurvatureBounds,
@@ -77,13 +77,12 @@ class TestProxyLoss:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_gradients_match_fd(self, seed):
-        rng = RngStream(seed)
         H = 1 + seed % 5
-        sys = random_lds(rng.child(0), 2, 2, 0.8)
+        sys = random_lds(random_stream(seed, 0), 2, 2, 0.8)
         cost = QuadraticCost.identity(2, 2)
-        w = 0.3 * rng.child(1).standard_normal((H - 1, 2))
+        w = 0.3 * random_stream(seed, 1).standard_normal((H - 1, 2))
         loss = ProxyLoss(sys, cost, w)
-        U = 0.5 * rng.child(2).standard_normal((H, 2))
+        U = 0.5 * random_stream(seed, 2).standard_normal((H, 2))
         g = loss.gradients(U)
         h = 1e-6
         for j in range(H):
@@ -96,9 +95,8 @@ class TestProxyLoss:
     def test_pendulum_gradients_match_fd(self):
         sys = PendulumSystem()
         cost = QuadraticCost.identity(2, 1)
-        rng = RngStream(77)
-        loss = ProxyLoss(sys, cost, 0.05 * rng.child(0).standard_normal((3, 2)))
-        U = 0.5 * rng.child(1).standard_normal((4, 1))
+        loss = ProxyLoss(sys, cost, 0.05 * random_stream(77, 0).standard_normal((3, 2)))
+        U = 0.5 * random_stream(77, 1).standard_normal((4, 1))
         g = loss.gradients(U)
         h = 1e-6
         for j in range(4):
@@ -136,7 +134,7 @@ class TestLinearWindowOperators:
     def test_matches_sensitivity_replay(self, k, d, H):
         rng = np.random.default_rng(100 * k + 10 * d + H)
         for trial in range(5):
-            system = random_lds(RngStream(trial).child(k).child(d), k, d, 0.9)
+            system = random_lds(random_stream(trial, k, d), k, d, 0.9)
             L = rng.normal(size=(k, k))
             M = rng.normal(size=(d, d))
             cost = QuadraticCost(L @ L.T, M @ M.T + 0.1 * np.eye(d))
@@ -192,12 +190,11 @@ class TestStackedWindows:
     @pytest.mark.parametrize("d", [1, 10, 100])
     @pytest.mark.parametrize("H", [1, 2, 5])
     def test_lds_rows_equal_lone_calls(self, d, H):
-        rng = RngStream(10 * d + H)
-        system = random_lds(rng.child(0), d, d, 0.9)
+        system = random_lds(random_stream(10 * d + H, 0), d, d, 0.9)
         cost = QuadraticCost(np.diag(1.0 + np.arange(d)), 0.5 * np.eye(d))
-        w = rng.child(1).standard_normal((H - 1, d))
+        w = random_stream(10 * d + H, 1).standard_normal((H - 1, d))
         loss = ProxyLoss(system, cost, w)
-        U = rng.child(2).standard_normal((4, H, d))
+        U = random_stream(10 * d + H, 2).standard_normal((4, H, d))
         stacked = loss.gradients(U)
         assert stacked.shape == U.shape
         Phi, Psi = system.window_operators(H)
@@ -220,7 +217,7 @@ class TestStackedWindows:
         for H in (1, 2, 5):
             w = big_w[: H - 1]
             loss = ProxyLoss(system, cost, w)
-            U = 3.0 * RngStream(H).standard_normal((4, H, 1))
+            U = 3.0 * random_stream(H).standard_normal((4, H, 1))
             stacked = loss.gradients(U)
             assert stacked.shape == U.shape
             for row, window in zip(stacked, U):
@@ -246,18 +243,16 @@ class TestLinearResidualLoss:
         assert np.array_equal(loss.slot_gradients(np.array([[9.0, 9.0]])), g)
 
     def test_anchors_shift_value_by_a_constant(self):
-        rng = RngStream(3)
-        g, a, u = (rng.child(i).standard_normal((3, 2)) for i in range(3))
+        g, a, u = (random_stream(3, i).standard_normal((3, 2)) for i in range(3))
         plain = ResidualLoss(g, np.zeros_like(g)).value(u)
         assert ResidualLoss(g, a).value(u) == pytest.approx(plain - np.sum(g * a))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=40)
     def test_linearity(self, seed):
-        rng = RngStream(seed)
-        g = rng.child(0).standard_normal((3, 2))
-        u = rng.child(1).standard_normal((3, 2))
-        v = rng.child(2).standard_normal((3, 2))
+        g = random_stream(seed, 0).standard_normal((3, 2))
+        u = random_stream(seed, 1).standard_normal((3, 2))
+        v = random_stream(seed, 2).standard_normal((3, 2))
         loss = ResidualLoss(g, np.zeros_like(g))
         assert loss.value(u + v) == pytest.approx(loss.value(u) + loss.value(v), abs=1e-9)
 
@@ -280,25 +275,23 @@ class TestQuadraticResidualLoss:
     def test_strong_convexity(self):
         # Hessian is 2c I, so the Jensen midpoint gap equals (c/4)||u-v||^2
         # exactly; checks the certified 2c-strong-convexity modulus.
-        rng = RngStream(5)
-        g = rng.child(0).standard_normal((3, 2))
-        a = rng.child(1).standard_normal((3, 2))
+        g = random_stream(5, 0).standard_normal((3, 2))
+        a = random_stream(5, 1).standard_normal((3, 2))
         c = 0.7
         loss = ResidualLoss(g, a, c)
-        u = rng.child(2).standard_normal((3, 2))
-        v = rng.child(3).standard_normal((3, 2))
+        u = random_stream(5, 2).standard_normal((3, 2))
+        v = random_stream(5, 3).standard_normal((3, 2))
         mid = 0.5 * (u + v)
         gap = 0.5 * loss.value(u) + 0.5 * loss.value(v) - loss.value(mid)
         assert gap == pytest.approx(0.25 * c * float(np.sum((u - v) ** 2)), rel=1e-9)
 
     def test_gradient_matches_fd(self):
-        rng = RngStream(9)
         loss = ResidualLoss(
-            rng.child(0).standard_normal((2, 2)),
-            rng.child(1).standard_normal((2, 2)),
+            random_stream(9, 0).standard_normal((2, 2)),
+            random_stream(9, 1).standard_normal((2, 2)),
             1.3,
         )
-        U = rng.child(2).standard_normal((2, 2))
+        U = random_stream(9, 2).standard_normal((2, 2))
         g = loss.slot_gradients(U)
         h = 1e-6
         for j in range(2):
@@ -340,14 +333,13 @@ class TestCurvatureBounds:
     def test_beta_dominates_window_hessian(self):
         # The certified beta must upper-bound the largest eigenvalue of the
         # actual window-loss Hessian, here computed by finite differences.
-        rng = RngStream(21)
-        sys = random_lds(rng.child(0), 2, 2, 0.7)
+        sys = random_lds(random_stream(21, 0), 2, 2, 0.7)
         cost = QuadraticCost.identity(2, 2)
         H = 3
         cb = derive_curvature_bounds(sys.A, sys.B, cost, H)
-        loss = ProxyLoss(sys, cost, 0.2 * rng.child(1).standard_normal((H - 1, 2)))
+        loss = ProxyLoss(sys, cost, 0.2 * random_stream(21, 1).standard_normal((H - 1, 2)))
         n = H * 2
-        U0 = 0.3 * rng.child(2).standard_normal((H, 2))
+        U0 = 0.3 * random_stream(21, 2).standard_normal((H, 2))
         h = 1e-5
         Hess = np.zeros((n, n))
         for p in range(n):
