@@ -60,9 +60,10 @@ def spectral_radius_estimate(A) -> float:
 class LinearSystem:
     """x' = A x + B u (+ w).
 
-    A and B are validated here and fixed afterwards: step takes
-    length-k and length-d vectors as given, since they run inside the
-    round loop, and the window operators are cached from A and B.
+    A and B are validated here and fixed afterwards: step takes length-k
+    and length-d vectors, or (..., k) and (..., d) blocks with a lone call's
+    bits row by row, as given, since it runs inside the round loop. The
+    window operators are cached from A and B.
     """
 
     def __init__(self, A, B):
@@ -82,7 +83,7 @@ class LinearSystem:
             )
 
     def step(self, x, u, w) -> Array:
-        return self.A @ x + self.B @ u + w
+        return (self.A @ np.asarray(x)[..., None])[..., 0] + (self.B @ np.asarray(u)[..., None])[..., 0] + w
 
     def linearization(self) -> tuple[Array, Array]:
         """(A, B): the system is its own linearization."""
@@ -118,6 +119,12 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % (2.0 * math.pi)
 
 
+# Module names for the step physics: CPython 3.11 specializes global reads, not class reads.
+_G, _M, _L, _DT, _MAX_TORQUE, _MAX_SPEED = 10.0, 1.0, 1.0, 0.05, 2.0, 8.0
+# The coefficients of sin(theta) and of the torque in the angular acceleration.
+_GRAVITY, _INERTIA = 3.0 * _G / (2.0 * _L), 3.0 / (_M * _L**2)
+
+
 class PendulumSystem:
     """Torque-controlled inverted pendulum, fixed-step discrete dynamics.
 
@@ -125,20 +132,11 @@ class PendulumSystem:
     to (-pi, pi]; the action is a scalar torque clipped to +-max_torque, and
     the angular velocity is clipped to +-max_speed. The additive disturbance
     w lands on both state coordinates after the deterministic step. Like
-    LinearSystem's, the per-round methods read x and u as given.
+    LinearSystem's, step reads x and u, or (..., 2) and (..., 1) blocks, as given.
     """
 
-    g = 10.0
-    m = 1.0
-    l = 1.0
-    dt = 0.05
-    max_torque = 2.0
-    max_speed = 8.0
-    state_dim = 2
-    action_dim = 1
-    # The coefficients of sin(theta) and of the torque in the angular acceleration.
-    _gravity = 3.0 * g / (2.0 * l)
-    _inertia = 3.0 / (m * l**2)
+    g, m, l, dt, max_torque, max_speed = _G, _M, _L, _DT, _MAX_TORQUE, _MAX_SPEED
+    state_dim, action_dim = 2, 1
 
     def _transition(self, theta: float, theta_dot: float, u: float) -> tuple[float, float, float]:
         """(theta', angular velocity', angular velocity before its clip) of one step.
@@ -146,11 +144,11 @@ class PendulumSystem:
         The one statement of the step physics, on floats: step, jacobians
         and window_jacobians all call it, and it computes no sensitivity.
         """
-        torque = min(max(u, -self.max_torque), self.max_torque)
-        accel = self._gravity * math.sin(theta) + self._inertia * torque
-        pre_dot = theta_dot + accel * self.dt
-        new_dot = min(max(pre_dot, -self.max_speed), self.max_speed)
-        return wrap_angle(theta + new_dot * self.dt), new_dot, pre_dot
+        torque = min(max(u, -_MAX_TORQUE), _MAX_TORQUE)
+        accel = _GRAVITY * math.sin(theta) + _INERTIA * torque
+        pre_dot = theta_dot + accel * _DT
+        new_dot = min(max(pre_dot, -_MAX_SPEED), _MAX_SPEED)
+        return wrap_angle(theta + new_dot * _DT), new_dot, pre_dot
 
     def _sensitivities(self, theta: float, u: float, pre_dot: float) -> tuple[float, ...]:
         """The six entries of [Jx | Ju], row by row, of the step from angle
@@ -159,12 +157,11 @@ class PendulumSystem:
         Clip saturation zeroes the corresponding sensitivity; the angle
         wrap has unit derivative almost everywhere.
         """
-        if not abs(pre_dot) <= self.max_speed:
+        if not abs(pre_dot) <= _MAX_SPEED:
             return 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
-        dt = self.dt
-        d_dot_d_theta = self._gravity * math.cos(theta) * dt
-        d_dot_d_u = self._inertia * dt if abs(u) <= self.max_torque else 0.0
-        return 1.0 + dt * d_dot_d_theta, dt, dt * d_dot_d_u, d_dot_d_theta, 1.0, d_dot_d_u
+        d_dot_d_theta = _GRAVITY * math.cos(theta) * _DT
+        d_dot_d_u = _INERTIA * _DT if abs(u) <= _MAX_TORQUE else 0.0
+        return 1.0 + _DT * d_dot_d_theta, _DT, _DT * d_dot_d_u, d_dot_d_theta, 1.0, d_dot_d_u
 
     def jacobians(self, x, u) -> tuple[Array, Array]:
         theta, u0 = float(x[0]), float(u[0])
@@ -192,8 +189,10 @@ class PendulumSystem:
         return np.array(ends), np.array(entries).reshape(len(ends), len(W), 2, 3)
 
     def step(self, x, u, w) -> Array:
-        new_theta, new_dot, _ = self._transition(float(x[0]), float(x[1]), float(u[0]))
-        return np.array([new_theta, new_dot]) + w
+        # Row by row on floats: np.sin does not promise math.sin's bits.
+        x = np.asarray(x)
+        rows = zip(x.reshape(-1, 2).tolist(), np.asarray(u).reshape(-1).tolist())
+        return np.array([self._transition(theta, dot, v)[:2] for (theta, dot), v in rows]).reshape(x.shape) + w
 
     def linearization(self) -> tuple[Array, Array]:
         """(A, B) of the discrete map at the upright equilibrium."""

@@ -45,8 +45,7 @@ def replay_fixed_gpc(w_seq, M, system, cost, H: int) -> tuple[Array, Array, Arra
     W = _as_w_seq(w_seq, system.state_dim)
     U = _fixed_actions(W, M)
     X = rollout(system, 0.0, U, W)
-    costs = np.array([cost.value(x, u) for x, u in zip(X, U)])
-    return X, U, costs
+    return X, U, cost.value(X[:-1], U)
 
 
 def evaluate_fixed_gpc(w_seq, M, system, cost, H: int) -> float:

@@ -237,44 +237,55 @@ def validate(cfg: ExperimentConfig, fail) -> None:
         fail(("divergence_threshold",), f"divergence_threshold must be positive, got {value}")
 
 
-def _collect_lines(node, source: str) -> dict:
-    """Line of every key and list item by its path in a composed YAML node.
+def _items(n) -> list:
+    """(key, node that gives its line, value node) of each key or list item of a YAML node."""
+    if isinstance(n, yaml.MappingNode):
+        return [(str(kn.value), kn, vn) for kn, vn in n.value]
+    return [(i, vn, vn) for i, vn in enumerate(n.value)] if isinstance(n, yaml.SequenceNode) else []
 
-    A key that one mapping repeats is a ConfigError at its second line.
-    A merge key (<<) adds its own path, so a key it merges may be repeated.
-    An alias to a node that contains it is a ConfigError; other aliases
-    are walked once per path that reaches them.
+
+def _check_nodes(node, source: str) -> None:
+    """Reject a key that one mapping repeats (at its second line) and a recursive alias.
+
+    Each node is walked once, however many aliases reach it. A merge key
+    (<<) is a key of its own, so a key it merges may be repeated.
     """
-    lines: dict = {}
+    on_path: dict = {}  # id of every node walked so far: True while the walk is inside it
 
-    def walk(n, path, above):
-        if isinstance(n, yaml.MappingNode):
-            items = [(str(kn.value), kn, vn) for kn, vn in n.value]
-        elif isinstance(n, yaml.SequenceNode):
-            items = [(i, vn, vn) for i, vn in enumerate(n.value)]
-        else:
-            return
-        above = above | {id(n)}
-        for key, at, vn in items:
-            p, line = path + (key,), at.start_mark.line + 1
-            if p in lines:
-                raise ConfigError(f"{source}:{line}: duplicate key {'.'.join(map(str, p))!r}")
-            if id(vn) in above:
-                raise ConfigError(f"{source}:{line}: recursive alias at {'.'.join(map(str, p))!r}")
-            lines[p] = line
-            walk(vn, p, above)
+    def walk(n, path):
+        on_path[id(n)] = True
+        keys = set()
+        for key, at, vn in _items(n):
+            p = path + (key,)
+            problem = "duplicate key" if key in keys else "recursive alias at" if on_path.get(id(vn)) else ""
+            if problem:
+                raise ConfigError(f"{source}:{at.start_mark.line + 1}: {problem} {'.'.join(map(str, p))!r}")
+            keys.add(key)
+            if id(vn) not in on_path:
+                walk(vn, p)
+        on_path[id(n)] = False
 
-    walk(node, (), frozenset())
-    return lines
+    walk(node, ())
+
+
+def _line(node, path: tuple) -> int:
+    """Line of the key or list item at a non-empty path in a composed YAML node; 1 if none is there."""
+    for key in path:
+        # The last match: construction puts the keys that a merge (<<) brings in first.
+        found = [(at, vn) for k, at, vn in _items(node) if k == key]
+        if not found:
+            return 1
+        at, node = found[-1]
+    return at.start_mark.line + 1
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    # One compose serves both the data and the line map; the lines are read
-    # before construction, which rewrites merge keys in place.
+    # One compose serves both the data and the lines of its errors. The keys
+    # are checked before construction, which rewrites merge keys in place.
     loader = yaml.SafeLoader(text)
     try:
         node = loader.get_single_node()
-        lines = _collect_lines(node, source)
+        _check_nodes(node, source)
         data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as e:
         raise ConfigError(f"{source}: invalid YAML: {e}") from None
@@ -286,7 +297,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}:1: top level must be a mapping")
 
     def fail(path: tuple, msg: str):
-        raise ConfigError(f"{source}:{lines.get(path, 1)}: {msg}")
+        raise ConfigError(f"{source}:{_line(node, path)}: {msg}")
 
     cfg = _read(ExperimentConfig, data, (), fail)
     # An unnamed config file is named after its file.

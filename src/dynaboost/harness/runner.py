@@ -5,12 +5,12 @@ disturbance realizations, and a fixed set of algorithms that all consume
 the identical per-run disturbance stream, so cross-algorithm comparisons
 are paired. A run plays all its policies in lockstep, round by round,
 each with its own state, cost and divergence truncation. Within a round
-each running policy observes its state, acts, suffers the stage cost and
-transitions; then every policy that learns takes one shared step from
-information available through the previous round: one window loss, one
-gradients call over all their anchors, and one level-stack step per
-parameter layout (boosting.SharedStep), whose learners the run joins once
-(see controllers.LevelStack.join).
+each running policy acts; the block of their states takes one stage cost,
+one system step and one divergence test; then every policy that learns
+takes one shared step from information available through the previous
+round: one window loss, one gradients call over all their anchors, and
+one level-stack step per parameter layout (boosting.SharedStep), whose
+learners the run joins once (see controllers.LevelStack.join).
 """
 
 from __future__ import annotations
@@ -222,13 +222,11 @@ def run_episode(
     A round in which no running policy learns builds no window loss.
     """
     shared = _shared_step(policies)
-    T = w_seq.shape[0]
-    k = system.state_dim
-    d = system.action_dim
+    T, k = w_seq.shape
     H = cfg.H
     n = len(policies)
     states = np.zeros((n, T + 1, k))
-    actions = np.zeros((n, T, d))
+    actions = np.zeros((n, T, system.action_dim))
     costs = np.zeros((n, T))
     # Row t + i of the zero-padded stream is w_{t-2H+1+i}, so the
     # disturbance history of round t is the read-only view padded[t : t+2H-1].
@@ -237,35 +235,26 @@ def run_episode(
     # The trajectories record read-only views of the stream, not copies.
     w_seq = w_seq.view()
     w_seq.flags.writeable = False
-    xs = [np.zeros(k) for _ in policies]
     ends = [T] * n
-    diverged = [False] * n
     running = list(range(n))
+    rows = slice(None)  # the running policies' rows; a slice reads without a gather
     for t in range(T):
         hist = padded[t : t + 2 * H - 1]
-        recent, w = hist[H - 1 :], w_seq[t]
-        left = False
+        recent = hist[H - 1 :]
         for i in running:
-            x = xs[i]
-            u = policies[i].act(Observation(x, recent))
-            c = cost.value(x, u)
-            x_next = system.step(x, u, w)
-            actions[i, t] = u
-            costs[i, t] = c
-            # A non-finite state has a NaN or infinite norm, so one dot product
-            # covers both the finiteness and the divergence check.
-            if not (math.sqrt(x_next.dot(x_next)) <= cfg.divergence_threshold and math.isfinite(c)):
-                diverged[i] = left = True
-                if bool(np.all(np.isfinite(x_next))) and math.isfinite(c):
-                    states[i, t + 1] = x_next
-                    ends[i] = t + 1
-                else:
-                    ends[i] = t
-                continue
-            states[i, t + 1] = x_next
-            xs[i] = x_next
-        if left:
-            running = [i for i in running if not diverged[i]]
+            actions[i, t] = policies[i].act(Observation(states[i, t], recent))
+        X, U = states[rows, t], actions[rows, t]
+        costs[rows, t] = C = cost.value(X, U)
+        states[rows, t + 1] = X = system.step(X, U, w_seq[t])
+        # A non-finite state has a NaN or infinite norm, so one norm per row
+        # covers both the finiteness and the divergence test.
+        norms = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+        kept = (norms <= cfg.divergence_threshold) & np.isfinite(C)
+        if not kept.all():
+            for j in np.flatnonzero(~kept).tolist():
+                # A finite state past the threshold is recorded as the last one.
+                ends[running[j]] = t + 1 if np.isfinite(X[j]).all() and math.isfinite(C[j]) else t
+            running = rows = [i for i, keep in zip(running, kept.tolist()) if keep]
             shared = _shared_step([policies[i] for i in running])
         if shared is not None:
             shared.step(ProxyLoss(system, cost, hist[H:]), hist)
@@ -279,7 +268,7 @@ def run_episode(
             costs=costs[i, : ends[i]],
             algorithm=policy.name,
             seed=run_index,
-            diverged=diverged[i],
+            diverged=i not in running,
         )
         for i, policy in enumerate(policies)
     ]

@@ -37,9 +37,9 @@ class QuadraticCost:
     """c(x, u) = x'Qx + u'Ru with Q, R symmetric PSD.
 
     Q and R are validated here; value and the gradients run inside the
-    round loop and take length-k and length-d vectors as given. The
-    gradients also take (..., k) and (..., d) stacks: each row is one
-    matrix-vector product, with the bits of a lone call.
+    round loop and take length-k and length-d vectors (a lone value is a
+    float) or (..., k) and (..., d) stacks, as given: each row takes the
+    products of a lone call, with its bits.
     """
 
     def __init__(self, Q, R):
@@ -54,8 +54,10 @@ class QuadraticCost:
     def identity(cls, state_dim: int, action_dim: int) -> "QuadraticCost":
         return cls(np.eye(state_dim), np.eye(action_dim))
 
-    def value(self, x, u) -> float:
-        return float(x @ self.Q @ x + u @ self.R @ u)
+    def value(self, x, u) -> float | Array:
+        x, u = np.asarray(x)[..., None, :], np.asarray(u)[..., None, :]
+        c = ((x @ self.Q) @ x.swapaxes(-1, -2) + (u @ self.R) @ u.swapaxes(-1, -2))[..., 0, 0]
+        return c if c.ndim else float(c)
 
     def grad_x(self, x) -> Array:
         return 2.0 * (self.Q @ np.asarray(x)[..., None])[..., 0]

@@ -74,6 +74,23 @@ class TestLinearSystem:
         with pytest.raises(ValueError):
             sys.step([1.0, 2.0], [0.0], [0.0])
 
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_block_step_has_the_bits_of_lone_steps(self, k, n):
+        # The runner steps its running policies as one (n, k) block; each
+        # row must be the matrix-vector product A x + B u + w.
+        rng = random_stream(7, k, n)
+        sys = random_lds(rng, k, max(1, k // 2), 0.9)
+        for _ in range(20):
+            X = rng.standard_normal((n, k))
+            U = rng.standard_normal((n, sys.action_dim))
+            w = rng.standard_normal(k)
+            block = sys.step(X, U, w)
+            assert block.shape == (n, k)
+            for x, u, row in zip(X, U, block):
+                assert np.array_equal(sys.step(x, u, w), sys.A @ x + sys.B @ u + w)
+                assert np.array_equal(row, sys.A @ x + sys.B @ u + w)
+
 
 def test_wrap_angle_branch_points():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
@@ -114,6 +131,24 @@ class TestPendulum:
         for _ in range(50):
             x = p.step(x, [2.0], np.zeros(2))
             assert abs(x[1]) <= p.max_speed + 1e-12
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_block_step_has_the_bits_of_lone_steps(self, n):
+        # Each row of a block is the float transition of a lone step.
+        p = PendulumSystem()
+        rng = random_stream(8, n)
+        for _ in range(50):
+            X = rng.uniform(-4.0, 4.0, (n, 2)) * [1.0, 3.0]
+            U = rng.uniform(-3.0, 3.0, (n, 1))
+            w = rng.uniform(-0.5, 0.5, 2)
+            block = p.step(X, U, w)
+            assert block.shape == (n, 2)
+            for x, u, row in zip(X, U, block):
+                theta, theta_dot, _ = p._transition(float(x[0]), float(x[1]), float(u[0]))
+                lone = p.step(x, u, w)
+                assert lone.shape == (2,)
+                assert np.array_equal(lone, np.array([theta, theta_dot]) + w)
+                assert np.array_equal(row, lone)
 
     def test_linearization_values(self):
         A, B = PendulumSystem().linearization()

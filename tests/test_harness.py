@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -190,6 +192,7 @@ class TestConfigParsing:
             ("name: " + "a" * 242 + "\n", r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$"),
             ("name: " + "é" * 121 + "\n", r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$"),
             ('name: "a\\ud800"\n', r"c\.yaml:1: name must be UTF-8 text, got 'a\\ud800'$"),
+            ("T: 10\nweak:\n  <<: {R_M: 1.0,\n    lr: -0.1}\n", r"c\.yaml:4: lr must be positive and finite, got -0\.1$"),
         ],
         ids=[
             "negative_std",
@@ -215,6 +218,7 @@ class TestConfigParsing:
             "name_of_242_bytes",
             "name_of_121_e_acutes",
             "name_with_a_lone_surrogate",
+            "key_from_a_merge",
         ],
     )
     def test_range_error_names_line(self, text, match):
@@ -274,6 +278,26 @@ class TestConfigParsing:
     def test_an_alias_used_twice_is_not_recursive(self):
         cfg = parse_config("weak:\n  <<: [&base {lr: 0.1}, *base]\n  R_M: 5.0\n", source="c.yaml")
         assert (cfg.weak.lr, cfg.weak.R_M) == (0.1, 5.0)
+
+    def test_nested_aliases_are_checked_once_per_node(self):
+        # Eight lists that each alias the previous one ten times reach the
+        # first list along 10^8 paths. Each node is checked once, and the
+        # config stops at its first unknown key with no per-path map.
+        text = "a0: &a0 [" + ", ".join(["0"] * 10) + "]\n"
+        for i in range(1, 9):
+            text += f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]\n"
+        assert len(text.encode()) < 600
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match=r"^c\.yaml:1: unknown key 'a0'$"):
+                parse_config(text, source="c.yaml")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1_000_000
 
     def test_name_of_241_bytes_parses(self):
         assert parse_config("name: " + "a" * 241 + "\n").name == "a" * 241
@@ -775,6 +799,37 @@ class TestLockstep:
                 for field in ("actions", "disturbances", "costs"):
                     prefix = getattr(whole, field)[:end]
                     assert np.array_equal(getattr(mine, field), prefix), (case, name, field)
+
+    def test_policies_that_leave_in_one_round_keep_their_own_last_rows(self):
+        # In round 12, "far" steps to a finite state past the threshold and
+        # "lost" to a NaN state. far keeps that state as its last row
+        # (horizon 13); lost ends before it (horizon 12). "calm", which runs
+        # beside them, plays as it does alone.
+        class Fixed:
+            def __init__(self, name, leave):
+                self.name, self.leave, self.t = name, leave, 0
+
+            def act(self, obs):
+                u = np.full(2, self.leave if self.t == 12 else 0.01 * self.t)
+                self.t += 1
+                return u
+
+        cfg = _tiny_cfg(env=EnvConfig(kind="lds", k=3, d=2, rho=0.8), T=30, divergence_threshold=50.0)
+        system, cost = build_system(cfg)
+        w = draw_disturbances(cfg, system.state_dim, 0)
+        [alone] = run_episode(system, cost, cfg, [Fixed("calm", 0.12)], w, 0)
+        assert not alone.diverged and alone.horizon == cfg.T
+        calm, far, lost = run_episode(
+            system, cost, cfg, [Fixed("calm", 0.12), Fixed("far", 1e6), Fixed("lost", math.nan)], w, 0
+        )
+        _assert_same_trajectory(calm, alone, "calm")
+        assert far.diverged and far.horizon == 13
+        assert np.linalg.norm(far.states[13]) > 50.0 and np.isfinite(far.states).all()
+        assert np.array_equal(far.states[:13], alone.states[:13])
+        assert np.array_equal(far.actions[12], [1e6, 1e6]) and np.isfinite(far.costs).all()
+        assert lost.diverged and lost.horizon == 12
+        assert np.array_equal(lost.states, alone.states[:13])
+        assert np.array_equal(lost.costs, alone.costs[:12])
 
     def test_booster_update_moves_what_its_act_reads_after_the_run_joins_it(self):
         cfg = _tiny_cfg(T=10)

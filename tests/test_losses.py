@@ -27,6 +27,25 @@ class TestQuadraticCost:
         c = QuadraticCost([[2.0]], [[0.5]])
         assert c.value([3.0], [2.0]) == pytest.approx(2 * 9 + 0.5 * 4)
 
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_block_value_has_the_bits_of_lone_values(self, k, n):
+        # The runner charges its running policies as one (n, k) block; each
+        # entry must be the lone call's x'Qx + u'Ru, and a lone call a float.
+        rng = random_stream(9, k, n)
+        d = max(1, k // 2)
+        G, F = rng.standard_normal((k, k)), rng.standard_normal((d, d))
+        c = QuadraticCost(G @ G.T, F @ F.T)
+        for _ in range(20):
+            X, U = rng.standard_normal((n, k)), rng.standard_normal((n, d))
+            block = c.value(X, U)
+            assert block.shape == (n,)
+            for x, u, entry in zip(X, U, block):
+                lone = c.value(x, u)
+                assert type(lone) is float
+                assert lone == float(x @ c.Q @ x + u @ c.R @ u)
+                assert entry == lone
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticCost([[1.0, 1.0], [0.0, 1.0]], [[1.0]])
