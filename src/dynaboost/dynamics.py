@@ -4,9 +4,10 @@ Systems expose their step x' = f(x, u) + w and its linearization
 (A, B); the pendulum also gives its step Jacobians. Two folds replay an
 action window. `rollout` folds step and gives the states:
 the window loss's value, the regret comparator and replays of recorded
-runs read it. The window loss's gradients come from the system's own
-fold, `LinearSystem.window_operators` or
-`PendulumSystem.window_jacobians`. Disturbance streams are drawn whole
+runs read it. The window loss's gradients come from each system's
+`window_vjp`, which carries the gradient at a window's end state back to
+its past actions: a LinearSystem through its cached window operators, the
+pendulum in one float pass per window. Disturbance streams are drawn whole
 before round 1, in `harness.runner.draw_disturbances`.
 """
 
@@ -113,6 +114,20 @@ class LinearSystem:
             ops = self._window_ops[H] = (Phi, Psi)
         return ops
 
+    def window_vjp(self, past_actions: Array, disturbances: Array, grad_x) -> Array:
+        """Past-action gradients of grad_x's function of each window's end state.
+
+        past_actions is an (..., n, d) stack of windows that share the (n, k)
+        disturbances w. The end state is Psi w + Phi u, so slot j's gradient
+        is Phi_j' grad_x, in stacked products with a lone call's bits.
+        """
+        *lead, n, d = past_actions.shape
+        Phi, Psi = self.window_operators(n + 1)
+        # Explicit sizes: at n = 0 the past and Phi have zero columns.
+        past = past_actions.reshape(*lead, n * d)
+        v = grad_x(Psi @ disturbances.ravel() + (Phi @ past[..., None])[..., 0])
+        return (v[..., None, :] @ Phi)[..., 0, :].reshape(*lead, n, d)
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap to (-pi, pi]."""
@@ -142,7 +157,7 @@ class PendulumSystem:
         """(theta', angular velocity', angular velocity before its clip) of one step.
 
         The one statement of the step physics, on floats: step, jacobians
-        and window_jacobians all call it, and it computes no sensitivity.
+        and window_vjp all call it, and it computes no sensitivity.
         """
         torque = min(max(u, -_MAX_TORQUE), _MAX_TORQUE)
         accel = _GRAVITY * math.sin(theta) + _INERTIA * torque
@@ -168,25 +183,35 @@ class PendulumSystem:
         J = self._sensitivities(theta, u0, self._transition(theta, float(x[1]), u0)[2])
         return np.array([J[0:2], J[3:5]]), np.array([J[2:3], J[5:6]])
 
-    def window_jacobians(self, actions: Array, disturbances: Array) -> tuple[Array, Array]:
-        """End states and step Jacobians of S windows replayed from the zero state.
+    def window_vjp(self, past_actions: Array, disturbances: Array, grad_x) -> Array:
+        """Past-action gradients of grad_x's function of each window's end state.
 
-        actions is an (S, n, 1) stack of windows and disturbances the (n, 2)
-        disturbances that every window shares. Each window is the fold of
-        rollout, on floats: the (S, 2) end states have the bits of
-        rollout's last rows, and the (S, n, 2, 3) stack holds [Jx | Ju] of
-        jacobians at each step's state and action.
+        past_actions is an (..., n, 1) stack of windows that share the (n, 2)
+        disturbances. One float pass per window replays it as rollout does
+        and records each step's _sensitivities; one grad_x call takes the
+        end states, with rollout's bits; the chain back, Ju' v and Jx' v, is
+        float products, each rounded on its own, with a lone call's bits.
         """
         W = disturbances.tolist()
-        ends, entries = [], []
-        for window in actions[..., 0].tolist():
+        windows = past_actions.reshape(math.prod(past_actions.shape[:-2]), len(W)).tolist()
+        ends, records = [], []
+        for window in windows:
             theta = theta_dot = 0.0
+            steps = []
             for u, (w_theta, w_dot) in zip(window, W, strict=True):
                 new_theta, new_dot, pre_dot = self._transition(theta, theta_dot, u)
-                entries += self._sensitivities(theta, u, pre_dot)
+                steps.append(self._sensitivities(theta, u, pre_dot))
                 theta, theta_dot = new_theta + w_theta, new_dot + w_dot
             ends.append((theta, theta_dot))
-        return np.array(ends), np.array(entries).reshape(len(ends), len(W), 2, 3)
+            records.append(steps)
+        slots = []
+        for steps, (v_theta, v_dot) in zip(records, grad_x(np.array(ends)).tolist()):
+            back = []
+            for a, b, c, d, e, f in reversed(steps):
+                back.append(c * v_theta + f * v_dot)
+                v_theta, v_dot = a * v_theta + d * v_dot, b * v_theta + e * v_dot
+            slots += reversed(back)
+        return np.array(slots).reshape(past_actions.shape)
 
     def step(self, x, u, w) -> Array:
         # Row by row on floats: np.sin does not promise math.sin's bits.
@@ -216,10 +241,9 @@ def rollout(system, x_start, actions, disturbances) -> Array:
     """(n+1, k) states of the fold x_{j+1} = step(x_j, u_j, w_j) from x_0 = x_start.
 
     The state fold of an action window, which the window loss's value
-    replays; its gradients come from the sensitivity fold,
-    PendulumSystem.window_jacobians (or a LinearSystem's window
-    operators). Actions (n, d) and disturbances (n, k) are taken as given;
-    only unequal lengths raise a ValueError.
+    replays; its gradients come from the system's window_vjp. Actions
+    (n, d) and disturbances (n, k) are taken as given; only unequal
+    lengths raise a ValueError.
     """
     X = np.empty((len(actions) + 1, system.state_dim))
     X[0] = x_start

@@ -2,10 +2,11 @@
 
 The window loss evaluates the stage cost at the counterfactual state
 reached from zero by replaying the last H-1 actions and disturbances,
-so it depends on only the last H actions. Its per-slot gradients are
-what the booster hands to weak learners inside one ResidualLoss: linear
-in the window (coefficient 0, dynaboost1) or a proximal quadratic around
-the previous level's window (dynaboost2).
+so it depends on only the last H actions. Its per-slot gradients, the
+control cost's on the final slot and the system's window_vjp on the
+others, are what the booster hands to weak learners inside one
+ResidualLoss: linear in the window (coefficient 0, dynaboost1) or a
+proximal quadratic around the previous level's window (dynaboost2).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
 from dynaboost.core import Array, as_matrix, as_vector  # noqa: F401
-from dynaboost.dynamics import LinearSystem, rollout
+from dynaboost.dynamics import rollout
 
 
 def _check_psd(M: Array, name: str) -> None:
@@ -77,12 +78,7 @@ class ProxyLoss:
     runs in the round loop, so it stays the plain replay that the gradient
     check holds gradients() against.
 
-    On a LinearSystem the replay is affine in the actions: gradients() uses
-    the state c + Phi u with the system's cached window operators and
-    c = Psi w computed once here, two products for any number of windows.
-    On the pendulum, gradients() takes the end states and step Jacobians
-    of every window from one PendulumSystem.window_jacobians call. A
-    ProxyLoss is built once per round, so it takes the (H-1, k) float64
+    A ProxyLoss is built once per round, so it takes the (H-1, k) float64
     disturbances, whose row count fixes H, and the (H, d) action window,
     or (..., H, d) stack of windows, as given.
     """
@@ -91,12 +87,6 @@ class ProxyLoss:
     cost: QuadraticCost
     disturbances: Array  # (H-1, k), oldest first
 
-    def __post_init__(self):
-        self._markov = None
-        if isinstance(self.system, LinearSystem):
-            self._markov, psi = self.system.window_operators(len(self.disturbances) + 1)
-            self._free = psi @ self.disturbances.ravel()
-
     def value(self, U: Array) -> float:
         x = rollout(self.system, 0.0, U[:-1], self.disturbances)[-1]
         return self.cost.value(x, U[-1])
@@ -104,34 +94,16 @@ class ProxyLoss:
     def gradients(self, U: Array) -> Array:
         """(..., H, d) per-slot gradients of an (..., H, d) stack of windows.
 
-        Slot j < H-1 only influences the replayed state; the final slot
-        only enters the control cost. On a LinearSystem slot j's gradient
-        is Phi_j' grad_x. On the pendulum grad_x is chained back through
-        the step Jacobians of all windows at once, one stacked product per
-        step. Either way every window of the stack goes through the same
-        stacked matrix-vector products, so each row has the bits of a lone
-        (H, d) call.
+        Slot j < H-1 only influences the replayed state, so one call of the
+        system's window_vjp carries grad_x back to every window's past
+        slots; the final slot only enters the control cost. Each row has
+        the bits of a lone (H, d) call.
         """
-        H, d = U.shape[-2:]
+        H = U.shape[-2]
         grads = np.empty(U.shape)
         grads[..., H - 1, :] = self.cost.grad_u(U[..., H - 1, :])
-        if self._markov is None:
-            ends, J = self.system.window_jacobians(U.reshape(-1, H, d)[:, :-1], self.disturbances)
-            rows = grads.reshape(-1, H, d)
-            # Jx' and Ju' as transposed views: each product then has the
-            # bits of a lone Jx.T @ v.
-            Jt = J.swapaxes(-1, -2)
-            v = self.cost.grad_x(ends)[..., None]
-            for j in range(H - 2, -1, -1):
-                rows[:, j] = (Jt[:, j, 2:] @ v)[..., 0]
-                v = Jt[:, j, :2] @ v
-            return grads
-        lead = U.shape[:-2]
-        # Explicit sizes: at H = 1 the past and Phi have zero columns.
-        past = U[..., : H - 1, :].reshape(*lead, (H - 1) * d)
-        v = self.cost.grad_x(self._free + (self._markov @ past[..., None])[..., 0])
-        rows = (v[..., None, :] @ self._markov)[..., 0, :]
-        grads[..., : H - 1, :] = rows.reshape(*lead, H - 1, d)
+        past = U[..., : H - 1, :]
+        grads[..., : H - 1, :] = self.system.window_vjp(past, self.disturbances, self.cost.grad_x)
         return grads
 
 

@@ -175,19 +175,22 @@ class TestPendulum:
         _, Ju = p.jacobians([0.0, 0.0], [5.0])
         assert np.allclose(Ju, 0.0)
 
-    def test_window_jacobians_fold_like_rollout(self):
-        # Each window's end state has the bits of rollout's last row, and
-        # its stack holds [Jx | Ju] of jacobians at each replayed state.
+    def test_window_vjp_hands_grad_x_rollouts_end_states(self):
+        # One grad_x call gets every window's end state, with the bits of
+        # rollout's last row.
         p = PendulumSystem()
         w = np.array([[3.0, 8.5], [0.2, -0.5], [-0.1, 0.3]])
         U = 3.0 * random_stream(5).standard_normal((4, 3, 1))
-        ends, J = p.window_jacobians(U, w)
-        assert ends.shape == (4, 2) and J.shape == (4, 3, 2, 3)
-        for end, steps, window in zip(ends, J, U):
-            X = rollout(p, 0.0, window, w)
-            assert np.array_equal(end, X[-1])
-            for j, u in enumerate(window):
-                assert np.array_equal(steps[j], np.hstack(p.jacobians(X[j], u)))
+        seen = []
+
+        def grad_x(ends):
+            seen.append(ends.copy())
+            return 2.0 * ends
+
+        assert p.window_vjp(U, w, grad_x).shape == U.shape
+        assert len(seen) == 1 and seen[0].shape == (4, 2)
+        for end, window in zip(seen[0], U):
+            assert np.array_equal(end, rollout(p, 0.0, window, w)[-1])
 
 
 class TestRandomLds:

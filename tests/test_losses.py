@@ -183,16 +183,23 @@ class TestLinearWindowOperators:
 
 def _pendulum_chain(system, cost, w, U, regimes):
     """Slot gradients of one (H, 1) pendulum window: rollout's states, then
-    grad_x chained back through jacobians with plain Jx.T @ v products.
+    grad_x chained back through jacobians twice. The first chain takes
+    Ju' v and Jx' v as float products of the Jacobians' entries, each
+    rounded on its own; the second as numpy's Ju.T @ v and Jx.T @ v.
     Adds to regimes the clips and wraps that the window's steps hit."""
     H = U.shape[0]
     X = rollout(system, 0.0, U[:-1], w)
-    grads = np.empty(U.shape)
-    grads[-1] = cost.grad_u(U[-1])
+    floats, products = np.empty(U.shape), np.empty(U.shape)
+    floats[-1] = products[-1] = cost.grad_u(U[-1])
     v = cost.grad_x(X[-1])
+    v_theta, v_dot = v.tolist()
     for j in range(H - 2, -1, -1):
         Jx, Ju = system.jacobians(X[j], U[j])
-        grads[j] = Ju.T @ v
+        (a, b), (d, e) = Jx.tolist()
+        (c,), (f,) = Ju.tolist()
+        floats[j] = c * v_theta + f * v_dot
+        v_theta, v_dot = a * v_theta + d * v_dot, b * v_theta + e * v_dot
+        products[j] = Ju.T @ v
         v = Jx.T @ v
         if abs(U[j, 0]) > system.max_torque:
             regimes.add("torque clip")
@@ -200,7 +207,7 @@ def _pendulum_chain(system, cost, w, U, regimes):
             regimes.add("speed clip")
         if abs(X[j + 1, 0] - w[j, 0] - X[j, 0]) > np.pi:
             regimes.add("angle wrap")
-    return grads
+    return floats, products
 
 
 class TestStackedWindows:
@@ -228,7 +235,9 @@ class TestStackedWindows:
 
     def test_pendulum_rows_equal_an_independent_chain(self):
         # The windows clip the torque, reach a pre-clip speed above 8 and
-        # wrap the angle past pi; rows must match the chain bit for bit.
+        # wrap the angle past pi; rows must match the float chain bit for
+        # bit, and numpy's matrix-vector chain to 1e-12 of the window's
+        # largest gradient.
         system = PendulumSystem()
         cost = QuadraticCost([[2.0, 0.3], [0.3, 0.5]], [[0.7]])
         big_w = np.array([[3.0, 8.5], [0.2, -0.5], [-0.1, 0.3], [0.05, -0.2]])
@@ -240,9 +249,10 @@ class TestStackedWindows:
             stacked = loss.gradients(U)
             assert stacked.shape == U.shape
             for row, window in zip(stacked, U):
-                want = _pendulum_chain(system, cost, w, window, regimes)
+                want, products = _pendulum_chain(system, cost, w, window, regimes)
                 assert np.array_equal(row, want)
                 assert np.array_equal(loss.gradients(window), want)
+                assert np.abs(row - products).max() <= 1e-12 * np.abs(products).max()
             two_axes = loss.gradients(U.reshape(2, 2, H, 1))
             assert np.array_equal(two_axes, stacked.reshape(2, 2, H, 1))
         assert regimes == {"torque clip", "speed clip", "angle wrap"}
