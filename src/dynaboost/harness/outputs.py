@@ -3,16 +3,25 @@
 All emission is deterministic: fixed float formatting, rows sorted by
 (algorithm, seed, round), LF line endings, and no timestamps, so a rerun
 with the same config and seed is byte-identical.
+
+The CSVs hold the bytes of `csv.writer` rows whose numbers are
+`format(x, ".10g")`. Each trajectory's leading text cells are encoded once
+by the csv module, and each row is an f-string over `.tolist()` floats,
+which format as those numbers do. The SVG's points come from numpy arrays
+in the float operation order of its X and Y maps, so they keep their bits.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from dynaboost.harness.config import ConfigError
 # aggregate stays importable from this module: perfbench/spans.py wraps it here.
@@ -23,10 +32,6 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 RAW_HEADER = ["experiment", "algorithm", "seed", "t", "instant_cost", "avg_cost"]
 AGG_HEADER = ["algorithm", "t", "mean", "ci_lo", "ci_hi"]
 TICKS = 5  # per SVG axis, both ends included
-
-
-def fmt(x: float) -> str:
-    return format(float(x), ".10g")
 
 
 def _ensure_dir(out_dir) -> Path:
@@ -41,33 +46,39 @@ def _ensure_dir(out_dir) -> Path:
     return out
 
 
+def _head(fields: list) -> str:
+    """The csv module's encoding of a row's leading fields, with the comma after them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([*fields, ""])
+    return buf.getvalue()[:-1]
+
+
 def write_raw_csv(path, experiment: str, trajectories: dict[str, list]) -> None:
     """trajectories maps algorithm -> per-run Trajectory list (seed column = run index)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RAW_HEADER)
+        csv.writer(fh, lineterminator="\n").writerow(RAW_HEADER)
         for alg in sorted(trajectories):
             # rows keyed by the trajectory's own run index, so emission does
             # not depend on the order runs happened to finish in
             for traj in sorted(trajectories[alg], key=lambda t: t.seed):
-                avg = traj.running_average()
-                for t in range(traj.horizon):
-                    w.writerow(
-                        [experiment, alg, traj.seed, t + 1, fmt(traj.costs[t]), fmt(avg[t])]
-                    )
+                head = _head([experiment, alg, traj.seed])
+                avg = traj.running_average().tolist()
+                cols = zip(range(1, traj.horizon + 1), traj.costs.tolist(), avg)
+                fh.write("".join([f"{head}{t},{c:.10g},{a:.10g}\n" for t, c, a in cols]))
 
 
 def write_aggregate_csv(path, stats_by_alg: dict[str, SeriesStats]) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(AGG_HEADER)
+        csv.writer(fh, lineterminator="\n").writerow(AGG_HEADER)
         for alg in sorted(stats_by_alg):
             s = stats_by_alg[alg]
-            for t in range(s.mean.size):
-                if s.has_ci:
-                    w.writerow([alg, t + 1, fmt(s.mean[t]), fmt(s.ci_lo[t]), fmt(s.ci_hi[t])])
-                else:
-                    w.writerow([alg, t + 1, fmt(s.mean[t]), "", ""])
+            head, ts = _head([alg]), range(1, s.mean.size + 1)
+            if s.has_ci:
+                cols = zip(ts, s.mean.tolist(), s.ci_lo.tolist(), s.ci_hi.tolist())
+                rows = [f"{head}{t},{m:.10g},{lo:.10g},{hi:.10g}\n" for t, m, lo, hi in cols]
+            else:
+                rows = [f"{head}{t},{m:.10g},,\n" for t, m in zip(ts, s.mean.tolist())]
+            fh.write("".join(rows))
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -140,28 +151,28 @@ def write_svg(path, experiment: str, stats_by_alg: dict[str, SeriesStats]) -> No
         'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {(mt + height - mb) / 2:g})">average cost</text>'
     )
+
+    def points(v) -> list[str]:
+        """The "x,y" of each round's value, with the bits that X and Y give one float."""
+        # As on Python floats, where inf / inf is NaN, nothing warns.
+        with np.errstate(all="ignore"):
+            xs, ys = X(np.arange(1, v.size + 1)), Y(v)
+        return [f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist())]
+
     # bands first so lines draw on top
     for idx, alg in enumerate(algs):
         s = stats_by_alg[alg]
         color = PALETTE[idx % len(PALETTE)]
         if s.has_ci:
-            up = " ".join(
-                f"{X(t + 1):.2f},{Y(min(float(s.ci_hi[t]), ymax)):.2f}"
-                for t in range(s.mean.size)
-            )
-            dn = " ".join(
-                f"{X(t + 1):.2f},{Y(max(float(s.ci_lo[t]), 0.0)):.2f}"
-                for t in reversed(range(s.mean.size))
-            )
+            up = " ".join(points(np.minimum(s.ci_hi, ymax)))
+            dn = " ".join(points(np.maximum(s.ci_lo, 0.0))[::-1])
             parts.append(
                 f'<polygon points="{up} {dn}" fill="{color}" fill-opacity="0.2" stroke="none"/>'
             )
     for idx, alg in enumerate(algs):
         s = stats_by_alg[alg]
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(
-            f"{X(t + 1):.2f},{Y(min(float(s.mean[t]), ymax)):.2f}" for t in range(s.mean.size)
-        )
+        pts = " ".join(points(np.minimum(s.mean, ymax)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

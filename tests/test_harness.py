@@ -1,5 +1,6 @@
 """Config parsing, statistics, file emission, and the experiment runner."""
 
+import csv
 import json
 import math
 import os
@@ -37,8 +38,15 @@ from dynaboost.harness.experiments import (
     pendulum_config,
     sanity_suite,
 )
-from dynaboost.harness import runner
-from dynaboost.harness.outputs import write_outputs
+from dynaboost.harness import config, runner
+from dynaboost.harness.outputs import (
+    AGG_HEADER,
+    RAW_HEADER,
+    write_aggregate_csv,
+    write_outputs,
+    write_raw_csv,
+    write_svg,
+)
 from dynaboost.harness.runner import (
     _run_one,
     build_experiment,
@@ -50,7 +58,7 @@ from dynaboost.harness.runner import (
     run_episode,
     run_experiment,
 )
-from dynaboost.harness.stats import aggregate
+from dynaboost.harness.stats import SeriesStats, aggregate
 from dynaboost.losses import ProxyLoss, derive_curvature_bounds
 
 
@@ -64,6 +72,98 @@ T: 30
 runs: 2
 seed: 7
 """
+
+
+_RANGE_ERRORS = {
+    "negative_std": ("disturbance:\n  std: -0.1\n", r"c\.yaml:2: std must be >= 0"),
+    "overparam_beside_gpc": (
+        "weak:\n  kind: gpc\nbaselines:\n  - single\n  - overparam\n",
+        r"c\.yaml:5: baseline 'overparam' needs weak kind 'rnn', got 'gpc'",
+    ),
+    "infinite_std": (
+        "disturbance:\n  std: .inf\n",
+        r"c\.yaml:2: std must be >= 0 and finite, got inf$",
+    ),
+    "infinite_lr": ("weak:\n  lr: .inf\n", r"c\.yaml:2: lr must be positive and finite, got inf$"),
+    "infinite_alpha": (
+        "booster:\n  variant: dynaboost2\n  alpha: .inf\n",
+        r"c\.yaml:3: alpha must be positive and finite, got inf$",
+    ),
+    "infinite_beta": (
+        "booster:\n  variant: dynaboost2\n  beta: .inf\n",
+        r"c\.yaml:3: beta must be positive and finite, got inf$",
+    ),
+    "name_with_slash": (
+        "T: 10\nname: a/b\n",
+        r"c\.yaml:2: name must be a file name without /, \\ or NUL, got 'a/b'$",
+    ),
+    "name_with_backslash": (
+        "name: 'a\\b'\n",
+        r"c\.yaml:1: name must be a file name .*, got 'a\\\\b'$",
+    ),
+    "empty_name": ("name: ''\n", r"c\.yaml:1: name must be a file name .*, got ''$"),
+    "name_dot": ("name: .\n", r"c\.yaml:1: name must be a file name .*, got '\.'$"),
+    "name_dot_dot": ("name: ..\n", r"c\.yaml:1: name must be a file name .*, got '\.\.'$"),
+    "name_with_nul": ('name: "a\\0b"\n', r"c\.yaml:1: name must be a file name .*, got 'a\\x00b'$"),
+    "unknown_variant": (
+        "booster: {variant: dynaboost3}\n",
+        r"c\.yaml:1: booster variant must be one of .*, got 'dynaboost3'$",
+    ),
+    "duplicate_key": ("T: 10\nT: 20\n", r"c\.yaml:2: duplicate key 'T'$"),
+    "duplicate_key_in_a_flow_mapping": (
+        "weak: {lr: 0.1, lr: 0.2}\n",
+        r"c\.yaml:1: duplicate key 'weak\.lr'$",
+    ),
+    "duplicate_key_in_a_block_mapping": (
+        "weak:\n  lr: 0.1\n  kind: gpc\n  lr: 0.2\n",
+        r"c\.yaml:4: duplicate key 'weak\.lr'$",
+    ),
+    "duplicate_key_in_a_list_item": (
+        "baselines:\n  - {a: 1, a: 2}\n",
+        r"c\.yaml:2: duplicate key 'baselines\.0\.a'$",
+    ),
+    "recursive_alias_in_a_list": (
+        "baselines: &x [single, *x]\n",
+        r"c\.yaml:1: recursive alias at 'baselines\.1'$",
+    ),
+    "alias_to_its_own_list": ("T: 10\na: &x [*x]\n", r"c\.yaml:2: recursive alias at 'a\.0'$"),
+    "recursive_alias_in_a_mapping": (
+        "weak: &w\n  lr: 0.1\n  sub: *w\n",
+        r"c\.yaml:3: recursive alias at 'weak\.sub'$",
+    ),
+    "name_of_242_bytes": (
+        "name: " + "a" * 242 + "\n",
+        r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$",
+    ),
+    "name_of_121_e_acutes": (
+        "name: " + "é" * 121 + "\n",
+        r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$",
+    ),
+    "name_with_a_lone_surrogate": (
+        'name: "a\\ud800"\n',
+        r"c\.yaml:1: name must be UTF-8 text, got 'a\\ud800'$",
+    ),
+    "key_from_a_merge": (
+        "T: 10\nweak:\n  <<: {R_M: 1.0,\n    lr: -0.1}\n",
+        r"c\.yaml:4: lr must be positive and finite, got -0\.1$",
+    ),
+}
+
+
+_NAN_ERRORS = {
+    "lr": ("weak:\n  lr: .nan\n", r":2: lr must be positive"),
+    "R_M": ("weak:\n  R_M: .nan\n", r":2: R_M must be positive"),
+    "clip_norm": ("weak:\n  kind: rnn\n  clip_norm: .nan\n", r":3: clip_norm must be positive"),
+    "weight_radius": ("weak:\n  weight_radius: .nan\n", r":2: weight_radius must be positive"),
+    "std": ("disturbance:\n  std: .nan\n", r":2: std must be >= 0"),
+    "alpha": ("booster:\n  variant: dynaboost2\n  alpha: .nan\n", r":3: alpha must be positive"),
+    "beta": ("booster:\n  variant: dynaboost2\n  beta: .nan\n", r":3: beta must be positive"),
+    "action_radius": ("action_radius: .nan\n", r":1: action_radius must be positive"),
+    "divergence_threshold": (
+        "divergence_threshold: .nan\n",
+        r":1: divergence_threshold must be positive, got nan$",
+    ),
+}
 
 
 class TestConfigParsing:
@@ -101,6 +201,20 @@ class TestConfigParsing:
     def test_invalid_yaml_rejected(self):
         with pytest.raises(ConfigError, match="invalid YAML"):
             parse_config("a: [unclosed\n", source="c.yaml")
+
+    def test_a_lone_surrogate_character_is_invalid_yaml(self):
+        # libyaml cannot even encode such a text; PyYAML names the character.
+        with pytest.raises(ConfigError, match=r"^c\.yaml: invalid YAML: unacceptable character #xd800"):
+            parse_config("name: a\ud800\n", source="c.yaml")
+
+    def test_a_valid_config_is_composed_once(self, monkeypatch):
+        loaders = []
+        compose = config._compose
+        monkeypatch.setattr(
+            config, "_compose", lambda text, source, cls: loaders.append(cls) or compose(text, source, cls)
+        )
+        parse_config(MINIMAL_YAML, source="c.yaml")
+        assert loaders == [config._FAST_LOADER]
 
     def test_t_below_h_rejected(self):
         with pytest.raises(ConfigError, match="T >= H"):
@@ -157,70 +271,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="lr must be positive"):
             parse_config("weak:\n  lr: -0.1\n", source="c.yaml")
 
-    @pytest.mark.parametrize(
-        "text, match",
-        [
-            ("disturbance:\n  std: -0.1\n", r"c\.yaml:2: std must be >= 0"),
-            (
-                "weak:\n  kind: gpc\nbaselines:\n  - single\n  - overparam\n",
-                r"c\.yaml:5: baseline 'overparam' needs weak kind 'rnn', got 'gpc'",
-            ),
-            ("disturbance:\n  std: .inf\n", r"c\.yaml:2: std must be >= 0 and finite, got inf$"),
-            ("weak:\n  lr: .inf\n", r"c\.yaml:2: lr must be positive and finite, got inf$"),
-            (
-                "booster:\n  variant: dynaboost2\n  alpha: .inf\n",
-                r"c\.yaml:3: alpha must be positive and finite, got inf$",
-            ),
-            (
-                "booster:\n  variant: dynaboost2\n  beta: .inf\n",
-                r"c\.yaml:3: beta must be positive and finite, got inf$",
-            ),
-            ("T: 10\nname: a/b\n", r"c\.yaml:2: name must be a file name without /, \\ or NUL, got 'a/b'$"),
-            ("name: 'a\\b'\n", r"c\.yaml:1: name must be a file name .*, got 'a\\\\b'$"),
-            ("name: ''\n", r"c\.yaml:1: name must be a file name .*, got ''$"),
-            ("name: .\n", r"c\.yaml:1: name must be a file name .*, got '\.'$"),
-            ("name: ..\n", r"c\.yaml:1: name must be a file name .*, got '\.\.'$"),
-            ('name: "a\\0b"\n', r"c\.yaml:1: name must be a file name .*, got 'a\\x00b'$"),
-            ("booster: {variant: dynaboost3}\n", r"c\.yaml:1: booster variant must be one of .*, got 'dynaboost3'$"),
-            ("T: 10\nT: 20\n", r"c\.yaml:2: duplicate key 'T'$"),
-            ("weak: {lr: 0.1, lr: 0.2}\n", r"c\.yaml:1: duplicate key 'weak\.lr'$"),
-            ("weak:\n  lr: 0.1\n  kind: gpc\n  lr: 0.2\n", r"c\.yaml:4: duplicate key 'weak\.lr'$"),
-            ("baselines:\n  - {a: 1, a: 2}\n", r"c\.yaml:2: duplicate key 'baselines\.0\.a'$"),
-            ("baselines: &x [single, *x]\n", r"c\.yaml:1: recursive alias at 'baselines\.1'$"),
-            ("T: 10\na: &x [*x]\n", r"c\.yaml:2: recursive alias at 'a\.0'$"),
-            ("weak: &w\n  lr: 0.1\n  sub: *w\n", r"c\.yaml:3: recursive alias at 'weak\.sub'$"),
-            ("name: " + "a" * 242 + "\n", r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$"),
-            ("name: " + "é" * 121 + "\n", r"c\.yaml:1: name must be at most 241 bytes in UTF-8, got 242$"),
-            ('name: "a\\ud800"\n', r"c\.yaml:1: name must be UTF-8 text, got 'a\\ud800'$"),
-            ("T: 10\nweak:\n  <<: {R_M: 1.0,\n    lr: -0.1}\n", r"c\.yaml:4: lr must be positive and finite, got -0\.1$"),
-        ],
-        ids=[
-            "negative_std",
-            "overparam_beside_gpc",
-            "infinite_std",
-            "infinite_lr",
-            "infinite_alpha",
-            "infinite_beta",
-            "name_with_slash",
-            "name_with_backslash",
-            "empty_name",
-            "name_dot",
-            "name_dot_dot",
-            "name_with_nul",
-            "unknown_variant",
-            "duplicate_key",
-            "duplicate_key_in_a_flow_mapping",
-            "duplicate_key_in_a_block_mapping",
-            "duplicate_key_in_a_list_item",
-            "recursive_alias_in_a_list",
-            "alias_to_its_own_list",
-            "recursive_alias_in_a_mapping",
-            "name_of_242_bytes",
-            "name_of_121_e_acutes",
-            "name_with_a_lone_surrogate",
-            "key_from_a_merge",
-        ],
-    )
+    @pytest.mark.parametrize("text, match", _RANGE_ERRORS.values(), ids=_RANGE_ERRORS.keys())
     def test_range_error_names_line(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(text, source="c.yaml")
@@ -242,31 +293,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig().override(**kw)
 
-    @pytest.mark.parametrize(
-        "text, match",
-        [
-            ("weak:\n  lr: .nan\n", r":2: lr must be positive"),
-            ("weak:\n  R_M: .nan\n", r":2: R_M must be positive"),
-            ("weak:\n  kind: rnn\n  clip_norm: .nan\n", r":3: clip_norm must be positive"),
-            ("weak:\n  weight_radius: .nan\n", r":2: weight_radius must be positive"),
-            ("disturbance:\n  std: .nan\n", r":2: std must be >= 0"),
-            ("booster:\n  variant: dynaboost2\n  alpha: .nan\n", r":3: alpha must be positive"),
-            ("booster:\n  variant: dynaboost2\n  beta: .nan\n", r":3: beta must be positive"),
-            ("action_radius: .nan\n", r":1: action_radius must be positive"),
-            ("divergence_threshold: .nan\n", r":1: divergence_threshold must be positive, got nan$"),
-        ],
-        ids=[
-            "lr",
-            "R_M",
-            "clip_norm",
-            "weight_radius",
-            "std",
-            "alpha",
-            "beta",
-            "action_radius",
-            "divergence_threshold",
-        ],
-    )
+    @pytest.mark.parametrize("text, match", _NAN_ERRORS.values(), ids=_NAN_ERRORS.keys())
     def test_nan_fails_the_range_check(self, text, match):
         with pytest.raises(ConfigError, match=r"^c\.yaml" + match):
             parse_config(text, source="c.yaml")
@@ -340,6 +367,31 @@ class TestConfigParsing:
         assert cfg.source == str(p)
 
 
+class TestConfigParsingWithoutLibyaml(TestConfigParsing):
+    """Every config case again, on the path of a PyYAML built without libyaml."""
+
+    @pytest.fixture(autouse=True)
+    def _pure_python_loader(self, monkeypatch):
+        monkeypatch.setattr(config, "_FAST_LOADER", yaml.SafeLoader)
+
+
+def test_both_loaders_give_every_error_the_same_message(monkeypatch):
+    texts = [text for text, _ in (*_RANGE_ERRORS.values(), *_NAN_ERRORS.values())]
+    texts += ["a: [unclosed\n", "T: soon\n", "name: x\nbogus: 1\n", "name: a\ud800\n", "a:\n\tb: 1\n"]
+
+    def messages() -> list[str]:
+        found = []
+        for text in texts:
+            with pytest.raises(ConfigError) as e:
+                parse_config(text, source="c.yaml")
+            found.append(str(e.value))
+        return found
+
+    fast = messages()
+    monkeypatch.setattr(config, "_FAST_LOADER", yaml.SafeLoader)
+    assert messages() == fast
+
+
 class TestAggregate:
     def test_three_runs_hand_stats(self):
         s = aggregate([np.array([1.0]), np.array([2.0]), np.array([3.0])])
@@ -395,7 +447,90 @@ def _fake_payload(T=10, runs=2):
     return cfg, trajectories, stats, hashes
 
 
+def _reference_csvs(raw_path, agg_path, experiment, trajectories, stats_by_alg):
+    """The csv.writer rows and format(x, ".10g") cells that the CSV writers must reproduce."""
+
+    def fmt(x):
+        return format(float(x), ".10g")
+
+    with open(raw_path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(RAW_HEADER)
+        for alg in sorted(trajectories):
+            for traj in sorted(trajectories[alg], key=lambda t: t.seed):
+                avg = traj.running_average()
+                for t in range(traj.horizon):
+                    w.writerow([experiment, alg, traj.seed, t + 1, fmt(traj.costs[t]), fmt(avg[t])])
+    with open(agg_path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(AGG_HEADER)
+        for alg in sorted(stats_by_alg):
+            s = stats_by_alg[alg]
+            for t in range(s.mean.size):
+                band = [fmt(s.ci_lo[t]), fmt(s.ci_hi[t])] if s.has_ci else ["", ""]
+                w.writerow([alg, t + 1, fmt(s.mean[t]), *band])
+
+
+def _reference_points(stats_by_alg) -> list[str]:
+    """Each polygon's, then each polyline's, points, from the SVG's layout on Python floats."""
+    T = max(s.mean.size for s in stats_by_alg.values())
+    ymax = 0.0
+    for s in stats_by_alg.values():
+        ymax = max(ymax, float((s.ci_hi if s.has_ci else s.mean).max(initial=0.0)))
+    ymax = 1.05 * ymax if ymax > 0 else 1.0
+
+    def line(values, clamp):
+        xs = [70.0 + 630.0 * t / max(T - 1, 1) for t in range(len(values))]
+        ys = [430.0 - 390.0 * (clamp(float(v)) / ymax) for v in values]
+        return [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
+
+    algs = sorted(stats_by_alg)
+    bands = [
+        " ".join(line(s.ci_hi, lambda v: min(v, ymax)) + line(s.ci_lo, lambda v: max(v, 0.0))[::-1])
+        for s in (stats_by_alg[a] for a in algs)
+        if s.has_ci
+    ]
+    return bands + [" ".join(line(stats_by_alg[a].mean, lambda v: min(v, ymax))) for a in algs]
+
+
+def _traj(costs, seed):
+    T = len(costs)
+    return Trajectory(np.zeros((T + 1, 1)), np.zeros((T, 1)), np.zeros((T, 1)), np.array(costs), seed=seed)
+
+
+_ODD = [math.inf, -math.inf, math.nan, -0.0, 1e-300, 123456789012.5]
+_EMISSION_CASES = {
+    "quoted_name": (
+        'a,"b"\nc',
+        {alg: [_fake_traj(alg, s, T=6) for s in range(2)] for alg in ("boosted", "zero")},
+        None,
+    ),
+    # a run cut short by divergence; costs and a band that run through inf and NaN
+    "odd_costs": (
+        "demo",
+        {"boosted": [_traj([1e-300, math.inf, 2.0, math.nan], 1), _traj([-0.0, -math.inf, 123456789012.5], 0)]},
+        {"boosted": SeriesStats(np.array(_ODD), np.array(_ODD) - 1.0, np.array([math.inf, *_ODD[3:], 1.0, 1.0]))},
+    ),
+    "one_run": ("demo", {"zero": [_fake_traj("zero", 0, T=5)]}, None),
+}
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("experiment, trajs, stats", _EMISSION_CASES.values(), ids=_EMISSION_CASES.keys())
+    def test_emission_equals_the_csv_modules_bytes(self, tmp_path, experiment, trajs, stats):
+        if stats is None:
+            stats = {alg: aggregate([t.running_average() for t in ts]) for alg, ts in trajs.items()}
+        write_raw_csv(tmp_path / "raw.csv", experiment, trajs)
+        write_aggregate_csv(tmp_path / "agg.csv", stats)
+        _reference_csvs(tmp_path / "raw_ref.csv", tmp_path / "agg_ref.csv", experiment, trajs, stats)
+        assert (tmp_path / "raw.csv").read_bytes() == (tmp_path / "raw_ref.csv").read_bytes()
+        assert (tmp_path / "agg.csv").read_bytes() == (tmp_path / "agg_ref.csv").read_bytes()
+        write_svg(tmp_path / "plot.svg", experiment, stats)
+        root = ET.parse(tmp_path / "plot.svg").getroot()
+        shapes = [root.findall(f".//{{http://www.w3.org/2000/svg}}{tag}") for tag in ("polygon", "polyline")]
+        assert len(shapes[0]) == sum(s.has_ci for s in stats.values())
+        assert [e.get("points") for e in shapes[0] + shapes[1]] == _reference_points(stats)
+
     def test_raw_csv_row_count_and_header(self, tmp_path):
         cfg, trajs, stats, hashes = _fake_payload(T=10, runs=2)
         paths = write_outputs(tmp_path, cfg, trajs, stats, hashes, {})
