@@ -10,7 +10,8 @@ eta*beta/2) with the constant step eta = alpha/beta.
 
 SharedStep is the run's batched form of that loop, bit for bit: the
 runner takes one per round for every policy of a run that learns, one
-level-stack step per parameter layout.
+level-stack step per parameter layout. It owns the run's one anchor
+block: each policy's anchors become its rows of that block.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 # as_vector stays importable from this module: perfbench/spans.py counts
 # its calls per importing module.
 from dynaboost.controllers import LevelStack
-from dynaboost.core import Array, as_vector, push_window  # noqa: F401
+from dynaboost.core import Array, as_vector  # noqa: F401
 from dynaboost.losses import CurvatureBounds, ResidualLoss
 
 
@@ -49,8 +50,10 @@ class DynaBoost:
     anchors is one (N, H, d) array: row i holds the last H partial actions
     u^i, oldest first and zero-padded at the start, and anchors level
     i + 1's residual. Row 0 is identically zero; act returns u^N, the
-    played action, which no level anchors on. act must precede update
-    within each round; the runner keeps that order, so it is not checked.
+    played action, which no level anchors on. act writes anchors in
+    place, so a SharedStep can rebind them to rows of its block, as it
+    does with a run's boosters. act must precede update within each
+    round; the runner keeps that order, so it is not checked.
     coefficients holds each level's residual curvature: 0 under dynaboost1,
     eta_i*beta/2 under dynaboost2. Learners with a parameter layout must
     share one (controllers.LevelStack.check_layouts), so that a run can
@@ -73,12 +76,14 @@ class DynaBoost:
             LevelStack.check_layouts(self.learners)
 
     def act(self, obs) -> Array:
-        partials = np.zeros((self.N, self.action_dim))
-        u = np.zeros(self.action_dim)
-        for i, (eta, learner) in enumerate(zip(self.etas, self.learners)):
-            partials[i] = u
+        anchors = self.anchors
+        anchors[:, :-1] = anchors[:, 1:]
+        newest = anchors[:, -1]
+        # u^0 = 0 as a float: 0.0 + x and zeros + x give the same bits.
+        u = 0.0
+        for i, (eta, learner) in enumerate(zip(self.etas.tolist(), self.learners)):
+            newest[i] = u
             u = (1.0 - eta) * u + eta * learner.act(obs.disturbances)
-        push_window(self.anchors, partials)
         return u
 
     def update(self, window_loss, w_history) -> None:
@@ -99,31 +104,42 @@ class SharedStep:
     """DynaBoost.update's batched form, bit for bit, for several learning policies at once.
 
     A learning policy exposes learners, anchors (an (L, H, d) array whose
-    row i anchors learner i's residual) and coefficients ((L,) residual
-    curvatures). The policies' learners are grouped by parameter layout, in
-    policy order, and each group is joined into one controllers.LevelStack
-    (see LevelStack.join). step asks the window loss for gradients once, at
-    every policy's anchors concatenated, and takes one LevelStack.step per
-    layout. Each row's arithmetic is that of its level stepping alone.
+    row i anchors learner i's residual, written in place by its act) and
+    coefficients ((L,) residual curvatures). The policies' learners are
+    grouped by parameter layout, in policy order, and each group is joined
+    into one controllers.LevelStack (see LevelStack.join). The shared step
+    owns the run's anchor block, every policy's anchors stacked in that
+    order: it copies their current windows into it and rebinds each
+    policy's anchors to its rows, so a shared step made earlier over them
+    no longer sees their acts. step asks the window loss for gradients
+    once, at the whole block, and takes one LevelStack.step per layout.
+    Each row's arithmetic is that of its level stepping alone.
     """
 
     def __init__(self, policies: list):
         groups: dict = {}
         for p in policies:
             groups.setdefault(p.learners[0].layout, []).append(p)
-        self.policies = [p for group in groups.values() for p in group]
-        self.coefficients = np.concatenate([p.coefficients for p in self.policies])[:, None, None]
+        ordered = [p for group in groups.values() for p in group]
+        self.anchors = np.concatenate([p.anchors for p in ordered])
+        start = 0
+        for p in ordered:
+            p.anchors = self.anchors[start : start + len(p.anchors)]
+            start += len(p.anchors)
+        coefficients = np.concatenate([p.coefficients for p in ordered])[:, None, None]
+        # (stack, its rows, their anchors, their coefficients), sliced once.
         self.stacks = []
         start = 0
         for group in groups.values():
             learners = [c for p in group for c in p.learners]
-            self.stacks.append((LevelStack.join(learners), slice(start, start + len(learners))))
+            rows = slice(start, start + len(learners))
+            self.stacks.append(
+                (LevelStack.join(learners), rows, self.anchors[rows], coefficients[rows])
+            )
             start += len(learners)
 
     def step(self, window_loss, w_history) -> None:
         """window_loss.gradients takes an (L, H, d) stack; w_history as in DynaBoost.update."""
-        anchors = np.concatenate([p.anchors for p in self.policies])
-        grads = window_loss.gradients(anchors)
-        for levels, rows in self.stacks:
-            loss = ResidualLoss(grads[rows], anchors[rows], self.coefficients[rows])
-            levels.step(loss, w_history)
+        grads = window_loss.gradients(self.anchors)
+        for levels, rows, anchors, coefficients in self.stacks:
+            levels.step(ResidualLoss(grads[rows], anchors, coefficients), w_history)

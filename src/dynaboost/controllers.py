@@ -93,10 +93,11 @@ class _Learner:
     A family supplies its parameters as one array (params, which _bind
     sets with their named views, weights), their named block shapes
     (_shapes), the radius of their parameter ball (radius), _views and
-    _level_gradients, which writes every level's gradient into the stack's
-    buffer and returns it with the (L,) mask of the levels whose gradient
-    is finite; LevelStack runs the one step over them. A family without
-    clip_norm is not clipped, so its gradient norm is never taken.
+    _level_gradients, which writes every level's gradient through the
+    stack's views of its buffer and returns the buffer with the (L,) mask
+    of the levels whose gradient is finite; LevelStack runs the one step
+    over them. A family without clip_norm is not clipped, so its gradient
+    norm is never taken.
     """
 
     clip_norm = math.inf
@@ -177,14 +178,17 @@ class GpcController(_Learner):
         raw = np.einsum("mdk,mk->d", self.params, window[::-1])
         return project_to_ball(raw, self.action_ball)
 
-    def _level_gradients(self, M: Array, loss, w_history, out: Array) -> tuple[Array, Array]:
+    def _level_gradients(
+        self, M: Array, loss, w_history, out: Array, grads: Array
+    ) -> tuple[Array, Array]:
         """(out, finite): every level's gradient of its residual in its M, and the finite levels.
 
         All H window slots of all L levels of the (L, H, d, k) M are
         replayed at once; the loss gradients at the played (projected)
         actions are chained back through the ball projection, so the
         parameter gradient is exact for the actions the window loss sees.
-        out, shaped like M, receives the gradients.
+        out, shaped like M, receives the gradients; grads, its view, is out
+        itself.
         """
         rev = _slot_windows(w_history, self.H)[:, ::-1, :]
         # rev[j, m] = disturbance m+1 steps before slot j's action
@@ -432,26 +436,25 @@ class RecurrentController(_Learner):
         return project_to_ball(raw[0], self.action_ball)
 
     def _level_gradients(
-        self, weights: dict[str, Array], loss, w_history, out: Array
+        self, weights: dict[str, Array], loss, w_history, out: Array, grads: dict[str, Array]
     ) -> tuple[Array, Array]:
         """(out, finite): every level's (P,) gradient of its residual, and the finite levels.
 
         One forward and one backward pass run over all L levels of the
-        stack's weights, into the (L, P) out. The per-slot loss gradients are
-        taken at the played (projected) actions and backpropagated through
-        the raw forward pass. Chaining through the ball projection instead
-        would zero the gradient of any saturated slot when the action is
-        scalar (the projection has no tangent directions in 1-d),
-        permanently freezing a learner that a persistent disturbance once
-        pushed past the rim; training on the raw outputs keeps such a
-        learner recoverable when the residual flips.
+        stack's weights, into the (L, P) out through grads, its named views.
+        The per-slot loss gradients are taken at the played (projected)
+        actions and backpropagated through the raw forward pass. Chaining
+        through the ball projection instead would zero the gradient of any
+        saturated slot when the action is scalar (the projection has no
+        tangent directions in 1-d), permanently freezing a learner that a
+        persistent disturbance once pushed past the rim; training on the raw
+        outputs keeps such a learner recoverable when the residual flips.
         """
         windows = _slot_windows(w_history, self.H)
         raws, h, cache = _raw_outputs(self.cell, weights, windows)
         actions, _ = project_slots(raws, self.action_ball)
         g = loss.slot_gradients(actions)
         out.fill(0.0)
-        grads = self._views(out)
         grads["W_o"][...] = g.swapaxes(-1, -2) @ h
         grads["b_o"][...] = g.sum(axis=-2)
         self.cell.backward(weights, cache, g @ weights["W_o"], grads)
@@ -463,10 +466,11 @@ class LevelStack:
 
     params is (L, H, d, k) for GPC and (L, P) for the recurrent nets;
     weights is the family's view of it (GPC reads M as is, a recurrent net
-    reads its named blocks). join makes a stack over learners; a lone
-    learner steps as the stack of its own params at L = 1. The loss
-    holds one residual per level along a leading axis; a lone (H, d)
-    residual broadcasts to L = 1. The learners share one layout
+    reads its named blocks). The stack binds weights, and the same views of
+    its one gradient buffer, once, when it is made. join makes a stack over
+    learners; a lone learner steps as the stack of its own params at
+    L = 1. The loss holds one residual per level along a leading axis; a
+    lone (H, d) residual broadcasts to L = 1. The learners share one layout
     (_Learner.layout); each keeps its own step settings, radius and counts.
     """
 
@@ -476,6 +480,7 @@ class LevelStack:
         self.weights = learners[0]._views(params)
         # Every level's gradient lands in this one buffer, shaped like params.
         self._gradient = np.empty(params.shape)
+        self._gradient_views = learners[0]._views(self._gradient)
 
     @classmethod
     def join(cls, learners: list) -> "LevelStack":
@@ -512,7 +517,9 @@ class LevelStack:
         stack's one buffer, so the next call overwrites it. finite is the
         (L,) mask of the levels whose gradient has no non-finite entry.
         """
-        return self.learners[0]._level_gradients(self.weights, loss, w_history, self._gradient)
+        return self.learners[0]._level_gradients(
+            self.weights, loss, w_history, self._gradient, self._gradient_views
+        )
 
     def step(self, loss, w_history) -> None:
         """One projected OGD step per level: lr or lr/sqrt(t), clipped, then onto the radius.

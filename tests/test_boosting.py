@@ -300,6 +300,47 @@ class TestHeldSharedStep:
             shared.step(window_loss, hist)
             assert not np.array_equal(booster.act(ob), before)
 
+    @pytest.mark.parametrize("name", ["sanity_d1", "walk_rnn"])
+    def test_shared_step_owns_the_anchor_block(self, name):
+        # The shared step copies the policies' windows into its block and
+        # rebinds their anchors to its rows; a later shared step over a
+        # subset, as after a divergence, carries their windows over.
+        cfg = next(c for c in (*sanity_suite(runs=1), *correlated_suite(runs=1)) if c.name == name)
+        system, cost, derived = build_experiment(cfg)
+        policies = build_policies(cfg, system, cost, 0, derived)[:2]
+        booster, single = policies
+        H, k = cfg.H, system.state_dim
+        w = draw_disturbances(cfg, k, 0)
+
+        def play(t):
+            hist = w[t - 2 * H + 1 : t]
+            ob = Observation(np.zeros(k), hist[H - 1 :])
+            for p in policies:
+                p.act(ob)
+            return hist
+
+        shared = SharedStep(policies)
+        assert shared.anchors.shape == (cfg.N + 1, H, system.action_dim)
+        for p in policies:
+            assert np.shares_memory(p.anchors, shared.anchors)
+        # Fresh learners play zero, so a few steps fill the windows.
+        for t in range(2 * H - 1, 2 * H + 2):
+            hist = play(t)
+            shared.step(ProxyLoss(system, cost, hist[H:]), hist)
+        assert booster.anchors[1:].any() and single.anchors.any()
+        assert np.array_equal(shared.anchors, np.concatenate([booster.anchors, single.anchors]))
+        # The booster leaves, as a diverged policy does: single's window is
+        # carried over bit for bit, and the first block no longer backs it.
+        window = single.anchors.copy()
+        survivors = SharedStep([single])
+        assert single.anchors.tobytes() == window.tobytes()
+        assert not np.shares_memory(single.anchors, shared.anchors)
+        left = shared.anchors[cfg.N :].copy()
+        play(2 * H + 2)
+        assert np.array_equal(shared.anchors[cfg.N :], left)
+        assert np.shares_memory(single.anchors, survivors.anchors)
+        assert not np.array_equal(single.anchors, window)
+
 
 class TestConstruction:
     def test_empty_learner_list_rejected(self):

@@ -746,6 +746,17 @@ class TestCellsMatchPerStepLoops:
             G, finite = stack.gradients(loss, hist)
             assert finite.all()
             assert _same_bits(G, want), (L, H, hd)
+            # The stack's gradient views, bound when it was made, still back
+            # its buffer after a step and on a new loss and history.
+            stack.step(loss, hist)
+            hist = rng.standard_normal((2 * H - 1, k))
+            loss = ResidualLoss(
+                rng.standard_normal((L, H, 2)), rng.standard_normal((L, H, 2)), 0.5
+            )
+            want = _per_step_gradients(family, levels[0], stack.params, loss, hist)
+            G, finite = stack.gradients(loss, hist)
+            assert finite.all()
+            assert _same_bits(G, want), ("after a step", L, H, hd)
 
 
 class TestSolveDare:
