@@ -1,12 +1,13 @@
 """Boosting meta-controllers over N weak learners.
 
-Per round: act combines the learners' actions by the step-length
-recursion u^i = (1 - eta_i) u^{i-1} + eta_i A_i, starting from u^0 = 0;
-update is the paper's per-level loop: one window-loss gradients call at
-the N level anchors u^0..u^{N-1}, then each level receives its own
-ResidualLoss and steps. Two variants: linear residuals (coefficient 0)
-with eta_i = 2/(i+1), and proximal quadratic residuals (coefficient
-eta*beta/2) with the constant step eta = alpha/beta.
+Per round: act hands the (H, k) disturbance window to every learner and
+combines their actions by the step-length recursion
+u^i = (1 - eta_i) u^{i-1} + eta_i A_i, starting from u^0 = 0; update is
+the paper's per-level loop: one window-loss gradients call at the N level
+anchors u^0..u^{N-1}, then each level receives its own ResidualLoss and
+steps. Two variants: linear residuals (coefficient 0) with
+eta_i = 2/(i+1), and proximal quadratic residuals (coefficient eta*beta/2)
+with the constant step eta = alpha/beta.
 
 SharedStep is the run's batched form of that loop, bit for bit: the
 runner takes one per round for every policy of a run that learns, one
@@ -69,13 +70,12 @@ class DynaBoost:
         self.etas = step_lengths(self.N, curvature)  # rejects an empty list
         self.variant = "dynaboost1" if curvature is None else "dynaboost2"
         self.coefficients = np.zeros(self.N) if curvature is None else 0.5 * self.etas * curvature.beta
-        self.action_dim = self.learners[0].action_ball.dim
-        self.anchors = np.zeros((self.N, self.learners[0].H, self.action_dim))
+        self.anchors = np.zeros((self.N, self.learners[0].H, self.learners[0].action_ball.dim))
         # Learners that cannot share one stack fail here, not at a run's first step.
         if any(hasattr(c, "layout") for c in self.learners):
             LevelStack.check_layouts(self.learners)
 
-    def act(self, obs) -> Array:
+    def act(self, window: Array) -> Array:
         anchors = self.anchors
         anchors[:, :-1] = anchors[:, 1:]
         newest = anchors[:, -1]
@@ -83,7 +83,7 @@ class DynaBoost:
         u = 0.0
         for i, (eta, learner) in enumerate(zip(self.etas.tolist(), self.learners)):
             newest[i] = u
-            u = (1.0 - eta) * u + eta * learner.act(obs.disturbances)
+            u = (1.0 - eta) * u + eta * learner.act(window)
         return u
 
     def update(self, window_loss, w_history) -> None:

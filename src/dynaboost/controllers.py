@@ -2,13 +2,14 @@
 
 Every controller returns an action inside its action_ball. The learners
 (GPC and the recurrent family) act on the (H, k) window of recent
-disturbances, then take receive_loss(loss, w_history): a
-losses.ResidualLoss over the window of their last H actions (coefficient
-0 under dynaboost1), plus the (2H-1, k) disturbance history
-w_{t-2H+1}..w_{t-1}, which contains the window that generated each of
-those actions. They differentiate the loss's slot_gradients through their
-own action map, treating all H window actions as produced by the current
-parameters.
+disturbances w_{t-H}..w_{t-1}, oldest first and zero-padded at the start
+of a run (taken as given, so nothing is checked per round), then take
+receive_loss(loss, w_history): a losses.ResidualLoss over the window of
+their last H actions (coefficient 0 under dynaboost1), plus the (2H-1, k)
+disturbance history w_{t-2H+1}..w_{t-1}, which contains the window that
+generated each of those actions. They differentiate the loss's
+slot_gradients through their own action map, treating all H window
+actions as produced by the current parameters.
 
 Both families keep their parameters in one array and share one projected
 online step, written once in LevelStack, over a leading level axis: L
@@ -16,9 +17,9 @@ learners of one layout with their parameters as the rows of one array
 (LevelStack.join says what a join does to its learners). A lone learner's
 receive_loss, DynaBoost.update's per-level call, is the same step at L = 1.
 
-ZeroController and LqrController are fixed policies: each has a name and
-an act on an Observation, and no learners, so they take no part in a
-round's shared step; a run of fixed policies builds no window loss.
+ZeroController and LqrController are fixed policies: each has a name, an
+act on the (k,) state, and no learners, so they take no part in a round's
+shared step; a run of fixed policies builds no window loss.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +43,6 @@ from dynaboost.core import (  # noqa: F401
 )
 
 
-@dataclass
-class Observation:
-    """What a controller sees at round t.
-
-    state is the (k,) float64 state; disturbances is the (H, k) float64
-    window w_{t-H}..w_{t-1}, oldest first and zero-padded at the start of a
-    run. Both are taken as given: the runner builds them from validated
-    arrays, so nothing is coerced or checked per round.
-    """
-
-    state: Array
-    disturbances: Array
-
-
 class ZeroController:
     """Always outputs the zero action; ignores losses."""
 
@@ -65,7 +51,7 @@ class ZeroController:
     def __init__(self, action_ball: BallSet):
         self.action_ball = action_ball
 
-    def act(self, obs: Observation) -> Array:
+    def act(self, state: Array) -> Array:
         return np.zeros(self.action_ball.dim)
 
 
@@ -158,7 +144,7 @@ class GpcController(_Learner):
         lr_schedule: str = "sqrt",
     ):
         super().__init__(H, action_ball, lr, lr_schedule)
-        if R_M <= 0:
+        if not R_M > 0:
             raise ValueError("R_M must be positive")
         self.radius = R_M
         self._bind(np.zeros((H, action_ball.dim, state_dim)))
@@ -402,9 +388,9 @@ class RecurrentController(_Learner):
         weight_radius: float = 10.0,
     ):
         super().__init__(H, action_ball, lr, lr_schedule)
-        if lr <= 0 or clip_norm <= 0:
+        if not lr > 0 or not clip_norm > 0:
             raise ValueError("lr and clip_norm must be positive")
-        if weight_radius <= 0:
+        if not weight_radius > 0:
             raise ValueError("weight_radius must be positive")
         cells = {"elman": ElmanCell, "lstm": LstmCell}
         if cell not in cells:
@@ -498,16 +484,20 @@ class LevelStack:
 
     @staticmethod
     def check_layouts(learners: list) -> None:
-        """Raise a ValueError naming their block shapes unless the learners share one layout."""
+        """Unless the learners share one layout, raise a ValueError naming each one's H, ball, blocks."""
+
+        def describe(layout) -> str:
+            if layout is None:
+                return "no parameters"
+            _, H, ball, shapes = layout
+            blocks = ", ".join(f"{k} {s}" for k, s in shapes)
+            return f"H {H}, ball of radius {ball.radius} in {ball.dim}-d, {blocks}"
+
         layouts = {getattr(c, "layout", None) for c in learners}
         if len(layouts) != 1 or None in layouts:
-            shapes = {
-                ", ".join(f"{k} {s}" for k, s in layout[-1]) if layout else "no parameters"
-                for layout in layouts
-            }
             raise ValueError(
                 "stacked levels must share the memory length, the action ball and one "
-                f"parameter layout, got {'; '.join(sorted(shapes))}"
+                f"parameter layout, got {'; '.join(sorted(map(describe, layouts)))}"
             )
 
     def gradients(self, loss, w_history) -> tuple[Array, Array]:
@@ -597,5 +587,5 @@ class LqrController:
         self.action_ball = action_ball
         self.K = as_matrix(K, rows=action_ball.dim)
 
-    def act(self, obs: Observation) -> Array:
-        return project_to_ball(-self.K @ obs.state, self.action_ball)
+    def act(self, state: Array) -> Array:
+        return project_to_ball(-self.K @ state, self.action_ball)

@@ -54,6 +54,11 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()))
 
 
+def _worse(worst: float, err: float) -> float:
+    """The larger error, NaN if either is, so a NaN error fails its check; max would drop it."""
+    return float(np.maximum(worst, err))
+
+
 def _random_residual(rng, H, d, kind: str):
     grads = rng.normal(size=(H, d))
     if kind == "linear":
@@ -72,7 +77,7 @@ def check_window_loss(system, name: str) -> CheckResult:
         U0 = WINDOW_SCALE * rng.normal(size=(H, system.action_dim))
         analytic = ctx.gradients(U0).ravel()
         fd = _central_fd(lambda v: ctx.value(v.reshape(U0.shape)), U0.ravel().copy())
-        worst = max(worst, _rel_err(analytic, fd))
+        worst = _worse(worst, _rel_err(analytic, fd))
     return CheckResult(name, worst, TOL_DEFAULT)
 
 
@@ -98,7 +103,7 @@ def check_gpc_gradient() -> CheckResult:
             return loss.value(np.stack([gpc.act(window) for window in windows]))
 
         fd = _central_fd(composed, gpc.M.ravel().copy())
-        worst = max(worst, _rel_err(G, fd))
+        worst = _worse(worst, _rel_err(G, fd))
     return CheckResult("gpc parameter gradient", worst, TOL_DEFAULT)
 
 
@@ -133,7 +138,7 @@ def check_rnn_gradient(cell: str) -> CheckResult:
 
         fd = _central_fd(composed, theta0.copy())
         ctrl.params[...] = theta0
-        worst = max(worst, _rel_err(analytic, fd))
+        worst = _worse(worst, _rel_err(analytic, fd))
     return CheckResult(f"{cell} backprop through time", worst, TOL_RNN)
 
 
@@ -157,7 +162,7 @@ def check_comparator_gradient() -> CheckResult:
             lambda v: evaluate_fixed_gpc(W, v.reshape(H, d, k), system, cost, H),
             M0.ravel().copy(),
         )
-        worst = max(worst, _rel_err(analytic, fd))
+        worst = _worse(worst, _rel_err(analytic, fd))
     return CheckResult("comparator quadratic gradient", worst, TOL_DEFAULT)
 
 

@@ -24,7 +24,6 @@ from dynaboost.boosting import DynaBoost, SharedStep
 from dynaboost.controllers import (
     GpcController,
     LqrController,
-    Observation,
     RecurrentController,
     ZeroController,
     solve_dare,
@@ -139,8 +138,8 @@ class _SelfTaughtPolicy:
         self.learners = [ctrl]
         self.anchors = np.zeros((1, ctrl.H, ctrl.action_ball.dim))
 
-    def act(self, obs: Observation):
-        u = self.ctrl.act(obs.disturbances)
+    def act(self, window):
+        u = self.ctrl.act(window)
         push_window(self.anchors, u)
         return u
 
@@ -200,12 +199,6 @@ def build_policies(
     return policies
 
 
-def _shared_step(policies: list) -> SharedStep | None:
-    """The shared step of the policies that learn (those with learners); None if none does."""
-    learning = [p for p in policies if hasattr(p, "learners")]
-    return SharedStep(learning) if learning else None
-
-
 def run_episode(
     system,
     cost,
@@ -216,12 +209,16 @@ def run_episode(
 ) -> list[Trajectory]:
     """Every policy of one run over one disturbance stream, in lockstep; one trajectory each.
 
-    The run joins its learners here (see controllers.LevelStack.join). A
-    policy whose state diverges in round t leaves at round t, before that
-    round's shared step, and the learners still running are joined again.
-    A round in which no running policy learns builds no window loss.
+    A policy that learns (one with learners) acts on the (H, k) window of
+    recent disturbances, a fixed one on its (k,) state. The run joins its
+    learners here (see controllers.LevelStack.join). A policy whose state
+    diverges in round t leaves at round t, before that round's shared
+    step, and the learners still running are joined again. A round in
+    which no running policy learns builds no window loss.
     """
-    shared = _shared_step(policies)
+    learns = [hasattr(p, "learners") for p in policies]
+    learning = [p for p, learns_p in zip(policies, learns) if learns_p]
+    shared = SharedStep(learning) if learning else None
     T, k = w_seq.shape
     H = cfg.H
     n = len(policies)
@@ -242,7 +239,7 @@ def run_episode(
         hist = padded[t : t + 2 * H - 1]
         recent = hist[H - 1 :]
         for i in running:
-            actions[i, t] = policies[i].act(Observation(states[i, t], recent))
+            actions[i, t] = policies[i].act(recent if learns[i] else states[i, t])
         X, U = states[rows, t], actions[rows, t]
         costs[rows, t] = C = cost.value(X, U)
         states[rows, t + 1] = X = system.step(X, U, w_seq[t])
@@ -255,7 +252,8 @@ def run_episode(
                 # A finite state past the threshold is recorded as the last one.
                 ends[running[j]] = t + 1 if np.isfinite(X[j]).all() and math.isfinite(C[j]) else t
             running = rows = [i for i, keep in zip(running, kept.tolist()) if keep]
-            shared = _shared_step([policies[i] for i in running])
+            learning = [policies[i] for i in running if learns[i]]
+            shared = SharedStep(learning) if learning else None
         if shared is not None:
             shared.step(ProxyLoss(system, cost, hist[H:]), hist)
         if not running:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dynaboost.boosting import DynaBoost, combination_weights
-from dynaboost.controllers import Observation, solve_dare
+from dynaboost.controllers import solve_dare
 from dynaboost.core import BallSet, random_stream
 from dynaboost.dynamics import random_lds
 from dynaboost.harness import gradcheck
@@ -114,9 +114,6 @@ class WeightedQuadTarget:
         return float(np.sum(self.lam * (u - self.u_star) ** 2))
 
 
-_OBS = Observation(state=np.zeros(1), disturbances=np.zeros((1, 1)))
-
-
 # ---------------------------------------------------------------------------
 # algebraic checks
 
@@ -130,7 +127,7 @@ def test_combination_weight_identity():
         for _ in range(100):
             actions = rng.normal(size=(N, 3))
             booster = DynaBoost([FixedLearner(a) for a in actions])
-            out = booster.act(_OBS)
+            out = booster.act(np.zeros((1, 1)))
             worst = max(worst, float(np.abs(out - gammas @ actions).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -192,9 +189,9 @@ def test_perfect_oracle_excess_contracts_per_level():
     learners = [QuadOracleLearner(dim=2, radius=1.0) for _ in range(N)]
     booster = DynaBoost(learners, curv)
     for _ in range(2):
-        booster.act(_OBS)
+        booster.act(np.zeros((1, 1)))
         booster.update(target, np.zeros((1, 1)))
-    levels = [*booster.anchors[:, -1], booster.act(_OBS)]
+    levels = [*booster.anchors[:, -1], booster.act(np.zeros((1, 1)))]
     elapsed = time.perf_counter() - start
     initial = target.excess(levels[0])
     worst_margin = -np.inf
@@ -222,9 +219,9 @@ def test_linear_oracle_excess_scales_inversely_with_levels():
         learners = [LinOracleLearner(dim=2, radius=1.0) for _ in range(N)]
         booster = DynaBoost(learners)
         for _ in range(50):
-            booster.act(_OBS)
+            booster.act(np.zeros((1, 1)))
             booster.update(target, np.zeros((1, 1)))
-        products[N] = N * target.excess(booster.act(_OBS))
+        products[N] = N * target.excess(booster.act(np.zeros((1, 1))))
     reference = products[2]
     ok = reference > 0 and all(products[N] <= 2.0 * reference for N in (4, 8, 16))
     _report(

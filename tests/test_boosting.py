@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynaboost.boosting import DynaBoost, SharedStep, combination_weights, step_lengths
-from dynaboost.controllers import GpcController, Observation
+from dynaboost.controllers import GpcController
 from dynaboost.core import BallSet
 from dynaboost.dynamics import LinearSystem
 from dynaboost.harness.experiments import correlated_suite, sanity_suite
@@ -33,10 +33,6 @@ class FixedLearner:
 
     def receive_loss(self, loss, w_history):
         self.received.append((loss, np.asarray(w_history)))
-
-
-def scalar_obs(H=2):
-    return Observation(state=np.zeros(1), disturbances=np.zeros((H, 1)))
 
 
 class TestStepLengths:
@@ -81,14 +77,14 @@ class TestCombinationWeights:
 class TestBoostAct:
     def test_hand_recursion(self):
         booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)])
-        out = booster.act(scalar_obs())
+        out = booster.act(np.zeros((2, 1)))
         assert booster.anchors[:, -1, 0] == pytest.approx([0.0, 3.0, 1.0])
         assert out[0] == pytest.approx(3.5)
 
     def test_hand_recursion_matches_closed_form(self):
         actions = np.array([3.0, 0.0, 6.0])
         booster = DynaBoost([FixedLearner(a) for a in actions])
-        out = booster.act(scalar_obs())
+        out = booster.act(np.zeros((2, 1)))
         assert out[0] == pytest.approx(float(combination_weights(3) @ actions), abs=1e-12)
 
     def test_identical_actions_pass_through(self):
@@ -96,36 +92,36 @@ class TestBoostAct:
         # steps with alpha = beta; smaller eta leaves (1-eta)^N on the anchor
         for curv in (None, CurvatureBounds(alpha=2.0, beta=2.0)):
             booster = DynaBoost([FixedLearner([0.7, -0.2], H=3) for _ in range(4)], curv)
-            out = booster.act(Observation(state=np.zeros(1), disturbances=np.zeros((3, 1))))
+            out = booster.act(np.zeros((3, 1)))
             assert np.allclose(out, [0.7, -0.2], atol=1e-12)
 
     def test_constant_step_anchor_retention(self):
         eta = 0.5
         curv = CurvatureBounds(alpha=1.0, beta=2.0)
         booster = DynaBoost([FixedLearner(0.7) for _ in range(4)], curv)
-        out = booster.act(scalar_obs())
+        out = booster.act(np.zeros((2, 1)))
         assert out[0] == pytest.approx((1.0 - (1.0 - eta) ** 4) * 0.7, abs=1e-12)
 
     def test_single_learner_collapses(self):
         booster = DynaBoost([FixedLearner(-1.25)])
-        assert booster.act(scalar_obs())[0] == pytest.approx(-1.25)
+        assert booster.act(np.zeros((2, 1)))[0] == pytest.approx(-1.25)
 
     def test_output_bounded_by_largest_action(self):
         booster = DynaBoost([FixedLearner(a) for a in (-2.0, 5.0, 1.0, -3.0)])
-        out = booster.act(scalar_obs())
+        out = booster.act(np.zeros((2, 1)))
         assert abs(out[0]) <= 5.0
 
     def test_level_zero_window_stays_zero(self):
         booster = DynaBoost([FixedLearner(2.0, H=3)])
         for _ in range(5):
-            booster.act(scalar_obs())
+            booster.act(np.zeros((2, 1)))
         assert np.array_equal(booster.anchors[0], np.zeros((3, 1)))
 
     def test_level_windows_record_partials(self):
         booster = DynaBoost([FixedLearner(a) for a in (3.0, 0.0, 6.0)])
-        first = booster.act(scalar_obs())
+        first = booster.act(np.zeros((2, 1)))
         partials = booster.anchors[:, -1].copy()
-        second = booster.act(scalar_obs())
+        second = booster.act(np.zeros((2, 1)))
         for level in range(3):
             window = booster.anchors[level]
             assert window[-1, 0] == pytest.approx(partials[level, 0])
@@ -135,11 +131,11 @@ class TestBoostAct:
     def test_returned_action_is_a_copy(self):
         learners = [FixedLearner(1.0) for _ in range(2)]
         booster = DynaBoost(learners)
-        out = booster.act(scalar_obs())
+        out = booster.act(np.zeros((2, 1)))
         out[0] = 99.0
         assert booster.anchors[1, -1, 0] == pytest.approx(1.0)
         assert [c.action[0] for c in learners] == [1.0, 1.0]
-        assert booster.act(scalar_obs())[0] == pytest.approx(1.0)
+        assert booster.act(np.zeros((2, 1)))[0] == pytest.approx(1.0)
 
     @given(st.integers(1, 20), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -147,14 +143,14 @@ class TestBoostAct:
         rng = np.random.default_rng(seed)
         actions = rng.standard_normal((N, 3))
         booster = DynaBoost([FixedLearner(a) for a in actions])
-        out = booster.act(Observation(state=np.zeros(1), disturbances=np.zeros((2, 1))))
+        out = booster.act(np.zeros((2, 1)))
         expected = combination_weights(N) @ actions
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_constant_step_recursion(self):
         curv = CurvatureBounds(alpha=1.0, beta=4.0)
         booster = DynaBoost([FixedLearner(a) for a in (4.0, -4.0)], curv)
-        out = booster.act(scalar_obs())
+        out = booster.act(np.zeros((2, 1)))
         # u^1 = 0.25*4 = 1, u^2 = 0.75*1 + 0.25*(-4) = -0.25
         assert booster.anchors[:, -1, 0] == pytest.approx([0.0, 1.0])
         assert out[0] == pytest.approx(-0.25)
@@ -183,7 +179,7 @@ class TestLevelWindows:
         booster = DynaBoost(learners)
         history = [np.zeros((3, 2))] * 3
         for _ in range(rounds):
-            played = booster.act(scalar_obs(3))
+            played = booster.act(np.zeros((3, 1)))
             history.append(booster.anchors[:, -1].copy())
             eta = booster.etas[-1]
             want = (1.0 - eta) * booster.anchors[-1, -1] + eta * learners[-1].action
@@ -197,10 +193,10 @@ class TestLevelWindows:
         rng = np.random.default_rng(1)
         learners = [NoisyLearner(rng, dim=1) for _ in range(2)]
         booster = DynaBoost(learners, curv)
-        booster.act(scalar_obs())
+        booster.act(np.zeros((2, 1)))
         before = booster.anchors.copy()
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
-        booster.act(scalar_obs())
+        booster.act(np.zeros((2, 1)))
         for i, learner in enumerate(learners, start=1):
             loss, _ = learner.received[-1]
             assert np.array_equal(loss.anchors, before[i - 1])
@@ -217,8 +213,8 @@ class TestBoostUpdate:
     def test_linear_dispatch_uses_previous_level_window(self):
         learners = [FixedLearner(a) for a in (2.0, -1.0, 0.5)]
         booster = DynaBoost(learners)
-        booster.act(scalar_obs())
-        booster.act(scalar_obs())
+        booster.act(np.zeros((2, 1)))
+        booster.act(np.zeros((2, 1)))
         hist = np.arange(3.0).reshape(3, 1)
         booster.update(RecordingWindowLoss(), hist)
         assert booster.variant == "dynaboost1"
@@ -233,7 +229,7 @@ class TestBoostUpdate:
         curv = CurvatureBounds(alpha=1.0, beta=4.0)
         learners = [FixedLearner(a) for a in (2.0, -1.0)]
         booster = DynaBoost(learners, curv)
-        booster.act(scalar_obs())
+        booster.act(np.zeros((2, 1)))
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
         assert booster.variant == "dynaboost2"
         for i, learner in enumerate(learners, start=1):
@@ -250,7 +246,7 @@ class TestBoostUpdate:
         proxy = ProxyLoss(system, cost, disturbances=np.zeros((1, 1)))
         learner = FixedLearner(0.0)
         booster = DynaBoost([learner])
-        booster.act(scalar_obs())
+        booster.act(np.zeros((2, 1)))
         booster.anchors[0] = [[1.0], [2.0]]
         booster.update(proxy, np.zeros((3, 1)))
         loss, _ = learner.received[-1]
@@ -262,7 +258,7 @@ class TestBoostUpdate:
         proxy = ProxyLoss(system, cost, disturbances=np.zeros((1, 1)))
         learners = [FixedLearner(0.0) for _ in range(3)]
         booster = DynaBoost(learners)
-        booster.act(scalar_obs())
+        booster.act(np.zeros((2, 1)))
         booster.update(proxy, np.zeros((3, 1)))
         for learner in learners:
             loss, _ = learner.received[-1]
@@ -272,7 +268,7 @@ class TestBoostUpdate:
         curv = CurvatureBounds(alpha=1.0, beta=2.0)
         learner = FixedLearner(1.5)
         booster = DynaBoost([learner], curv)
-        booster.act(scalar_obs())
+        booster.act(np.zeros((2, 1)))
         booster.update(RecordingWindowLoss(), np.zeros((3, 1)))
         loss, _ = learner.received[-1]
         assert loss.value(loss.anchors) == pytest.approx(0.0, abs=1e-15)
@@ -291,14 +287,14 @@ class TestHeldSharedStep:
         w = draw_disturbances(cfg, k, 0)
         for t in range(2 * H - 1, 2 * H + 2):
             hist = w[t - 2 * H + 1 : t]
-            ob = Observation(np.zeros(k), hist[H - 1 :])
-            booster.act(ob)
-            single.act(ob)
+            window = hist[H - 1 :]
+            booster.act(window)
+            single.act(window)
             window_loss = ProxyLoss(system, cost, hist[H:])
             booster.update(window_loss, hist)
-            before = booster.act(ob)
+            before = booster.act(window)
             shared.step(window_loss, hist)
-            assert not np.array_equal(booster.act(ob), before)
+            assert not np.array_equal(booster.act(window), before)
 
     @pytest.mark.parametrize("name", ["sanity_d1", "walk_rnn"])
     def test_shared_step_owns_the_anchor_block(self, name):
@@ -314,9 +310,8 @@ class TestHeldSharedStep:
 
         def play(t):
             hist = w[t - 2 * H + 1 : t]
-            ob = Observation(np.zeros(k), hist[H - 1 :])
             for p in policies:
-                p.act(ob)
+                p.act(hist[H - 1 :])
             return hist
 
         shared = SharedStep(policies)
@@ -351,55 +346,3 @@ class TestConstruction:
         ball = BallSet(1.0, 1)
         with pytest.raises(ValueError, match="share"):
             DynaBoost([GpcController(1, 2, ball), GpcController(1, 3, ball)])
-
-
-class FrozenQuadTarget:
-    """Window loss for the stationary objective |u - u_star|^2 per slot."""
-
-    def __init__(self, u_star):
-        self.u_star = np.atleast_1d(np.asarray(u_star, dtype=np.float64))
-
-    def gradients(self, actions):
-        return 2.0 * (np.atleast_2d(actions) - self.u_star)
-
-    def excess(self, u):
-        return float(np.sum((u - self.u_star) ** 2))
-
-
-class QuadOracleLearner:
-    """Plays the exact minimizer of the last quadratic residual it received."""
-
-    def __init__(self, dim, radius, H=1):
-        self.action_ball = BallSet(radius=radius, dim=dim)
-        self.H = H
-        self._best = np.zeros(dim)
-
-    def act(self, window):
-        return self._best.copy()
-
-    def receive_loss(self, loss, w_history):
-        u = loss.anchors[-1] - loss.gradients[-1] / (2.0 * loss.coefficient)
-        n = np.linalg.norm(u)
-        if n > self.action_ball.radius:
-            u = u * (self.action_ball.radius / n)
-        self._best = u
-
-
-class TestOracleContraction:
-    def test_per_level_geometric_decay(self):
-        # eta = alpha/beta = 0.25; oracle learners recover the target exactly,
-        # so level i's excess is (1 - eta)^(2i) of the initial one
-        target = FrozenQuadTarget([0.6, -0.3])
-        curv = CurvatureBounds(alpha=2.0, beta=8.0)
-        N = 10
-        learners = [QuadOracleLearner(dim=2, radius=1.0) for _ in range(N)]
-        booster = DynaBoost(learners, curv)
-        obs = Observation(state=np.zeros(1), disturbances=np.zeros((1, 1)))
-        for _ in range(2):
-            booster.act(obs)
-            booster.update(target, np.zeros((1, 1)))
-        levels = [*booster.anchors[:, -1], booster.act(obs)]
-        initial = target.excess(levels[0])
-        for i in range(1, N + 1):
-            excess = target.excess(levels[i])
-            assert excess <= (0.75**i) * initial + 1e-9

@@ -2,16 +2,21 @@
 
 import argparse
 
+import numpy as np
 import pytest
 
+from dynaboost.dynamics import PendulumSystem
+from dynaboost.harness import gradcheck
 from dynaboost.harness.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_GRADCHECK,
     EXIT_OK,
     build_parser,
     main,
 )
 from dynaboost.harness.experiments import SUITES
+from dynaboost.losses import ProxyLoss
 
 TINY_YAML = """\
 name: tiny
@@ -171,6 +176,17 @@ class TestExitCodes:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
         assert all(line.startswith("ok") for line in lines)
+
+    def test_gradcheck_fails_on_nan_gradients(self, monkeypatch, capsys):
+        # A NaN error compares false with every bound, so a running max
+        # would drop it and report the check as passing.
+        monkeypatch.setattr(ProxyLoss, "gradients", lambda self, U: np.full(np.shape(U), np.nan))
+        result = gradcheck.check_window_loss(PendulumSystem(), "pendulum")
+        assert result.ok is False and np.isnan(result.max_rel_err)
+        assert main(["gradcheck"]) == EXIT_GRADCHECK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[0] for line in lines] == ["FAIL", "FAIL", "ok", "ok", "ok", "ok"]
+        assert "max rel err nan" in lines[0]
 
 
 class TestOverrides:

@@ -14,7 +14,6 @@ from dynaboost.controllers import (
     GpcController,
     LqrController,
     LstmCell,
-    Observation,
     RecurrentController,
     LevelStack,
     ZeroController,
@@ -31,14 +30,10 @@ def linear_loss(g):
     return ResidualLoss(g, np.zeros_like(g))
 
 
-def obs(state, window):
-    return Observation(state=np.atleast_1d(state), disturbances=window)
-
-
 class TestZeroController:
     def test_always_zero(self):
         ctrl = ZeroController(BallSet(radius=1.0, dim=3))
-        out = ctrl.act(obs(np.ones(2), np.ones((4, 2))))
+        out = ctrl.act(np.ones(2))
         assert np.array_equal(out, np.zeros(3))
 
 
@@ -222,17 +217,6 @@ class TestRecurrentForward:
         assert not np.array_equal(a, np.zeros(1))
         assert np.array_equal(a, b)
 
-    def test_state_input_ignored(self):
-        # A learner acts on the disturbance window alone, so a policy of
-        # learners plays the same action whatever the observed state.
-        ctrl = self._ctrl(hidden_dim=4)
-        ctrl.params[...] = 0.3 * random_stream(7).standard_normal(ctrl.params.size)
-        window = np.array([[0.3], [-0.2], [0.9]])
-        a = DynaBoost([ctrl]).act(obs(0.0, window))
-        b = DynaBoost([ctrl]).act(obs(123.0, window))
-        assert np.array_equal(a, ctrl.act(window))
-        assert np.array_equal(a, b)
-
     def test_parameter_counts(self):
         elman = self._ctrl(hidden_dim=5)
         # W_x 5 + W_h 25 + b_h 5 + W_o 5 + b_o 1
@@ -352,6 +336,24 @@ def test_learners_reject_zero_memory():
         RecurrentController(1, 0, ball, random_stream(0))
 
 
+@pytest.mark.parametrize(
+    "family, setting",
+    [("gpc", "R_M"), ("rnn", "lr"), ("rnn", "clip_norm"), ("rnn", "weight_radius")],
+)
+def test_learners_reject_nan_settings(family, setting):
+    # A NaN compares false with every bound, so each check reads "not x > 0".
+    ball = BallSet(1.0, 1)
+    build = {
+        "gpc": lambda **kw: GpcController(1, 2, ball, **kw),
+        "rnn": lambda **kw: RecurrentController(1, 2, ball, random_stream(0), **kw),
+    }[family]
+    with pytest.raises(ValueError, match="must be positive"):
+        build(**{setting: math.nan})
+    if setting != "lr":
+        # An infinite clip or radius is allowed: it switches that bound off.
+        build(**{setting: math.inf})
+
+
 def _level(family, i, ball, H=3, k=2):
     """Level i of a three-level stack: 0 inside the ball, 1 on its rim, 2 projected back.
 
@@ -405,11 +407,11 @@ class TestLevelStacks:
         cost = QuadraticCost.identity(k, 2)
         for t in range(3):
             hist = random_stream(77, t).standard_normal((2 * H - 1, k))
-            ob = obs(np.zeros(k), hist[H - 1 :])
+            window = hist[H - 1 :]
             if t == 0:
-                assert np.linalg.norm(_raw_action(stacked[1], ob.disturbances)) > 2 * ball.radius
+                assert np.linalg.norm(_raw_action(stacked[1], window)) > 2 * ball.radius
             for booster in boosters:
-                booster.act(ob)
+                booster.act(window)
             window_loss = ProxyLoss(system, cost, hist[H:])
             for i, ctrl in enumerate(lone):
                 anchor = boosters[1].anchors[i].copy()
@@ -427,7 +429,7 @@ class TestLevelStacks:
                     assert np.array_equal(_parameters(mine), _parameters(theirs))
                     # act reads the learner's own attributes: they must
                     # still be views of the parameters the step wrote
-                    assert np.array_equal(mine.act(ob.disturbances), theirs.act(ob.disturbances))
+                    assert np.array_equal(mine.act(window), theirs.act(window))
 
     @pytest.mark.parametrize("family", ["gpc", "elman", "lstm"])
     def test_gradient_rows_equal_lone_learners(self, family):
@@ -501,16 +503,19 @@ class TestLevelStacks:
             assert np.linalg.norm(_parameters(stacked[i])) == pytest.approx(stacked[i].radius)
 
     def test_levels_must_share_memory_and_ball(self):
+        # Block shapes alone would not tell these apart: the message names
+        # each layout's memory length and ball too.
         a = GpcController(1, 2, BallSet(1.0, 1))
-        with pytest.raises(ValueError, match="share"):
+        got_a = r"share .*got H 2, ball of radius 1\.0 in 1-d, M \(2, 1, 1\); "
+        with pytest.raises(ValueError, match=got_a + r"H 3, ball of radius 1\.0 in 1-d, M \(3, 1, 1\)$"):
             LevelStack.join([a, GpcController(1, 3, BallSet(1.0, 1))])
-        with pytest.raises(ValueError, match="share"):
+        with pytest.raises(ValueError, match=got_a + r"H 2, ball of radius 2\.0 in 1-d, M \(2, 1, 1\)$"):
             LevelStack.join([a, GpcController(1, 2, BallSet(2.0, 1))])
 
     def test_gpc_levels_must_share_state_dim(self):
         ball = BallSet(1.0, 1)
         wide, narrow = GpcController(3, 2, ball), GpcController(1, 2, ball)
-        with pytest.raises(ValueError, match=r"M \(2, 1, 1\); M \(2, 1, 3\)"):
+        with pytest.raises(ValueError, match=r"M \(2, 1, 1\); H 2, ball of radius 1\.0 in 1-d, M \(2, 1, 3\)"):
             LevelStack.join([wide, narrow])
         assert wide.M.shape == (2, 1, 3) and narrow.M.shape == (2, 1, 1)
 
@@ -521,7 +526,7 @@ class TestLevelStacks:
             LevelStack.join([small, big])
         elman = RecurrentController(1, 2, ball, random_stream(1), cell="elman")
         lstm = RecurrentController(1, 2, ball, random_stream(1), cell="lstm")
-        with pytest.raises(ValueError, match=r"W \(20, 1\).*; W_x \(5, 1\)"):
+        with pytest.raises(ValueError, match=r"W \(20, 1\).*; H 2, ball of radius 1\.0 in 1-d, W_x \(5, 1\)"):
             LevelStack.join([elman, lstm])
 
     def test_joined_gpc_level_m_is_its_stack_row(self):
@@ -567,7 +572,7 @@ class TestLevelStacks:
     def test_other_learners_are_not_joined(self):
         ball = BallSet(1.0, 1)
         rnn = RecurrentController(1, 2, ball, random_stream(1))
-        with pytest.raises(ValueError, match=r"share .*got M \(2, 1, 1\); W_x"):
+        with pytest.raises(ValueError, match=r"share .*got H 2, ball of radius 1\.0 in 1-d, M \(2, 1, 1\); H 2, ball .*, W_x"):
             LevelStack.join([GpcController(1, 2, ball), rnn])
         with pytest.raises(ValueError, match="share .*got no parameters"):
             LevelStack.join([ZeroController(ball)])
@@ -817,17 +822,17 @@ class TestSolveDare:
 class TestLqrController:
     def test_zero_state_zero_action(self):
         ctrl = LqrController(K=np.eye(2), action_ball=BallSet(radius=1.0, dim=2))
-        assert np.array_equal(ctrl.act(obs(np.zeros(2), np.zeros((1, 2)))), np.zeros(2))
+        assert np.array_equal(ctrl.act(np.zeros(2)), np.zeros(2))
 
     def test_scalar_golden_gain(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         ctrl = LqrController(K=[[phi - 1.0]], action_ball=BallSet(radius=5.0, dim=1))
-        out = ctrl.act(obs(2.0, np.zeros((1, 1))))
+        out = ctrl.act(np.array([2.0]))
         assert float(out[0]) == pytest.approx(-1.236068, abs=1e-6)
 
     def test_action_ball_caps_feedback(self):
         ctrl = LqrController(K=[[10.0]], action_ball=BallSet(radius=0.5, dim=1))
-        out = ctrl.act(obs(3.0, np.zeros((1, 1))))
+        out = ctrl.act(np.array([3.0]))
         assert float(out[0]) == pytest.approx(-0.5)
 
     def test_pendulum_linearization_closed_loop(self):
@@ -849,7 +854,6 @@ def test_all_controllers_respect_action_ball(seed):
     rnn = RecurrentController(
         input_dim=2, H=3, action_ball=ball, rng=random_stream(seed, 3), hidden_dim=3
     )
-    ob = obs(state, window)
-    fixed = [ZeroController(ball).act(ob), LqrController(np.eye(2), ball).act(ob)]
+    fixed = [ZeroController(ball).act(state), LqrController(np.eye(2), ball).act(state)]
     for out in (gpc.act(window), rnn.act(window), *fixed):
         assert np.linalg.norm(out) <= ball.radius + 1e-9

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dynaboost.controllers import Observation, ZeroController, solve_dare
+from dynaboost.controllers import ZeroController, solve_dare
 from dynaboost.core import BallSet
 from dynaboost.dynamics import PendulumSystem, Trajectory, rollout
 from dynaboost.harness.config import (
@@ -944,7 +944,7 @@ class TestLockstep:
             def __init__(self, name, leave):
                 self.name, self.leave, self.t = name, leave, 0
 
-            def act(self, obs):
+            def act(self, state):
                 u = np.full(2, self.leave if self.t == 12 else 0.01 * self.t)
                 self.t += 1
                 return u
@@ -975,11 +975,11 @@ class TestLockstep:
         run_episode(system, cost, cfg, policies, w, 0)
         H = cfg.H
         hist = np.linspace(-0.5, 0.5, 2 * H - 1)[:, None]
-        ob = Observation(np.zeros(1), hist[H - 1 :])
-        u = booster.act(ob)
+        window = hist[H - 1 :]
+        u = booster.act(window)
         before = single.ctrl.params.copy()
         booster.update(ProxyLoss(system, cost, hist[H:]), hist)
-        assert not np.array_equal(booster.act(ob), u)
+        assert not np.array_equal(booster.act(window), u)
         assert np.array_equal(single.ctrl.params, before)
 
 
